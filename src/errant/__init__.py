@@ -14,7 +14,6 @@ from .backends import (
     SimulatedLink,
     TcBackend,
     default_ifb,
-    dry_run_apply,
     render_clear_commands,
     render_commands,
     simulate_download,
@@ -25,14 +24,13 @@ from .emulator import (
     RunReport,
     Scenario,
     ScenarioStep,
-    SimpleParams,
+    Segment,
     StaticPreset,
     VirtualClock,
     parse_scenario,
+    run,
     run_fixed,
     run_periodic,
-    run_simple,
-    run_static,
     run_trace,
     sample_params,
     simple_params,

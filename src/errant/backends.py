@@ -15,6 +15,8 @@ import subprocess
 from dataclasses import dataclass
 from typing import Callable, Optional
 
+import numpy as np
+
 from .errors import BackendError
 from .kde import EmulationParams
 
@@ -39,18 +41,18 @@ def render_commands(
     params: EmulationParams,
     egress_iface: str,
     ifb_iface: str,
-    latency_std_ms: Optional[float] = None,
     all_egress: bool = False,
 ) -> list[str]:
     """Render the command sequence imposing ``params`` on an interface pair.
 
     ``params.latency_ms`` is the round-trip time; each direction gets half of
     it unless ``all_egress`` puts the whole delay on the egress side. With
-    ``latency_std_ms`` the netem delay becomes normally distributed around
-    the mean, split the same way.
+    ``params.latency_std_ms`` the netem delay becomes normally distributed
+    around the mean, split the same way.
     """
     if not egress_iface or not ifb_iface:
         raise ValueError("interface names must be non-empty")
+    latency_std_ms = params.latency_std_ms
     if all_egress:
         egress_delay, ifb_delay = params.latency_ms, 0.0
         egress_std, ifb_std = latency_std_ms, None
@@ -93,13 +95,6 @@ def render_clear_commands(egress_iface: str, ifb_iface: str) -> list[str]:
     ]
 
 
-def dry_run_apply(
-    params: EmulationParams, egress_iface: str = "eth0", ifb_iface: Optional[str] = None
-) -> list[str]:
-    """Render the apply sequence without executing anything."""
-    return render_commands(params, egress_iface, ifb_iface or default_ifb())
-
-
 class ShapingBackend:
     """Base contract: apply replaces any configured state; clear is idempotent."""
 
@@ -107,11 +102,6 @@ class ShapingBackend:
         self.configured: Optional[EmulationParams] = None
 
     def apply(self, params: EmulationParams) -> None:
-        raise NotImplementedError
-
-    def apply_gaussian_latency(
-        self, params: EmulationParams, latency_mean_ms: float, latency_std_ms: float
-    ) -> None:
         raise NotImplementedError
 
     def clear(self) -> None:
@@ -138,22 +128,6 @@ class _CommandBackend(ShapingBackend):
         commands = render_commands(
             params, self.egress_iface, self.ifb_iface, all_egress=self.all_egress
         )
-        self._replace(commands, params)
-
-    def apply_gaussian_latency(
-        self, params: EmulationParams, latency_mean_ms: float, latency_std_ms: float
-    ) -> None:
-        effective = EmulationParams(params.download_kbps, params.upload_kbps, latency_mean_ms)
-        commands = render_commands(
-            effective,
-            self.egress_iface,
-            self.ifb_iface,
-            latency_std_ms=latency_std_ms,
-            all_egress=self.all_egress,
-        )
-        self._replace(commands, effective)
-
-    def _replace(self, commands: list[str], params: EmulationParams) -> None:
         if self.configured is not None:
             # replace semantics: tear down old rules before installing new ones
             self._execute(
@@ -227,7 +201,11 @@ class TcBackend(_CommandBackend):
 
 @dataclass(frozen=True)
 class SimulatedLink:
-    """Fluid-model link: startup handshakes, then a rate-limited transfer."""
+    """Fluid-model link: startup handshakes, then a rate-limited transfer.
+
+    Rates and rtt are numbers, or equal-length arrays describing one link
+    per element.
+    """
 
     download_rate_kbps: float
     upload_rate_kbps: float
@@ -235,9 +213,9 @@ class SimulatedLink:
     setup_rtts: int = 2
 
     def __post_init__(self) -> None:
-        if self.download_rate_kbps <= 0 or self.upload_rate_kbps <= 0:
+        if np.any(self.download_rate_kbps <= 0) or np.any(self.upload_rate_kbps <= 0):
             raise ValueError("link rates must be positive")
-        if self.rtt_ms < 0:
+        if np.any(self.rtt_ms < 0):
             raise ValueError("rtt must be nonnegative")
         if self.setup_rtts < 0:
             raise ValueError("setup_rtts must be nonnegative")
@@ -247,7 +225,8 @@ def simulate_download(link: SimulatedLink, size_bytes: float) -> tuple[float, fl
     """Fluid-model download of ``size_bytes``; returns (duration s, avg speed kbit/s).
 
     The transfer spends ``setup_rtts`` round trips on connection setup and
-    then moves data at exactly the link's download rate.
+    then moves data at exactly the link's download rate. A link of arrays
+    gives arrays, element for element equal to the scalar results.
     """
     if size_bytes <= 0:
         raise ValueError("size_bytes must be positive")
@@ -259,8 +238,8 @@ def simulate_download(link: SimulatedLink, size_bytes: float) -> tuple[float, fl
 class SimulatedBackend(ShapingBackend):
     """Backend that retargets an in-process fluid link instead of interfaces.
 
-    The fluid model is deterministic, so a Gaussian latency request pins the
-    link at the mean latency.
+    The fluid model is deterministic, so a Gaussian latency pins the link at
+    the mean latency.
     """
 
     def __init__(self, setup_rtts: int = 2) -> None:
@@ -273,12 +252,6 @@ class SimulatedBackend(ShapingBackend):
             params.download_kbps, params.upload_kbps, params.latency_ms, self.setup_rtts
         )
         self.configured = params
-
-    def apply_gaussian_latency(
-        self, params: EmulationParams, latency_mean_ms: float, latency_std_ms: float
-    ) -> None:
-        effective = EmulationParams(params.download_kbps, params.upload_kbps, latency_mean_ms)
-        self.apply(effective)
 
     def clear(self) -> None:
         self.link = None

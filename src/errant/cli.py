@@ -11,6 +11,7 @@ import argparse
 import csv
 import os
 import re
+import signal
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -27,21 +28,20 @@ from .backends import (
     simulate_download,
 )
 from .emulator import (
-    Clock,
     MonotonicClock,
+    Segment,
     VirtualClock,
     parse_scenario,
+    run,
     run_fixed,
     run_periodic,
-    run_simple,
-    run_static,
     run_trace,
     simple_params,
     static_preset,
 )
 from .errors import BackendError, ErrantError, FitError, FormatError
 from .ingest import parse_speedtests, write_rejects
-from .kde import EmulationParams, KdeModel, fit, sample
+from .kde import EmulationParams, KdeModel, fit, sample_points
 from .model_store import ModelBundle, load, save
 from .profiles import Profile, ProfileKey, build_profiles, filter_profiles
 from .validation import compare_distributions, subsample_experiment
@@ -170,7 +170,7 @@ def _cmd_list_profiles(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    if args.preset and (args.models or args.profile or args.simple or args.period):
+    if args.preset and (args.models or args.profile or args.simple or args.period is not None):
         print(
             "error: --preset replaces --models/--profile and takes no "
             "--simple or --period",
@@ -180,7 +180,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if not args.preset and (not args.models or not args.profile):
         print("error: either --preset or both --models and --profile", file=sys.stderr)
         return 1
-    if args.simple and args.period:
+    if args.simple and args.period is not None:
         print("error: --simple holds constant parameters; --period does not apply", file=sys.stderr)
         return 1
     seed = _resolve_seed(args)
@@ -190,21 +190,18 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.preset:
         tool, _, name = args.preset.partition(":")
         preset = static_preset(tool, name)
-        params = EmulationParams(
-            preset.download_kbps, preset.upload_kbps, preset.latency_ms
-        )
-        notes["preset"] = preset.name
-        notes["mode"] = "static"
-        report = run_static(params, backend, args.duration, clock)
+        params = EmulationParams(preset.download_kbps, preset.upload_kbps, preset.latency_ms)
+        notes.update(preset=preset.name, mode="static")
+        report = run([Segment(args.duration, args.duration, lambda: params)], backend, clock)
     else:
         bundle = load(args.models)
         key = _profile_key(args.profile)
         model = _model_for(bundle, key)
         notes["profile"] = key.as_string()
         if args.simple:
-            baseline = simple_params(Profile(key, model.points))
+            params = simple_params(Profile(key, model.points))
             notes["mode"] = "simple"
-            report = run_simple(baseline, backend, args.duration, clock)
+            report = run([Segment(args.duration, args.duration, lambda: params)], backend, clock)
         elif args.period is not None:
             notes["mode"] = f"periodic:{args.period:g}"
             report = run_periodic(model, backend, args.duration, args.period, rng, clock)
@@ -249,32 +246,23 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         baseline = simple_params(Profile(key, model.points))
         # the fluid model is deterministic, so the Gaussian latency collapses
         # to its mean and every download sees identical parameters
-        draws = [baseline.as_emulation_params()] * args.downloads
+        mean = [baseline.download_kbps, baseline.upload_kbps, baseline.latency_ms]
+        draws = np.tile(mean, (args.downloads, 1))
     else:
-        draws = sample(model, rng, args.downloads)
+        draws = sample_points(model, rng, args.downloads)
+    durations, speeds = simulate_download(SimulatedLink(*draws.T, args.setup_rtts), size_bytes)
 
     lines = [
         f"# seed={seed} version={__version__}",
         "download,download_kbps,upload_kbps,latency_ms,duration_s,avg_speed_kbps",
     ]
-    speeds = []
-    for number, params in enumerate(draws, start=1):
-        link = SimulatedLink(
-            params.download_kbps, params.upload_kbps, params.latency_ms, args.setup_rtts
-        )
-        duration, speed = simulate_download(link, size_bytes)
-        speeds.append(speed)
-        lines.append(
-            f"{number},{params.download_kbps!r},{params.upload_kbps!r},"
-            f"{params.latency_ms!r},{duration!r},{speed!r}"
-        )
+    rows = zip(draws.tolist(), durations.tolist(), speeds.tolist())
+    for number, ((down, up, latency), duration, speed) in enumerate(rows, start=1):
+        lines.append(f"{number},{down!r},{up!r},{latency!r},{duration!r},{speed!r}")
     csv_text = "\n".join(lines) + "\n"
 
     # reference: the stored measurements pushed through the same fluid model
-    observed = [
-        simulate_download(SimulatedLink(p[0], p[1], p[2], args.setup_rtts), size_bytes)[1]
-        for p in model.points
-    ]
+    observed = simulate_download(SimulatedLink(*model.points.T, args.setup_rtts), size_bytes)[1]
     comparison = compare_distributions(observed, speeds)
     if args.output:
         Path(args.output).write_text(csv_text, encoding="utf-8")
@@ -408,8 +396,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _exit_on_signal(signum: int, frame: object) -> None:
+    raise SystemExit(128 + signum)
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    # SIGTERM and SIGHUP unwind like Ctrl-C, so a run still clears its backend
+    caught = {signal.SIGTERM, getattr(signal, "SIGHUP", signal.SIGTERM)}
+    previous = {signum: signal.signal(signum, _exit_on_signal) for signum in caught}
     try:
         code = args.func(args)
         sys.stdout.flush()  # surface EPIPE here, while it is still catchable
@@ -428,6 +423,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        for signum, handler in previous.items():
+            signal.signal(signum, handler)
 
 
 if __name__ == "__main__":

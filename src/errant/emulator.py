@@ -1,16 +1,17 @@
 """Run-time drivers: turn models into timed backend actions.
 
-A run samples parameters from a model (once, or every period seconds),
-applies them through a shaping backend, and always clears the backend at the
-end, including on error paths. Time comes from an injectable clock so tests
-and non-executing backends run instantly.
+A run is a list of segments. Each segment draws parameters (once, or every
+period seconds), applies them through a shaping backend, and clears the
+backend at its end, including on error paths. Time comes from an injectable
+clock so tests and non-executing backends run instantly.
 """
 
 from __future__ import annotations
 
+import contextlib
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Protocol, Tuple
+from typing import Callable, Dict, Iterable, NamedTuple, Optional, Protocol, Tuple
 
 import numpy as np
 
@@ -94,26 +95,13 @@ def sample_params(model: KdeModel, rng: np.random.Generator) -> EmulationParams:
     return kde.sample(model, rng, 1)[0]
 
 
-@dataclass(frozen=True)
-class SimpleParams:
-    """Average-value baseline: mean bandwidths plus a Gaussian latency."""
-
-    download_kbps: float
-    upload_kbps: float
-    latency_mean_ms: float
-    latency_std_ms: float
-
-    def as_emulation_params(self) -> EmulationParams:
-        return EmulationParams(self.download_kbps, self.upload_kbps, self.latency_mean_ms)
-
-
-def simple_params(profile: Profile) -> SimpleParams:
+def simple_params(profile: Profile) -> EmulationParams:
     """Baseline parameters for a profile: per-dimension means, latency std."""
     means = profile.samples.mean(axis=0)
-    return SimpleParams(
+    return EmulationParams(
         download_kbps=float(means[0]),
         upload_kbps=float(means[1]),
-        latency_mean_ms=float(means[2]),
+        latency_ms=float(means[2]),
         latency_std_ms=float(profile.samples[:, 2].std()),
     )
 
@@ -232,49 +220,58 @@ def parse_scenario(text: str) -> Scenario:
     return Scenario(tuple(steps))
 
 
-def _model_applier(
-    model: KdeModel, rng: np.random.Generator, backend: ShapingBackend
-) -> Callable[[], EmulationParams]:
-    def apply_once() -> EmulationParams:
-        params = sample_params(model, rng)
-        backend.apply(params)
-        return params
+class Segment(NamedTuple):
+    """Apply ``draw()`` at t = 0, period, 2*period, ... < duration, then clear."""
 
-    return apply_once
+    duration_s: float
+    period_s: float
+    draw: Callable[[], EmulationParams]
 
 
-def _run_segment(
-    apply_once: Callable[[], EmulationParams],
-    backend: ShapingBackend,
-    duration_s: float,
-    period_s: float,
-    clock: Clock,
-    report: RunReport,
-    origin: float,
-) -> None:
-    """Apply at t = 0, period, 2*period, ... < duration, then clear.
+def _sampler(model: KdeModel, rng: np.random.Generator) -> Callable[[], EmulationParams]:
+    return lambda: sample_params(model, rng)
 
-    The backend is cleared on every exit path; a failure during cleanup on
-    the error path never masks the original exception.
+
+def run(
+    segments: Iterable[Segment], backend: ShapingBackend, clock: Optional[Clock] = None
+) -> RunReport:
+    """Run the segments back to back; event times count from the first one.
+
+    Every segment is checked before the backend sees a command. The backend
+    is cleared at the end of each segment and on every exit path; a failure
+    during cleanup on the error path never masks the original exception.
     """
-    start = clock.now()
-    try:
-        applied = 0
-        while applied * period_s < duration_s:
-            clock.sleep(start + applied * period_s - clock.now())
-            params = apply_once()
-            report.events.append(RunEvent(clock.now() - origin, "apply", params))
-            applied += 1
-        clock.sleep(start + duration_s - clock.now())
-    except BaseException:
+    segments = list(segments)
+    for duration_s, period_s, _ in segments:
+        if duration_s <= 0:
+            raise ValueError("duration must be positive")
+        if period_s <= 0 or period_s > duration_s:
+            raise ValueError("period must be in (0, duration]")
+    clock = clock or MonotonicClock()
+    report = RunReport()
+    origin = clock.now()
+
+    def clear() -> None:
+        backend.clear()
+        report.events.append(RunEvent(clock.now() - origin, "clear", None))
+
+    for duration_s, period_s, draw in segments:
+        start = clock.now()
         try:
-            backend.clear()
-            report.events.append(RunEvent(clock.now() - origin, "clear", None))
-        except Exception:
-            pass
-        raise
-    backend.clear()
-    report.events.append(RunEvent(clock.now() - origin, "clear", None))
+            applied = 0
+            while applied * period_s < duration_s:
+                clock.sleep(start + applied * period_s - clock.now())
+                params = draw()
+                backend.apply(params)
+                report.events.append(RunEvent(clock.now() - origin, "apply", params))
+                applied += 1
+            clock.sleep(start + duration_s - clock.now())
+        except BaseException:
+            with contextlib.suppress(Exception):
+                clear()
+            raise
+        clear()
+    return report
 
 
 def run_fixed(
@@ -297,65 +294,7 @@ def run_periodic(
     clock: Optional[Clock] = None,
 ) -> RunReport:
     """Resample and re-apply every ``period_s`` seconds for ``duration_s`` seconds."""
-    if duration_s <= 0:
-        raise ValueError("duration must be positive")
-    if period_s <= 0 or period_s > duration_s:
-        raise ValueError("period must be in (0, duration]")
-    clock = clock or MonotonicClock()
-    report = RunReport()
-    _run_segment(
-        _model_applier(model, rng, backend),
-        backend,
-        duration_s,
-        period_s,
-        clock,
-        report,
-        clock.now(),
-    )
-    return report
-
-
-def run_static(
-    params: EmulationParams,
-    backend: ShapingBackend,
-    duration_s: float,
-    clock: Optional[Clock] = None,
-) -> RunReport:
-    """Hold fixed parameters (e.g. a preset) for the duration, then clear."""
-    if duration_s <= 0:
-        raise ValueError("duration must be positive")
-    clock = clock or MonotonicClock()
-    report = RunReport()
-
-    def apply_once() -> EmulationParams:
-        backend.apply(params)
-        return params
-
-    _run_segment(apply_once, backend, duration_s, duration_s, clock, report, clock.now())
-    return report
-
-
-def run_simple(
-    baseline: SimpleParams,
-    backend: ShapingBackend,
-    duration_s: float,
-    clock: Optional[Clock] = None,
-) -> RunReport:
-    """Hold the average-value baseline with Gaussian latency, then clear."""
-    if duration_s <= 0:
-        raise ValueError("duration must be positive")
-    clock = clock or MonotonicClock()
-    report = RunReport()
-    params = baseline.as_emulation_params()
-
-    def apply_once() -> EmulationParams:
-        backend.apply_gaussian_latency(
-            params, baseline.latency_mean_ms, baseline.latency_std_ms
-        )
-        return params
-
-    _run_segment(apply_once, backend, duration_s, duration_s, clock, report, clock.now())
-    return report
+    return run([Segment(duration_s, period_s, _sampler(model, rng))], backend, clock)
 
 
 def run_trace(
@@ -370,7 +309,6 @@ def run_trace(
     Profile resolution happens up front: a scenario naming a profile missing
     from the bundle fails before the backend sees a single command.
     """
-    clock = clock or MonotonicClock()
     missing = sorted(
         {
             step.profile.as_string()
@@ -382,18 +320,12 @@ def run_trace(
         raise ScenarioError(
             "scenario references profiles missing from the models: " + ", ".join(missing)
         )
-    report = RunReport()
-    origin = clock.now()
-    for step in scenario.steps:
-        model = bundle.models[step.profile]
-        period = step.period_s if step.period_s is not None else step.duration_s
-        _run_segment(
-            _model_applier(model, rng, backend),
-            backend,
+    segments = [
+        Segment(
             step.duration_s,
-            period,
-            clock,
-            report,
-            origin,
+            step.duration_s if step.period_s is None else step.period_s,
+            _sampler(bundle.models[step.profile], rng),
         )
-    return report
+        for step in scenario.steps
+    ]
+    return run(segments, backend, clock)

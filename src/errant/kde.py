@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -26,15 +26,22 @@ _REJECTION_WINDOW = 1000
 
 @dataclass(frozen=True)
 class EmulationParams:
-    """One (download, upload, latency) tuple ready to hand to a backend."""
+    """One (download, upload, latency) tuple ready to hand to a backend.
+
+    ``latency_std_ms`` makes the latency normally distributed around
+    ``latency_ms``; without it the latency is constant.
+    """
 
     download_kbps: float
     upload_kbps: float
     latency_ms: float
+    latency_std_ms: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.download_kbps <= 0 or self.upload_kbps <= 0 or self.latency_ms < 0:
             raise ValueError("bandwidths must be positive and latency nonnegative")
+        if self.latency_std_ms is not None and not self.latency_std_ms >= 0:
+            raise ValueError("latency std must be nonnegative")
 
 
 def silverman_factor(n: int, d: int) -> float:
@@ -63,6 +70,9 @@ class KdeModel:
             raise FitError("points and covariance must be finite")
         if not self.bandwidth_factor > 0:
             raise FitError("bandwidth_factor must be positive")
+        eigenvalues = np.linalg.eigvalsh(covariance)
+        if eigenvalues.min() < -1e-9 * max(1.0, eigenvalues.max()):
+            raise FitError("covariance must be positive semi-definite")
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "covariance", covariance)
 

@@ -123,8 +123,6 @@ def _model_from_doc(key_text: str, body: object) -> KdeModel:
     factor = body["bandwidth_factor"]
     if not isinstance(factor, (int, float)) or isinstance(factor, bool):
         raise bad("bandwidth_factor must be a number")
-    if not factor > 0:
-        raise bad(f"bandwidth_factor must be positive, got {factor!r}")
     try:
         covariance = np.array(body["covariance"], dtype=float)
         points = np.array(body["points"], dtype=float)
@@ -137,13 +135,6 @@ def _model_from_doc(key_text: str, body: object) -> KdeModel:
         raise bad("points must be an (n, 3) array with n >= 2")
     if body["n"] != len(points):
         raise bad(f"n={body['n']!r} does not match {len(points)} stored points")
-    if not np.isfinite(covariance).all() or not np.isfinite(points).all():
-        raise bad("covariance and points must be finite")
-    if not np.allclose(covariance, covariance.T):
-        raise bad("covariance must be symmetric")
-    eigenvalues = np.linalg.eigvalsh(covariance)
-    if eigenvalues.min() < -1e-9 * max(1.0, eigenvalues.max()):
-        raise bad("covariance must be positive semi-definite")
     try:
         return KdeModel(points=points, covariance=covariance, bandwidth_factor=float(factor))
     except FitError as exc:

@@ -347,7 +347,7 @@ def test_c07_rendering_golden():
             EmulationParams(20000.0, 5000.0, 40.0), "eth0", "ifb0"
         ),
         "apply_gaussian.txt": render_commands(
-            EmulationParams(15000.0, 3000.0, 40.0), "eth0", "ifb0", latency_std_ms=10.0
+            EmulationParams(15000.0, 3000.0, 40.0, latency_std_ms=10.0), "eth0", "ifb0"
         ),
         "apply_fractional.txt": render_commands(
             EmulationParams(51200.0, 10240.0, 65.0), "wlan0", "ifb1"
@@ -384,9 +384,6 @@ class _FaultyBackend:
         self.apply_calls += 1
         if self.apply_calls == self.fail_on_apply:
             raise BackendError("injected fault")
-
-    def apply_gaussian_latency(self, params, latency_std_ms):
-        self.apply(params)
 
     def clear(self):
         self.clear_calls += 1

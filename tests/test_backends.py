@@ -13,7 +13,6 @@ from errant import (
     SimulatedLink,
     TcBackend,
     default_ifb,
-    dry_run_apply,
     render_clear_commands,
     render_commands,
     simulate_download,
@@ -37,7 +36,7 @@ def test_render_basic_matches_golden():
 
 def test_render_gaussian_matches_golden():
     commands = render_commands(
-        EmulationParams(15000.0, 3000.0, 40.0), "eth0", "ifb0", latency_std_ms=10.0
+        EmulationParams(15000.0, 3000.0, 40.0, latency_std_ms=10.0), "eth0", "ifb0"
     )
     assert "\n".join(commands) + "\n" == (GOLDEN / "apply_gaussian.txt").read_text()
 
@@ -70,10 +69,6 @@ def test_render_rounds_rates_and_trims_delay():
 
 def test_render_clear_commands():
     assert render_clear_commands("eth0", "ifb0") == CLEAR_LINES
-
-
-def test_dry_run_apply_renders_without_executing():
-    assert dry_run_apply(PARAMS_BASIC) == render_commands(PARAMS_BASIC, "eth0", "ifb0")
 
 
 def test_default_ifb_env_override(monkeypatch):
@@ -110,7 +105,7 @@ def test_dry_run_clear_idempotent():
 
 def test_dry_run_gaussian_latency():
     backend = DryRunBackend("eth0", "ifb0")
-    backend.apply_gaussian_latency(EmulationParams(15000.0, 3000.0, 40.0), 40.0, 10.0)
+    backend.apply(EmulationParams(15000.0, 3000.0, 40.0, latency_std_ms=10.0))
     assert backend.log[5].endswith("netem delay 20ms 5ms distribution normal")
     assert backend.configured.latency_ms == 40.0
 
@@ -174,6 +169,20 @@ def test_simulate_download_properties():
         assert 0 < speed < link.download_rate_kbps  # setup rtts always cost something
 
 
+def test_simulate_download_arrays_match_scalars():
+    rng = np.random.default_rng(6)
+    down, up = rng.uniform(100, 100000, 50), rng.uniform(100, 10000, 50)
+    rtt = rng.uniform(0, 500, 50)
+    durations, speeds = simulate_download(SimulatedLink(down, up, rtt, 3), 2_000_000)
+    for i in range(50):
+        scalar = simulate_download(SimulatedLink(down[i], up[i], rtt[i], 3), 2_000_000)
+        assert (durations[i], speeds[i]) == scalar
+    with pytest.raises(ValueError):
+        SimulatedLink(down, np.append(up[:-1], 0.0), rtt)
+    with pytest.raises(ValueError):
+        SimulatedLink(down, up, np.append(rtt[:-1], -1.0))
+
+
 def test_simulated_link_validation():
     with pytest.raises(ValueError):
         SimulatedLink(0.0, 100.0, 10.0)
@@ -197,7 +206,7 @@ def test_simulated_backend_applies_and_clears():
 
 def test_simulated_backend_gaussian_uses_mean():
     backend = SimulatedBackend()
-    backend.apply_gaussian_latency(EmulationParams(20000.0, 5000.0, 33.0), 40.0, 10.0)
+    backend.apply(EmulationParams(20000.0, 5000.0, 40.0, latency_std_ms=10.0))
     assert backend.link.rtt_ms == 40.0
 
 

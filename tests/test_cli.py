@@ -1,11 +1,17 @@
 """Command-line behavior: pipelines, reports, exit codes, determinism."""
 
+import os
+import signal
+
 import numpy as np
 import pytest
 from conftest import CSV_HEADER, profile_rows
 
-from errant import load
+from errant import DryRunBackend, VirtualClock, load, sample_points
+from errant import cli
 from errant.cli import main
+
+KEY_TEXT = "specific/norway/telia/4G/good"
 
 
 def run_cli(argv):
@@ -180,7 +186,7 @@ def test_run_periodic_twenty_applies(small_bundle_path, capsys):
     assert capsys.readouterr().out.count(",apply,") == 20
 
 
-def test_run_simple_mode_renders_gaussian(small_bundle_path, capsys):
+def test_run_with_simple_flag_renders_gaussian(small_bundle_path, capsys):
     code = run_cli(
         [
             "run",
@@ -249,6 +255,40 @@ def test_run_flag_conflicts(small_bundle_path, capsys):
         )
         == 1
     )
+    # a zero period is still a period: it conflicts rather than being ignored
+    simple_zero = ["--models", str(small_bundle_path), "--profile", KEY_TEXT, "--simple"]
+    for flags in (simple_zero, ["--preset", "chrome:3G"]):
+        assert run_cli(["run", *flags, "--duration", "5", "--period", "0"]) == 1
+
+
+@pytest.mark.parametrize("name", ["SIGTERM", "SIGHUP"])
+def test_termination_signal_clears_backend(small_bundle_path, monkeypatch, name):
+    signum = getattr(signal, name, None)
+    if signum is None:
+        pytest.skip(f"{name} does not exist on this platform")
+
+    class SignalledBackend(DryRunBackend):
+        applies = clears = 0
+
+        def apply(self, params):
+            super().apply(params)
+            self.applies += 1
+            if self.applies == 2:
+                os.kill(os.getpid(), signum)
+
+        def clear(self):
+            super().clear()
+            self.clears += 1
+
+    backend = SignalledBackend()
+    monkeypatch.setattr(cli, "_make_backend", lambda args: (backend, VirtualClock(), "test"))
+    before = signal.getsignal(signum)
+    argv = ["run", "--models", str(small_bundle_path), "--profile", KEY_TEXT]
+    code = run_cli(argv + ["--duration", "10", "--period", "1", "--seed", "1"])
+    assert code == 128 + signum
+    assert (backend.applies, backend.clears) == (2, 1)
+    assert backend.configured is None
+    assert signal.getsignal(signum) is before
 
 
 def test_run_missing_profile(small_bundle_path, capsys):
@@ -407,6 +447,100 @@ def test_validate_simple_constant_bandwidth(small_bundle_path, capsys):
     speeds = {line.split(",")[5] for line in lines}
     assert len(downloads) == 1  # bandwidth identical across rows
     assert len(speeds) == 1
+
+
+def _data_rows(stdout, header):
+    lines = stdout.splitlines()
+    start = lines.index(header) + 1
+    rows = []
+    for line in lines[start:]:
+        if line.startswith("#"):
+            break
+        rows.append(line.split(","))
+    return rows
+
+
+def test_run_periodic_draws_one_point_per_apply(small_bundle_path, capsys):
+    code = run_cli(
+        [
+            "run",
+            "--models",
+            str(small_bundle_path),
+            "--profile",
+            KEY_TEXT,
+            "--duration",
+            "30",
+            "--period",
+            "3",
+            "--seed",
+            "21",
+        ]
+    )
+    assert code == 0
+    rows = _data_rows(
+        capsys.readouterr().out, "time_s,action,download_kbps,upload_kbps,latency_ms"
+    )
+    applies = [row for row in rows if row[1] == "apply"]
+    assert len(applies) == 10
+    model = next(iter(load(small_bundle_path).models.values()))
+    rng = np.random.default_rng(21)
+    for row in applies:
+        expected = sample_points(model, rng, 1)[0]
+        assert row[2:] == [repr(float(value)) for value in expected]
+
+
+VALIDATE_HEADER = "download,download_kbps,upload_kbps,latency_ms,duration_s,avg_speed_kbps"
+
+
+def _fluid_rows(points):
+    size_kbit = 10_000_000 * 8.0 / 1000.0  # the default 10MB object
+    duration = 2 * (points[:, 2] / 1000.0) + size_kbit / points[:, 0]
+    speed = size_kbit / duration
+    return [
+        [str(number)] + [repr(float(value)) for value in (*point, d, s)]
+        for number, (point, d, s) in enumerate(zip(points, duration, speed), start=1)
+    ]
+
+
+def test_validate_rows_follow_draws_through_fluid_formula(small_bundle_path, capsys):
+    code = run_cli(
+        [
+            "validate",
+            "--models",
+            str(small_bundle_path),
+            "--profile",
+            KEY_TEXT,
+            "--downloads",
+            "50",
+            "--seed",
+            "23",
+        ]
+    )
+    assert code == 0
+    model = next(iter(load(small_bundle_path).models.values()))
+    expected = _fluid_rows(sample_points(model, np.random.default_rng(23), 50))
+    assert _data_rows(capsys.readouterr().out, VALIDATE_HEADER) == expected
+
+
+def test_validate_simple_rows_are_the_means(small_bundle_path, capsys):
+    code = run_cli(
+        [
+            "validate",
+            "--models",
+            str(small_bundle_path),
+            "--profile",
+            KEY_TEXT,
+            "--downloads",
+            "5",
+            "--simple",
+            "--seed",
+            "24",
+        ]
+    )
+    assert code == 0
+    model = next(iter(load(small_bundle_path).models.values()))
+    means = np.tile(model.points.mean(axis=0), (5, 1))
+    assert _data_rows(capsys.readouterr().out, VALIDATE_HEADER) == _fluid_rows(means)
 
 
 def test_subsample_deterministic(tmp_path, small_bundle_path):

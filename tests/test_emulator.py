@@ -17,14 +17,14 @@ from errant import (
     Profile,
     ProfileKey,
     ScenarioError,
+    Segment,
     ShapingBackend,
     VirtualClock,
     fit,
     parse_scenario,
+    run,
     run_fixed,
     run_periodic,
-    run_simple,
-    run_static,
     run_trace,
     sample_params,
     simple_params,
@@ -49,10 +49,6 @@ class RecordingBackend(ShapingBackend):
         applies = sum(1 for action, _ in self.actions if action == "apply")
         if self.fail_on_apply is not None and applies >= self.fail_on_apply:
             raise BackendError("injected apply failure")
-        self.configured = params
-
-    def apply_gaussian_latency(self, params, latency_mean_ms, latency_std_ms):
-        self.actions.append(("apply_gaussian", (params, latency_mean_ms, latency_std_ms)))
         self.configured = params
 
     def clear(self):
@@ -119,7 +115,7 @@ def test_simple_params_means_and_latency_std(good_4g_key):
     baseline = simple_params(profile)
     assert baseline.download_kbps == 150.0
     assert baseline.upload_kbps == 100.0
-    assert baseline.latency_mean_ms == 20.0
+    assert baseline.latency_ms == 20.0
     assert baseline.latency_std_ms == 10.0
 
 
@@ -250,21 +246,51 @@ def test_same_seed_same_parameter_sequence():
     assert first == second
 
 
-def test_run_static_and_simple(good_4g_key):
+def test_run_holds_preset_and_baseline_params(good_4g_key):
     backend = RecordingBackend()
     params = EmulationParams(750.0, 250.0, 100.0)
-    report = run_static(params, backend, 5.0, VirtualClock())
+    report = run([Segment(5.0, 5.0, lambda: params)], backend, VirtualClock())
     assert backend.actions[0] == ("apply", params)
     assert report.applies()[0].params == params
 
     backend = RecordingBackend()
     profile = Profile(good_4g_key, make_lognormal(50, seed=9))
     baseline = simple_params(profile)
-    run_simple(baseline, backend, 5.0, VirtualClock())
+    run([Segment(5.0, 5.0, lambda: baseline)], backend, VirtualClock())
     action, payload = backend.actions[0]
-    assert action == "apply_gaussian"
-    assert payload[1] == baseline.latency_mean_ms
-    assert payload[2] == baseline.latency_std_ms
+    assert action == "apply"
+    assert payload.latency_ms == profile.samples[:, 2].mean()
+    assert payload.latency_std_ms == profile.samples[:, 2].std()
+
+
+def test_run_chains_segments_on_one_timeline():
+    backend = RecordingBackend()
+    draws = iter([EmulationParams(1.0, 2.0, 3.0), EmulationParams(4.0, 5.0, 6.0)] * 2)
+    report = run(
+        [Segment(4.0, 4.0, lambda: next(draws)), Segment(6.0, 3.0, lambda: next(draws))],
+        backend,
+        VirtualClock(),
+    )
+    timeline = [(event.action, event.time_s) for event in report.events]
+    assert timeline == [
+        ("apply", 0.0),
+        ("clear", 4.0),
+        ("apply", 4.0),
+        ("apply", 7.0),
+        ("clear", 10.0),
+    ]
+    assert [params for action, params in backend.actions if action == "apply"] == [
+        event.params for event in report.applies()
+    ]
+
+
+def test_run_checks_every_segment_before_applying():
+    params = EmulationParams(1.0, 1.0, 1.0)
+    for bad in (Segment(0.0, 1.0, lambda: params), Segment(5.0, 6.0, lambda: params)):
+        backend = RecordingBackend()
+        with pytest.raises(ValueError):
+            run([Segment(5.0, 5.0, lambda: params), bad], backend, VirtualClock())
+        assert backend.actions == []
 
 
 def test_monotonic_clock_actually_waits():

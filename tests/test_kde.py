@@ -180,8 +180,12 @@ def test_emulation_params_validation():
         EmulationParams(1.0, -1.0, 1.0)
     with pytest.raises(ValueError):
         EmulationParams(1.0, 1.0, -0.1)
+    with pytest.raises(ValueError):
+        EmulationParams(1.0, 1.0, 1.0, latency_std_ms=-0.1)
     # zero latency is allowed: some static presets use it
     assert EmulationParams(1.0, 1.0, 0.0).latency_ms == 0.0
+    assert EmulationParams(1.0, 1.0, 1.0).latency_std_ms is None
+    assert EmulationParams(1.0, 1.0, 1.0, latency_std_ms=0.0).latency_std_ms == 0.0
 
 
 def test_model_rejects_bad_inputs():
@@ -193,3 +197,5 @@ def test_model_rejects_bad_inputs():
         KdeModel(points=data, covariance=np.ones((2, 2)), bandwidth_factor=0.5)
     with pytest.raises(FitError):
         KdeModel(points=np.empty((0, 3)), covariance=cov, bandwidth_factor=0.5)
+    with pytest.raises(FitError, match="semi-definite"):
+        KdeModel(points=data, covariance=np.diag([1.0, -1.0, 1.0]), bandwidth_factor=0.5)
