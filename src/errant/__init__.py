@@ -53,7 +53,7 @@ from .ingest import (
     Rat,
     RejectedRow,
     SignalQuality,
-    SpeedTestRecord,
+    SpeedTests,
     bin_signal,
     parse_speedtests,
     write_rejects,

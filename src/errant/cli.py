@@ -126,9 +126,9 @@ def _print_report(report, backend) -> None:
 def _cmd_build_models(args: argparse.Namespace) -> int:
     schema = _parse_schema(args.column)
     with open(args.input, encoding="utf-8", newline="") as handle:
-        records, rejects = parse_speedtests(handle, schema=schema)
+        tests, rejects = parse_speedtests(handle, schema=schema)
     if rejects:
-        total = len(records) + len(rejects)
+        total = len(tests) + len(rejects)
         print(f"rejected {len(rejects)} of {total} rows", file=sys.stderr)
         if args.write_rejects:
             with open(args.input, encoding="utf-8", newline="") as handle:
@@ -136,7 +136,7 @@ def _cmd_build_models(args: argparse.Namespace) -> int:
             rejects_path = f"{args.input}.rejects.csv"
             write_rejects(rejects, rejects_path, header)
             print(f"wrote {rejects_path}", file=sys.stderr)
-    profiles = filter_profiles(build_profiles(records), args.min_samples)
+    profiles = filter_profiles(build_profiles(tests), args.min_samples)
     models = {}
     for key in sorted(profiles, key=ProfileKey.as_string):
         try:
@@ -286,8 +286,8 @@ def _cmd_subsample(args: argparse.Namespace) -> int:
         profile = Profile(key, _model_for(bundle, key).points)
     else:
         with open(args.input, encoding="utf-8", newline="") as handle:
-            records, _ = parse_speedtests(handle)
-        profiles = build_profiles(records)
+            tests, _ = parse_speedtests(handle)
+        profiles = build_profiles(tests)
         if key not in profiles:
             available = ", ".join(sorted(k.as_string() for k in profiles)) or "none"
             raise ValueError(

@@ -12,7 +12,10 @@ import csv
 import enum
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Union
+from operator import itemgetter
+from typing import Iterable, Mapping, Optional
+
+import numpy as np
 
 from .errors import FormatError
 
@@ -67,18 +70,31 @@ def bin_signal(rat: Rat, rssi: float) -> SignalQuality:
     return SignalQuality.GOOD
 
 
-@dataclass(frozen=True)
-class SpeedTestRecord:
-    """One validated speed-test measurement."""
+@dataclass(frozen=True, eq=False)
+class SpeedTests:
+    """Validated speed-test measurements, one entry per row in every column.
 
-    timestamp: float
-    country: str
-    operator: str
-    rat: Rat
-    rssi: float
-    download_kbps: float
-    upload_kbps: float
-    latency_ms: float
+    ``country`` and ``operator`` are lower-cased text, ``rat`` holds the
+    :class:`Rat` values ("3G", "4G"), ``rssi`` is in dB and ``samples`` is
+    the (n, 3) float array of (download kbit/s, upload kbit/s, latency ms).
+    """
+
+    country: np.ndarray
+    operator: np.ndarray
+    rat: np.ndarray
+    rssi: np.ndarray
+    samples: np.ndarray
+
+    def __post_init__(self) -> None:
+        n = len(self.samples)
+        columns = (self.country, self.operator, self.rat, self.rssi)
+        if np.shape(self.samples) != (n, 3) or any(len(column) != n for column in columns):
+            raise ValueError("every SpeedTests column needs one entry per row")
+        if not np.isin(self.rat, [rat.value for rat in Rat]).all():
+            raise ValueError("SpeedTests.rat must hold Rat values")
+
+    def __len__(self) -> int:
+        return len(self.samples)
 
 
 @dataclass(frozen=True)
@@ -103,14 +119,15 @@ _MEASUREMENTS = (
 def parse_speedtests(
     source: Iterable[str],
     schema: Optional[Mapping[str, str]] = None,
-) -> tuple[list[SpeedTestRecord], list[RejectedRow]]:
-    """Parse a speed-test CSV into accepted records and rejected rows.
+) -> tuple[SpeedTests, list[RejectedRow]]:
+    """Parse a speed-test CSV into accepted measurements and rejected rows.
 
     ``source`` is an iterable of text lines starting with a header row.
     ``schema`` maps canonical column names to the names used in the file.
-    Every data row ends up either as a record or as a ``RejectedRow`` with
-    the reason it was refused; nothing is silently dropped. A missing header
-    or required column is fatal and raises :class:`FormatError`.
+    Every data row ends up either in the returned :class:`SpeedTests` or as
+    a ``RejectedRow`` with the reason it was refused; nothing is silently
+    dropped. A missing header or required column is fatal and raises
+    :class:`FormatError`.
     """
     reader = csv.reader(source)
     try:
@@ -126,24 +143,61 @@ def parse_speedtests(
         except ValueError:
             raise FormatError(f"required column {name!r} not in header") from None
 
-    records: list[SpeedTestRecord] = []
-    rejects: list[RejectedRow] = []
     width = max(positions.values()) + 1
+    # raises IndexError exactly when the row is shorter than ``width``
+    pick = itemgetter(*(positions[column] for column in COLUMNS))
+    rats = {rat.value for rat in Rat}
+    inf = math.inf
+    countries: list[str] = []
+    operators: list[str] = []
+    rat_values: list[str] = []
+    values: list[float] = []
+    rejects: list[RejectedRow] = []
     for line, row in enumerate(reader, start=2):
         if not row:
             continue
-        result = _parse_row(row, positions, width)
-        if isinstance(result, str):
-            rejects.append(RejectedRow(line=line, fields=tuple(row), reason=result))
+        # The fast check accepts exactly the rows _parse_row accepts; any
+        # failure goes to _parse_row for its first-failure reason.
+        try:
+            timestamp, country, operator, rat, rssi, download, upload, latency = pick(row)
+            timestamp, rssi = float(timestamp), float(rssi)
+            download, upload, latency = float(download), float(upload), float(latency)
+        except (IndexError, ValueError):
+            valid = False
         else:
-            records.append(result)
-    return records, rejects
+            country, operator = country.strip().lower(), operator.strip().lower()
+            rat = rat.strip().upper()
+            valid = (
+                -inf < timestamp < inf
+                and -inf < rssi <= 0
+                and 0 < download < inf
+                and 0 < upload < inf
+                and 0 < latency < inf
+                and rat in rats
+                and country != ""
+                and operator != ""
+            )
+        if valid:
+            countries.append(country)
+            operators.append(operator)
+            rat_values.append(rat)
+            values += (rssi, download, upload, latency)
+        else:
+            reason = _parse_row(row, positions, width)
+            rejects.append(RejectedRow(line=line, fields=tuple(row), reason=reason))
+    table = np.array(values, dtype=float).reshape(-1, 4)
+    tests = SpeedTests(
+        country=np.array(countries, dtype=str),
+        operator=np.array(operators, dtype=str),
+        rat=np.array(rat_values, dtype=str),
+        rssi=table[:, 0],
+        samples=table[:, 1:],
+    )
+    return tests, rejects
 
 
-def _parse_row(
-    row: list[str], positions: dict[str, int], width: int
-) -> Union[SpeedTestRecord, str]:
-    """Validate one data row; returns a record or the reject reason."""
+def _parse_row(row: list[str], positions: dict[str, int], width: int) -> Optional[str]:
+    """The first reason one data row fails validation, or None if it passes."""
     if len(row) < width:
         return "short row"
     raw = {column: row[index].strip() for column, index in positions.items()}
@@ -154,7 +208,7 @@ def _parse_row(
         if not raw[column]:
             return f"missing {column}"
     try:
-        rat = Rat(raw["rat"].upper())
+        Rat(raw["rat"].upper())
     except ValueError:
         return f"unknown rat {raw['rat']!r}"
     values = {}
@@ -170,16 +224,7 @@ def _parse_row(
     for column, label in _MEASUREMENTS:
         if values[column] <= 0:
             return f"nonpositive {label}"
-    return SpeedTestRecord(
-        timestamp=values["timestamp"],
-        country=raw["country"].lower(),
-        operator=raw["operator"].lower(),
-        rat=rat,
-        rssi=values["rssi"],
-        download_kbps=values["download_kbps"],
-        upload_kbps=values["upload_kbps"],
-        latency_ms=values["latency_ms"],
-    )
+    return None
 
 
 def write_rejects(

@@ -34,9 +34,9 @@ class ModelBundle:
         return {key.as_string(): model for key, model in self.models.items()}
 
 
-def _fnum(value: float) -> str:
+def _floats(values: np.ndarray) -> list[str]:
     # repr of a builtin float round-trips exactly and is valid JSON
-    return repr(float(value))
+    return list(map(float.__repr__, values.ravel().tolist()))
 
 
 def dumps(bundle: ModelBundle) -> str:
@@ -50,16 +50,15 @@ def dumps(bundle: ModelBundle) -> str:
     keys = sorted(bundle.models, key=ProfileKey.as_string)
     for position, key in enumerate(keys):
         model = bundle.models[key]
-        covariance = ", ".join(_fnum(v) for v in model.covariance.ravel())
+        covariance = ", ".join(_floats(model.covariance))
         lines.append(f"    {json.dumps(key.as_string())}: {{")
         lines.append(f'      "n": {model.n},')
-        lines.append(f'      "bandwidth_factor": {_fnum(model.bandwidth_factor)},')
+        lines.append(f'      "bandwidth_factor": {float(model.bandwidth_factor)!r},')
         lines.append(f'      "covariance": [{covariance}],')
         lines.append('      "points": [')
-        for row_index, row in enumerate(model.points):
-            row_text = ", ".join(_fnum(v) for v in row)
-            comma = "," if row_index < model.n - 1 else ""
-            lines.append(f"        [{row_text}]{comma}")
+        # one "[x, y, z]" line per point, all rendered in a single format call
+        row_format = "        [%s, %s, %s]"
+        lines.append(",\n".join([row_format] * model.n) % tuple(_floats(model.points)))
         lines.append("      ]")
         lines.append("    }" + ("," if position < len(keys) - 1 else ""))
     lines.append("  }")
@@ -83,9 +82,11 @@ def load(path: Union[str, Path]) -> ModelBundle:
     except OSError as exc:
         raise ModelFileError(f"cannot read model file {path}: {exc}") from exc
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_object_without_repeats)
     except json.JSONDecodeError as exc:
         raise ModelFileError(f"model file {path} is not valid JSON: {exc}") from exc
+    except CorruptModelError as exc:
+        raise CorruptModelError(f"model file {path}: {exc}") from None
     if not isinstance(doc, dict):
         raise ModelFileError(f"model file {path} must hold a JSON object")
     version = doc.get("format_version")
@@ -101,13 +102,30 @@ def load(path: Union[str, Path]) -> ModelBundle:
     if not isinstance(created, str):
         raise CorruptModelError(f"model file {path} has a non-text created field")
     models: Dict[ProfileKey, KdeModel] = {}
+    key_texts: Dict[ProfileKey, str] = {}
     for key_text, body in models_doc.items():
         try:
             key = ProfileKey.from_string(key_text)
         except ValueError as exc:
             raise CorruptModelError(f"bad profile key {key_text!r}: {exc}") from None
+        if key in key_texts:
+            raise CorruptModelError(
+                f"model file {path} names profile {key.as_string()} twice: "
+                f"{key_texts[key]!r} and {key_text!r}"
+            )
+        key_texts[key] = key_text
         models[key] = _model_from_doc(key_text, body)
     return ModelBundle(models=models, created=created, format_version=FORMAT_VERSION)
+
+
+def _object_without_repeats(pairs: list) -> dict:
+    # json.loads keeps only the last of repeated keys, which would drop a model
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        names = [name for name, _ in pairs]
+        repeated = next(name for name in names if names.count(name) > 1)
+        raise CorruptModelError(f"key {repeated!r} appears twice in one object")
+    return doc
 
 
 def _model_from_doc(key_text: str, body: object) -> KdeModel:

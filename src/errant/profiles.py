@@ -1,8 +1,8 @@
-"""Grouping of validated records into network profiles, plus summary statistics.
+"""Grouping of validated measurements into network profiles, plus summary statistics.
 
-Every record belongs to exactly one specific profile (country, operator, RAT,
-signal quality) and exactly one universal profile (RAT, signal quality), the
-latter pooling all countries and operators.
+Every measurement belongs to exactly one specific profile (country, operator,
+RAT, signal quality) and exactly one universal profile (RAT, signal quality),
+the latter pooling all countries and operators.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from typing import Dict, Iterable, Optional
 
 import numpy as np
 
-from .ingest import Rat, SignalQuality, SpeedTestRecord, bin_signal
+from .ingest import _BIN_EDGES, Rat, SignalQuality, SpeedTests
 
 # Order of the value columns everywhere in the toolkit.
 DIMENSIONS = ("download", "upload", "latency")
@@ -101,23 +101,49 @@ class Profile:
         return len(self.samples)
 
 
-def build_profiles(records: Iterable[SpeedTestRecord]) -> Dict[ProfileKey, Profile]:
-    """Group records into specific and universal profiles.
+def build_profiles(tests: SpeedTests) -> Dict[ProfileKey, Profile]:
+    """Group measurements into specific and universal profiles.
 
-    Each record contributes one (download, upload, latency) sample to its
-    specific profile and the same sample to the matching universal profile.
+    Each measurement contributes its (download, upload, latency) sample to
+    its specific profile and to the matching universal profile. Samples keep
+    their input order, and profiles come in the order their first
+    measurement appears, each specific profile before its universal one.
     """
-    buckets: Dict[ProfileKey, list[tuple[float, float, float]]] = {}
-    for record in records:
-        quality = bin_signal(record.rat, record.rssi)
-        sample = (record.download_kbps, record.upload_kbps, record.latency_ms)
-        specific = ProfileKey(
-            ProfileKind.SPECIFIC, record.country, record.operator, record.rat, quality
-        )
-        universal = ProfileKey(ProfileKind.UNIVERSAL, None, None, record.rat, quality)
-        for key in (specific, universal):
-            buckets.setdefault(key, []).append(sample)
-    return {key: Profile(key, np.array(rows)) for key, rows in buckets.items()}
+    rats, levels = tuple(_BIN_EDGES), tuple(SignalQuality)
+    # a cell is one (rat, quality) combination, coded rat * 3 + quality with
+    # quality 0, 1, 2 for bad, ordinary, good, binned as bin_signal does
+    cell = np.empty(len(tests), dtype=np.intp)
+    for index, rat in enumerate(rats):
+        rows = tests.rat == rat.value
+        rssi = tests.rssi[rows]
+        bad_upper, ordinary_upper = _BIN_EDGES[rat]
+        quality = np.where(rssi <= bad_upper, 0, np.where(rssi <= ordinary_upper, 1, 2))
+        cell[rows] = index * len(levels) + quality
+    cells = len(rats) * len(levels)
+    pairs: Dict[tuple[str, str], int] = {}
+    pair = np.array(
+        [
+            pairs.setdefault(names, len(pairs))
+            for names in zip(tests.country.tolist(), tests.operator.tolist())
+        ],
+        dtype=np.intp,
+    )
+    pair_names = list(pairs)
+
+    groups = []  # (first row, is universal, key, rows in input order)
+    for universal, codes in ((False, pair * cells + cell), (True, cell)):
+        order = np.argsort(codes, kind="stable")
+        found, starts = np.unique(codes[order], return_index=True)
+        for code, rows in zip(found.tolist(), np.split(order, starts[1:])):
+            pair_index, cell_index = divmod(code, cells)
+            rat, level = rats[cell_index // len(levels)], levels[cell_index % len(levels)]
+            if universal:
+                key = ProfileKey(ProfileKind.UNIVERSAL, None, None, rat, level)
+            else:
+                key = ProfileKey(ProfileKind.SPECIFIC, *pair_names[pair_index], rat, level)
+            groups.append((rows[0], universal, key, rows))
+    groups.sort(key=lambda group: group[:2])
+    return {key: Profile(key, tests.samples[rows]) for _, _, key, rows in groups}
 
 
 def filter_profiles(

@@ -597,6 +597,27 @@ def test_subsample_from_raw_csv(tmp_path, capsys):
     assert "dimension,n,repetition,D" in capsys.readouterr().out
 
 
+def test_subsample_same_from_raw_csv_and_built_models(tmp_path, capsys):
+    # build-models keeps each profile's samples in input order, so both
+    # sources hand subsample_experiment the same points
+    path = tmp_path / "tests.csv"
+    rows = profile_rows(150, seed=14, operator="telia") + profile_rows(
+        130, seed=15, operator="ice"
+    )
+    write_csv(path, rows[::2] + rows[1::2])
+    models = tmp_path / "m.json"
+    assert run_cli(["build-models", "--input", str(path), "--output", str(models)]) == 0
+    capsys.readouterr()
+    for profile in ("universal/any/any/4G/good", "specific/norway/ice/4G/good"):
+        outputs = []
+        for source in (["--input", str(path)], ["--models", str(models)]):
+            argv = ["subsample", *source, "--profile", profile, "--sizes", "10,50"]
+            assert run_cli(argv + ["--reps", "4", "--cap", "100", "--seed", "16"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert outputs[0].startswith("# seed=16 version=0.1.0\n")
+
+
 def test_subsample_requires_one_source(small_bundle_path, tmp_path, capsys):
     assert run_cli(["subsample", "--profile", "universal/any/any/4G/good"]) == 1
     both = run_cli(

@@ -2,6 +2,7 @@
 
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from conftest import make_lognormal
 
 from errant import (
     CorruptModelError,
+    KdeModel,
     ModelBundle,
     ModelFileError,
     ProfileKey,
@@ -168,3 +170,61 @@ def test_bad_profile_key_rejected(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(CorruptModelError, match="bogus"):
         load(path)
+
+
+GOLDEN = Path(__file__).parent / "golden" / "model_awkward_floats.json"
+
+
+def awkward_float_bundle():
+    """Two models whose floats stress repr: subnormals, 1e16, long mantissas."""
+    return ModelBundle(
+        models={
+            KEY_A: KdeModel(
+                points=np.array(
+                    [
+                        [5e-324, 0.1, 2.0],
+                        [1e16, 123456789.12345679, 1e-310],
+                        [0.1, 2.0, 0.30000000000000004],
+                    ]
+                ),
+                covariance=np.array(
+                    [[2.0, -0.5, 0.1], [-0.5, 1.0, -1e-310], [0.1, -1e-310, 0.5]]
+                ),
+                bandwidth_factor=0.1,
+            ),
+            KEY_B: KdeModel(
+                points=np.array([[1e16, 5e-324, 2.0], [1e-310, 123456789.12345679, 0.1]]),
+                covariance=np.array(
+                    [[1.0, -0.25, -0.125], [-0.25, 1e16, -2.0], [-0.125, -2.0, 1.0]]
+                ),
+                bandwidth_factor=2.0,
+            ),
+        },
+        created="2026-10-18T00:00:00+00:00",
+    )
+
+
+def test_dumps_awkward_floats_matches_golden(tmp_path):
+    expected = GOLDEN.read_text(encoding="utf-8")
+    assert dumps(awkward_float_bundle()) == expected
+    path = tmp_path / "m.json"
+    save(load(GOLDEN), path)
+    assert path.read_text(encoding="utf-8") == expected
+
+
+@pytest.mark.parametrize(
+    "first,second",
+    [
+        ("universal/any/any/4G/good", "universal/x/y/4G/good"),
+        ("specific/Norway/telia/4G/good", "specific/norway/telia/4G/good"),
+        ("specific/norway/telia/4G/good", "specific/norway/telia/4G/good"),
+    ],
+)
+def test_two_texts_naming_one_profile_rejected(tmp_path, first, second):
+    body = json.dumps(json.loads(dumps(two_model_bundle()))["models"][KEY_A.as_string()])
+    path = tmp_path / "m.json"
+    models = f"{json.dumps(first)}: {body}, {json.dumps(second)}: {body}"
+    path.write_text(f'{{"format_version": 1, "created": "", "models": {{{models}}}}}')
+    with pytest.raises(CorruptModelError) as caught:
+        load(path)
+    assert repr(first) in str(caught.value) and repr(second) in str(caught.value)

@@ -10,7 +10,8 @@ from errant import (
     ProfileKind,
     Rat,
     SignalQuality,
-    SpeedTestRecord,
+    SpeedTests,
+    bin_signal,
     build_profiles,
     dimension_stats,
     filter_profiles,
@@ -19,15 +20,18 @@ from errant import (
 
 
 def record(country="norway", operator="telia", rat=Rat.FOUR_G, rssi=-70.0, values=(1000, 500, 40)):
-    return SpeedTestRecord(
-        timestamp=0.0,
-        country=country,
-        operator=operator,
-        rat=rat,
-        rssi=rssi,
-        download_kbps=values[0],
-        upload_kbps=values[1],
-        latency_ms=values[2],
+    return (country, operator, rat, rssi, tuple(values))
+
+
+def speed_tests(records):
+    """Stack ``record()`` tuples into the columnar table build_profiles takes."""
+    countries, operators, rats, rssi, values = zip(*records)
+    return SpeedTests(
+        country=np.array(countries, dtype=str),
+        operator=np.array(operators, dtype=str),
+        rat=np.array([rat.value for rat in rats], dtype=str),
+        rssi=np.array(rssi, dtype=float),
+        samples=np.array(values, dtype=float),
     )
 
 
@@ -37,7 +41,7 @@ def test_every_record_in_one_specific_and_one_universal():
         record(),
         record(operator="ice"),
     ]
-    profiles = build_profiles(records)
+    profiles = build_profiles(speed_tests(records))
     telia = ProfileKey.from_string("specific/norway/telia/4G/good")
     ice = ProfileKey.from_string("specific/norway/ice/4G/good")
     universal = ProfileKey.from_string("universal/any/any/4G/good")
@@ -48,7 +52,7 @@ def test_every_record_in_one_specific_and_one_universal():
 
 def test_universal_pools_across_operators_only_same_rat_quality():
     records = [record(), record(rat=Rat.THREE_G, rssi=-90.0)]
-    profiles = build_profiles(records)
+    profiles = build_profiles(speed_tests(records))
     assert profiles[ProfileKey.from_string("universal/any/any/4G/good")].n == 1
     assert profiles[ProfileKey.from_string("universal/any/any/3G/ordinary")].n == 1
 
@@ -69,7 +73,7 @@ def test_partition_property():
                 values=tuple(rng.uniform(1, 100, 3)),
             )
         )
-    profiles = build_profiles(records)
+    profiles = build_profiles(speed_tests(records))
     specific_total = sum(
         p.n for p in profiles.values() if p.key.kind is ProfileKind.SPECIFIC
     )
@@ -78,6 +82,40 @@ def test_partition_property():
     )
     assert specific_total == 500
     assert universal_total == 500
+
+
+def per_row_profiles(records):
+    """Reference grouping: bin_signal per record, a dict of sample lists."""
+    buckets = {}
+    for country, operator, rat, rssi, values in records:
+        quality = bin_signal(rat, rssi)
+        specific = ProfileKey(ProfileKind.SPECIFIC, country, operator, rat, quality)
+        universal = ProfileKey(ProfileKind.UNIVERSAL, None, None, rat, quality)
+        for key in (specific, universal):
+            buckets.setdefault(key, []).append(values)
+    return buckets
+
+
+def test_grouping_matches_per_row_reference():
+    rng = np.random.default_rng(23)
+    pairs = [("norway", "telia"), ("norway", "ice"), ("italy", "tim"), ("italy", "wind tre"),
+             ("spain", "movistar"), ("spain", "orange"), ("italy, north", "a/b")]
+    edges = [-100.0, -85.0, -75.0]
+    data = make_lognormal(3000, seed=24)
+    records = []
+    for values in data:
+        country, operator = pairs[rng.integers(len(pairs))]
+        rat = Rat.THREE_G if rng.random() < 0.4 else Rat.FOUR_G
+        rssi = edges[rng.integers(3)] if rng.random() < 0.5 else float(rng.uniform(-120, -50))
+        records.append(record(country, operator, rat, rssi, tuple(values)))
+    expected = per_row_profiles(records)
+    profiles = build_profiles(speed_tests(records))
+    assert list(profiles) == list(expected)  # first-appearance order
+    for key, rows in expected.items():
+        assert profiles[key].key == key
+        assert np.array_equal(profiles[key].samples, np.array(rows))
+    on_edges = {(rat, rssi) for _, _, rat, rssi, _ in records if rssi in edges}
+    assert len(on_edges) == 6  # every edge is hit under both RATs
 
 
 def test_filter_boundary_inclusive(make_profile):
