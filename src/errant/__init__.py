@@ -22,10 +22,8 @@ from .emulator import (
     MonotonicClock,
     RunEvent,
     RunReport,
-    Scenario,
     ScenarioStep,
     Segment,
-    StaticPreset,
     VirtualClock,
     parse_scenario,
     run,
@@ -74,11 +72,9 @@ from .profiles import (
     Profile,
     ProfileKey,
     ProfileKind,
-    ProfileStats,
     build_profiles,
     dimension_stats,
     filter_profiles,
-    profile_stats,
 )
 from .validation import (
     DistributionComparison,

@@ -242,15 +242,12 @@ class SimulatedBackend(ShapingBackend):
     the mean latency.
     """
 
-    def __init__(self, setup_rtts: int = 2) -> None:
+    def __init__(self) -> None:
         super().__init__()
-        self.setup_rtts = setup_rtts
         self.link: Optional[SimulatedLink] = None
 
     def apply(self, params: EmulationParams) -> None:
-        self.link = SimulatedLink(
-            params.download_kbps, params.upload_kbps, params.latency_ms, self.setup_rtts
-        )
+        self.link = SimulatedLink(params.download_kbps, params.upload_kbps, params.latency_ms)
         self.configured = params
 
     def clear(self) -> None:

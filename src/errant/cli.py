@@ -15,7 +15,7 @@ import signal
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Optional
+from typing import Mapping, Optional
 
 import numpy as np
 
@@ -41,7 +41,7 @@ from .emulator import (
 )
 from .errors import BackendError, ErrantError, FitError, FormatError
 from .ingest import parse_speedtests, write_rejects
-from .kde import EmulationParams, KdeModel, fit, sample_points
+from .kde import KdeModel, fit, sample_points
 from .model_store import ModelBundle, load, save
 from .profiles import Profile, ProfileKey, build_profiles, filter_profiles
 from .validation import compare_distributions, subsample_experiment
@@ -56,9 +56,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _resolve_seed(args: argparse.Namespace) -> int:
-    seed = getattr(args, "seed", None)
-    if seed is not None:
-        return seed
+    if args.seed is not None:
+        return args.seed
     # entropy-derived default, printed in every report for replay
     return int.from_bytes(os.urandom(4), "little")
 
@@ -87,24 +86,22 @@ def _parse_schema(pairs: Optional[list[str]]) -> Optional[dict[str, str]]:
     return schema
 
 
-def _profile_key(text: str) -> ProfileKey:
-    return ProfileKey.from_string(text)
+def _lookup(found: Mapping, key: ProfileKey, missing: str):
+    """``found[key]``; a missing key names the keys that are available."""
+    if key not in found:
+        available = ", ".join(sorted(k.as_string() for k in found)) or "none"
+        raise ValueError(f"profile {key.as_string()} {missing}; available: {available}")
+    return found[key]
 
 
 def _model_for(bundle: ModelBundle, key: ProfileKey) -> KdeModel:
-    model = bundle.models.get(key)
-    if model is None:
-        available = ", ".join(sorted(k.as_string() for k in bundle.models)) or "none"
-        raise ValueError(
-            f"profile {key.as_string()} not in model file; available: {available}"
-        )
-    return model
+    return _lookup(bundle.models, key, "not in model file")
 
 
 def _make_backend(args: argparse.Namespace) -> tuple:
     """Build (backend, clock, label) from the --iface/--backend flags."""
-    all_egress = getattr(args, "all_egress", False)
-    if getattr(args, "iface", None):
+    all_egress = args.all_egress
+    if args.iface is not None:
         if hasattr(os, "geteuid") and os.geteuid() != 0:
             raise BackendError(
                 "shaping a real interface requires root; rerun with sudo "
@@ -125,13 +122,13 @@ def _print_report(report, backend) -> None:
 
 def _cmd_build_models(args: argparse.Namespace) -> int:
     schema = _parse_schema(args.column)
-    with open(args.input, encoding="utf-8", newline="") as handle:
+    with open(args.input, encoding="utf-8-sig", newline="") as handle:
         tests, rejects = parse_speedtests(handle, schema=schema)
     if rejects:
         total = len(tests) + len(rejects)
         print(f"rejected {len(rejects)} of {total} rows", file=sys.stderr)
         if args.write_rejects:
-            with open(args.input, encoding="utf-8", newline="") as handle:
+            with open(args.input, encoding="utf-8-sig", newline="") as handle:
                 header = next(csv.reader(handle), [])
             rejects_path = f"{args.input}.rejects.csv"
             write_rejects(rejects, rejects_path, header)
@@ -189,13 +186,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
     notes = {"version": __version__, "seed": str(seed), "backend": label}
     if args.preset:
         tool, _, name = args.preset.partition(":")
-        preset = static_preset(tool, name)
-        params = EmulationParams(preset.download_kbps, preset.upload_kbps, preset.latency_ms)
-        notes.update(preset=preset.name, mode="static")
+        name, params = static_preset(tool, name)
+        notes.update(preset=name, mode="static")
         report = run([Segment(args.duration, args.duration, lambda: params)], backend, clock)
     else:
         bundle = load(args.models)
-        key = _profile_key(args.profile)
+        key = ProfileKey.from_string(args.profile)
         model = _model_for(bundle, key)
         notes["profile"] = key.as_string()
         if args.simple:
@@ -208,7 +204,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         else:
             notes["mode"] = "fixed"
             report = run_fixed(model, backend, args.duration, rng, clock)
-    report.seed = seed
     report.notes = notes
     _print_report(report, backend)
     return 0
@@ -221,7 +216,6 @@ def _cmd_trace_run(args: argparse.Namespace) -> int:
     scenario = parse_scenario(Path(args.scenario).read_text(encoding="utf-8"))
     backend, clock, label = _make_backend(args)
     report = run_trace(scenario, bundle, backend, rng, clock)
-    report.seed = seed
     report.notes = {
         "version": __version__,
         "seed": str(seed),
@@ -236,7 +230,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args)
     rng = np.random.default_rng(seed)
     bundle = load(args.models)
-    key = _profile_key(args.profile)
+    key = ProfileKey.from_string(args.profile)
     model = _model_for(bundle, key)
     size_bytes = _parse_size(args.object_size)
     if args.downloads < 1:
@@ -280,20 +274,14 @@ def _cmd_subsample(args: argparse.Namespace) -> int:
         return 1
     seed = _resolve_seed(args)
     rng = np.random.default_rng(seed)
-    key = _profile_key(args.profile)
+    key = ProfileKey.from_string(args.profile)
     if args.models:
         bundle = load(args.models)
         profile = Profile(key, _model_for(bundle, key).points)
     else:
-        with open(args.input, encoding="utf-8", newline="") as handle:
+        with open(args.input, encoding="utf-8-sig", newline="") as handle:
             tests, _ = parse_speedtests(handle)
-        profiles = build_profiles(tests)
-        if key not in profiles:
-            available = ", ".join(sorted(k.as_string() for k in profiles)) or "none"
-            raise ValueError(
-                f"profile {key.as_string()} not present in input; available: {available}"
-            )
-        profile = profiles[key]
+        profile = _lookup(build_profiles(tests), key, "not present in input")
     sizes = [int(part) for part in args.sizes.split(",") if part.strip()]
     report = subsample_experiment(
         profile, sizes, repetitions=args.reps, cap=args.cap, rng=rng
@@ -417,10 +405,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except BackendError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ErrantError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ErrantError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:

@@ -9,9 +9,10 @@ clock so tests and non-executing backends run instantly.
 from __future__ import annotations
 
 import contextlib
+import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, NamedTuple, Optional, Protocol, Tuple
+from typing import Callable, Dict, Iterable, NamedTuple, Optional, Protocol, Sequence, Tuple
 
 import numpy as np
 
@@ -43,8 +44,8 @@ class MonotonicClock:
 class VirtualClock:
     """Deterministic clock for tests and dry runs; sleeping advances instantly."""
 
-    def __init__(self, start: float = 0.0) -> None:
-        self._now = start
+    def __init__(self) -> None:
+        self._now = 0.0
 
     def now(self) -> float:
         return self._now
@@ -68,7 +69,6 @@ class RunReport:
     """Timeline of backend actions taken during a run."""
 
     events: list[RunEvent] = field(default_factory=list)
-    seed: Optional[int] = None
     notes: Dict[str, str] = field(default_factory=dict)
 
     def applies(self) -> list[RunEvent]:
@@ -106,77 +106,58 @@ def simple_params(profile: Profile) -> EmulationParams:
     )
 
 
-@dataclass(frozen=True)
-class StaticPreset:
-    """Fixed shaping values shipped by a third-party tool."""
-
-    name: str
-    download_kbps: float
-    upload_kbps: float
-    latency_ms: float
-    latency_range_ms: Optional[Tuple[float, float]] = None
-
-
-_PRESETS: Dict[Tuple[str, str], StaticPreset] = {}
-
-
-def _preset(
-    tool: str,
-    name: str,
-    download: float,
-    upload: float,
-    latency: float,
-    latency_range: Optional[Tuple[float, float]] = None,
-) -> None:
-    _PRESETS[(tool, name.lower())] = StaticPreset(
-        f"{tool}:{name}", download, upload, latency, latency_range
-    )
+# Built-in profiles of widely used tools: download kbit/s, upload kbit/s and
+# added round-trip ms.
+_PRESETS: Dict[str, EmulationParams] = {
+    "chrome:3G": EmulationParams(750, 250, 100),
+    "chrome:3G-fast": EmulationParams(1000, 750, 40),
+    "chrome:4G": EmulationParams(4000, 3000, 20),
+    "webpagetest:3G": EmulationParams(1600, 768, 300),
+    "webpagetest:3G-slow": EmulationParams(400, 400, 400),
+    "webpagetest:3G-fast": EmulationParams(1600, 768, 150),
+    "webpagetest:4G": EmulationParams(12000, 12000, 70),
+    "browsertime:3G": EmulationParams(1600, 768, 300),
+    "browsertime:3G-slow": EmulationParams(780, 330, 200),
+    "browsertime:3G-fast": EmulationParams(1600, 768, 150),
+    "atc:3G": EmulationParams(780, 330, 200),
+    "atc:3G-slow": EmulationParams(850, 420, 190),
+    "android:3G": EmulationParams(14000, 5760, 0),
+    # Android gives a 35-200 ms range; the preset holds its midpoint
+    "android:3G-slow": EmulationParams(384, 384, 117.5),
+    "android:4G": EmulationParams(173000, 58000, 0),
+    "nlc:3G": EmulationParams(780, 330, 100),
+    "nlc:4G": EmulationParams(51200, 10240, 65),
+}
 
 
-# Built-in profiles of widely used tools, in kbit/s and ms.
-_preset("chrome", "3G", 750, 250, 100)
-_preset("chrome", "3G-fast", 1000, 750, 40)
-_preset("chrome", "4G", 4000, 3000, 20)
-_preset("webpagetest", "3G", 1600, 768, 300)
-_preset("webpagetest", "3G-slow", 400, 400, 400)
-_preset("webpagetest", "3G-fast", 1600, 768, 150)
-_preset("webpagetest", "4G", 12000, 12000, 70)
-_preset("browsertime", "3G", 1600, 768, 300)
-_preset("browsertime", "3G-slow", 780, 330, 200)
-_preset("browsertime", "3G-fast", 1600, 768, 150)
-_preset("atc", "3G", 780, 330, 200)
-_preset("atc", "3G-slow", 850, 420, 190)
-_preset("android", "3G", 14000, 5760, 0)
-_preset("android", "3G-slow", 384, 384, 117.5, (35.0, 200.0))
-_preset("android", "4G", 173000, 58000, 0)
-_preset("nlc", "3G", 780, 330, 100)
-_preset("nlc", "4G", 51200, 10240, 65)
+def static_preset(tool: str, profile_name: str) -> Tuple[str, EmulationParams]:
+    """(canonical name, params) of a built-in preset; unknown names list the available ones."""
+    wanted = f"{tool.strip()}:{profile_name.strip()}".lower()
+    for name, params in _PRESETS.items():
+        if name.lower() == wanted:
+            return name, params
+    available = ", ".join(sorted(_PRESETS))
+    raise PresetError(f"unknown preset {tool}:{profile_name}; available: {available}")
 
 
-def static_preset(tool: str, profile_name: str) -> StaticPreset:
-    """Look up a built-in preset; unknown pairs list what is available."""
-    found = _PRESETS.get((tool.strip().lower(), profile_name.strip().lower()))
-    if found is None:
-        available = ", ".join(sorted(preset.name for preset in _PRESETS.values()))
-        raise PresetError(f"unknown preset {tool}:{profile_name}; available: {available}")
-    return found
+def _check_timing(duration_s: float, period_s: float) -> None:
+    """The timing rule of every run: 0 < period <= duration < inf; NaN fails it."""
+    if not 0 < duration_s < math.inf:
+        raise ValueError("duration must be positive and finite")
+    if not 0 < period_s <= duration_s:
+        raise ValueError("period must be in (0, duration]")
 
 
 @dataclass(frozen=True)
 class ScenarioStep:
-    """One trace step: hold a profile for a duration, fixed or resampled."""
+    """One trace step: apply a profile every period for a duration (fixed: period = duration)."""
 
     duration_s: float
     profile: ProfileKey
-    period_s: Optional[float] = None
+    period_s: float
 
 
-@dataclass(frozen=True)
-class Scenario:
-    steps: Tuple[ScenarioStep, ...]
-
-
-def parse_scenario(text: str) -> Scenario:
+def parse_scenario(text: str) -> Tuple[ScenarioStep, ...]:
     """Parse the step-per-line format ``<duration_s>,<profile_key>,<mode>``.
 
     Mode is ``fixed`` or ``periodic:<seconds>``; ``#`` starts a comment and
@@ -196,28 +177,28 @@ def parse_scenario(text: str) -> Scenario:
             duration = float(parts[0])
         except ValueError:
             raise ScenarioError(f"line {lineno}: bad duration {parts[0]!r}") from None
-        if duration <= 0:
-            raise ScenarioError(f"line {lineno}: duration must be positive")
         try:
             key = ProfileKey.from_string(parts[1])
         except ValueError as exc:
             raise ScenarioError(f"line {lineno}: {exc}") from None
         mode = parts[2]
         if mode == "fixed":
-            period = None
+            period = duration
         elif mode.startswith("periodic:"):
             try:
                 period = float(mode.split(":", 1)[1])
             except ValueError:
                 raise ScenarioError(f"line {lineno}: bad period in {mode!r}") from None
-            if period <= 0 or period > duration:
-                raise ScenarioError(f"line {lineno}: period must be in (0, duration]")
         else:
             raise ScenarioError(f"line {lineno}: unknown mode {mode!r}")
+        try:
+            _check_timing(duration, period)
+        except ValueError as exc:
+            raise ScenarioError(f"line {lineno}: {exc}") from None
         steps.append(ScenarioStep(duration, key, period))
     if not steps:
         raise ScenarioError("scenario has no steps")
-    return Scenario(tuple(steps))
+    return tuple(steps)
 
 
 class Segment(NamedTuple):
@@ -243,10 +224,7 @@ def run(
     """
     segments = list(segments)
     for duration_s, period_s, _ in segments:
-        if duration_s <= 0:
-            raise ValueError("duration must be positive")
-        if period_s <= 0 or period_s > duration_s:
-            raise ValueError("period must be in (0, duration]")
+        _check_timing(duration_s, period_s)
     clock = clock or MonotonicClock()
     report = RunReport()
     origin = clock.now()
@@ -298,7 +276,7 @@ def run_periodic(
 
 
 def run_trace(
-    scenario: Scenario,
+    scenario: Sequence[ScenarioStep],
     bundle: ModelBundle,
     backend: ShapingBackend,
     rng: np.random.Generator,
@@ -312,7 +290,7 @@ def run_trace(
     missing = sorted(
         {
             step.profile.as_string()
-            for step in scenario.steps
+            for step in scenario
             if step.profile not in bundle.models
         }
     )
@@ -321,11 +299,7 @@ def run_trace(
             "scenario references profiles missing from the models: " + ", ".join(missing)
         )
     segments = [
-        Segment(
-            step.duration_s,
-            step.duration_s if step.period_s is None else step.period_s,
-            _sampler(bundle.models[step.profile], rng),
-        )
-        for step in scenario.steps
+        Segment(step.duration_s, step.period_s, _sampler(bundle.models[step.profile], rng))
+        for step in scenario
     ]
     return run(segments, backend, clock)

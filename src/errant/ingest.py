@@ -176,6 +176,8 @@ def parse_speedtests(
                 and rat in rats
                 and country != ""
                 and operator != ""
+                and "/" not in country
+                and "/" not in operator
             )
         if valid:
             countries.append(country)
@@ -207,6 +209,10 @@ def _parse_row(row: list[str], positions: dict[str, int], width: int) -> Optiona
     for column in COLUMNS:
         if not raw[column]:
             return f"missing {column}"
+    # "/" separates the parts of a profile key, which must read back as written
+    for column in ("country", "operator"):
+        if "/" in raw[column]:
+            return f"'/' in {column}"
     try:
         Rat(raw["rat"].upper())
     except ValueError:
@@ -227,15 +233,10 @@ def _parse_row(row: list[str], positions: dict[str, int], width: int) -> Optiona
     return None
 
 
-def write_rejects(
-    rejects: Iterable[RejectedRow],
-    path: str,
-    header: Optional[Iterable[str]] = None,
-) -> None:
+def write_rejects(rejects: Iterable[RejectedRow], path: str, header: Iterable[str]) -> None:
     """Write rejected rows to a CSV with the reason appended as a last column."""
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
-        if header is not None:
-            writer.writerow(list(header) + ["reason"])
+        writer.writerow(list(header) + ["reason"])
         for reject in rejects:
             writer.writerow(list(reject.fields) + [reject.reason])

@@ -80,10 +80,6 @@ class KdeModel:
     def n(self) -> int:
         return len(self.points)
 
-    @property
-    def d(self) -> int:
-        return self.points.shape[1]
-
     @cached_property
     def kernel_covariance(self) -> np.ndarray:
         """Covariance of each point's kernel: bandwidth_factor**2 * covariance."""

@@ -27,7 +27,6 @@ class ModelBundle:
 
     models: Dict[ProfileKey, KdeModel] = field(default_factory=dict)
     created: str = ""
-    format_version: int = FORMAT_VERSION
 
     def models_by_name(self) -> Dict[str, KdeModel]:
         """The same models keyed by profile string, for lookup convenience."""
@@ -43,7 +42,7 @@ def dumps(bundle: ModelBundle) -> str:
     """Serialize a bundle to its canonical text form."""
     lines = [
         "{",
-        f'  "format_version": {bundle.format_version},',
+        f'  "format_version": {FORMAT_VERSION},',
         f'  "created": {json.dumps(bundle.created)},',
         '  "models": {',
     ]
@@ -115,7 +114,7 @@ def load(path: Union[str, Path]) -> ModelBundle:
             )
         key_texts[key] = key_text
         models[key] = _model_from_doc(key_text, body)
-    return ModelBundle(models=models, created=created, format_version=FORMAT_VERSION)
+    return ModelBundle(models=models, created=created)
 
 
 def _object_without_repeats(pairs: list) -> dict:

@@ -172,16 +172,6 @@ class DimensionStats:
         return self.q3 - self.q1
 
 
-@dataclass(frozen=True)
-class ProfileStats:
-    """Per-dimension summary statistics of a profile."""
-
-    download: DimensionStats
-    upload: DimensionStats
-    latency: DimensionStats
-    count: int
-
-
 def dimension_stats(values: Iterable[float]) -> DimensionStats:
     """Summarize one series; quantiles use linear interpolation."""
     series = np.asarray(values, dtype=float)
@@ -197,11 +187,3 @@ def dimension_stats(values: Iterable[float]) -> DimensionStats:
         mean=float(series.mean()),
         std=float(series.std()),
     )
-
-
-def profile_stats(profile: Profile) -> ProfileStats:
-    """Per-dimension summary of a profile's samples."""
-    download, upload, latency = (
-        dimension_stats(profile.samples[:, column]) for column in range(3)
-    )
-    return ProfileStats(download=download, upload=upload, latency=latency, count=profile.n)

@@ -52,8 +52,6 @@ class SubsampleReport:
     """
 
     sizes: Tuple[int, ...]
-    repetitions: int
-    cap: int
     d_values: Dict[Tuple[str, int], np.ndarray]
 
     def median(self, dimension: str, size: int) -> float:
@@ -114,9 +112,7 @@ def subsample_experiment(
                 d_values[(dimension, size)][repetition] = _ks_sorted(
                     np.sort(subset[:, column]), reference_sorted[column]
                 )
-    return SubsampleReport(
-        sizes=tuple(sizes), repetitions=repetitions, cap=cap, d_values=d_values
-    )
+    return SubsampleReport(sizes=tuple(sizes), d_values=d_values)
 
 
 @dataclass(frozen=True)

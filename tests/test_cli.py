@@ -93,6 +93,44 @@ def test_build_models_writes_rejects(tmp_path, capsys):
     assert "rejected 1 of 121 rows" in capsys.readouterr().err
 
 
+def test_build_models_rejects_slash_in_names(tmp_path, capsys):
+    # "/" separates the parts of a profile key, so such a model file could not be read
+    path = tmp_path / "slash.csv"
+    rows = profile_rows(30, seed=5)
+    rows += profile_rows(30, seed=6, operator="t/mobile")
+    rows += profile_rows(2, seed=7, country="nor/way")
+    write_csv(path, rows)
+    out = tmp_path / "m.json"
+    argv = ["build-models", "--input", str(path), "--output", str(out), "--min-samples", "10"]
+    assert run_cli(argv + ["--write-rejects"]) == 0
+    rejects = (tmp_path / "slash.csv.rejects.csv").read_text().splitlines()
+    assert rejects[1:] == (
+        [f"{row},'/' in operator" for row in rows[30:60]]
+        + [f"{row},'/' in country" for row in rows[60:]]
+    )
+    assert run_cli(["list-profiles", "--models", str(out)]) == 0
+    assert "t/mobile" not in capsys.readouterr().out
+
+
+def test_csv_with_utf8_bom_reads_like_without(tmp_path, capsys):
+    text = "\n".join([CSV_HEADER] + profile_rows(150, seed=8) + ["1,norway,telia,4G,-70,0,1,1"])
+    out = tmp_path / "m.json"
+    results = []
+    for name, prefix in (("plain.csv", ""), ("bom.csv", "\ufeff")):
+        path = tmp_path / name
+        path.write_text(prefix + text + "\n", encoding="utf-8")
+        build = ["build-models", "--input", str(path), "--output", str(out), "--write-rejects"]
+        assert run_cli(build) == 0
+        built = capsys.readouterr().out
+        model = [line for line in out.read_text().splitlines() if '"created"' not in line]
+        rejects = (tmp_path / f"{name}.rejects.csv").read_text()
+        subsample = ["subsample", "--input", str(path), "--profile", KEY_TEXT, "--seed", "1"]
+        assert run_cli(subsample + ["--sizes", "10", "--reps", "3", "--cap", "100"]) == 0
+        results.append((built, model, rejects, capsys.readouterr().out))
+    assert results[0] == results[1]
+    assert results[0][2].startswith("timestamp,")
+
+
 def test_build_models_schema_mapping(tmp_path):
     path = tmp_path / "renamed.csv"
     path.write_text(
@@ -324,6 +362,35 @@ def test_run_real_iface_needs_root(small_bundle_path, capsys, monkeypatch):
     )
     assert code == 3
     assert "root" in capsys.readouterr().err
+
+
+def test_run_empty_iface_refused(small_bundle_path, capsys, monkeypatch):
+    monkeypatch.setattr("os.geteuid", lambda: 0)
+    executed = []
+    monkeypatch.setattr("errant.backends._shell_runner", lambda command: executed.append(command))
+    code = run_cli(["run", "--preset", "chrome:3G", "--duration", "2", "--iface", ""])
+    assert code == 2
+    assert capsys.readouterr().out == ""
+    assert executed == []
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--preset", "chrome:3G", "--duration", "nan"],
+        ["--preset", "chrome:3G", "--duration", "inf"],
+        ["--profile", KEY_TEXT, "--duration", "nan"],
+        ["--profile", KEY_TEXT, "--duration", "inf"],
+        ["--profile", KEY_TEXT, "--duration", "10", "--period", "nan"],
+    ],
+)
+def test_run_refuses_nonfinite_timing(small_bundle_path, capsys, flags):
+    if "--profile" in flags:
+        flags = ["--models", str(small_bundle_path), *flags]
+    assert run_cli(["run", *flags, "--seed", "1"]) == 2
+    captured = capsys.readouterr()
+    assert ",apply," not in captured.out
+    assert "must be" in captured.err
 
 
 def test_run_entropy_seed_printed(small_bundle_path, capsys):

@@ -30,6 +30,7 @@ from errant import (
     simple_params,
     static_preset,
 )
+from errant.emulator import _PRESETS
 from errant.kde import EmulationParams
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -84,22 +85,46 @@ def nearly_constant_model(download, upload, latency):
 
 
 def test_preset_values():
-    chrome = static_preset("chrome", "3G")
+    name, chrome = static_preset("chrome", "3G")
+    assert name == "chrome:3G"
     assert (chrome.download_kbps, chrome.upload_kbps, chrome.latency_ms) == (750, 250, 100)
-    wpt = static_preset("webpagetest", "4G")
+    _, wpt = static_preset("webpagetest", "4G")
     assert (wpt.download_kbps, wpt.upload_kbps, wpt.latency_ms) == (12000, 12000, 70)
-    nlc = static_preset("nlc", "4G")
+    _, nlc = static_preset("nlc", "4G")
     assert (nlc.download_kbps, nlc.upload_kbps, nlc.latency_ms) == (51200, 10240, 65)
 
 
-def test_preset_latency_range_midpoint():
-    preset = static_preset("android", "3G-slow")
+def test_preset_android_3g_slow_is_range_midpoint():
+    _, preset = static_preset("android", "3G-slow")
     assert preset.latency_ms == 117.5
-    assert preset.latency_range_ms == (35.0, 200.0)
 
 
 def test_preset_lookup_case_insensitive():
-    assert static_preset("Chrome", "3g-FAST").download_kbps == 1000
+    name, params = static_preset("Chrome", "3g-FAST")
+    assert name == "chrome:3G-fast"
+    assert params.download_kbps == 1000
+
+
+def test_readme_preset_catalog_matches_presets():
+    text = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    section = text.split("### Preset catalog", 1)[1].split("\n#", 1)[0]
+    rows = [
+        [cell.strip() for cell in line.strip("|").split("|")]
+        for line in section.splitlines()
+        if line.startswith("|") and not line.startswith("|---")
+    ]
+    assert rows[0] == ["tool", "name", "down", "up", "rtt"]
+    documented = [
+        (f"{tool}:{name}", float(down), float(up), float(rtt))
+        for tool, name, down, up, rtt in rows[1:]
+    ]
+    shipped = [
+        (name, params.download_kbps, params.upload_kbps, params.latency_ms)
+        for name, params in _PRESETS.items()
+    ]
+    assert len(documented) == 17
+    assert documented == shipped
+    assert all(params.latency_std_ms is None for params in _PRESETS.values())
 
 
 def test_unknown_preset_lists_available():
@@ -136,10 +161,11 @@ def test_parse_scenario_with_comments():
         "10,specific/norway/telia/4G/good,fixed\n"
         "5.5,universal/any/any/3G/bad,periodic:2 # resample often\n"
     )
-    assert len(scenario.steps) == 2
-    assert scenario.steps[0].period_s is None
-    assert scenario.steps[1].duration_s == 5.5
-    assert scenario.steps[1].period_s == 2.0
+    assert len(scenario) == 2
+    assert scenario[0].duration_s == 10
+    assert scenario[0].period_s == 10
+    assert scenario[1].duration_s == 5.5
+    assert scenario[1].period_s == 2.0
 
 
 @pytest.mark.parametrize(
@@ -150,6 +176,12 @@ def test_parse_scenario_with_comments():
         ("10,specific/a/b/4G/good,periodic:20", "period"),
         ("10,not-a-key,fixed", "profile key"),
         ("-1,specific/a/b/4G/good,fixed", "duration"),
+        ("nan,specific/a/b/4G/good,fixed", "line 1: duration"),
+        ("inf,specific/a/b/4G/good,fixed", "line 1: duration"),
+        ("-inf,specific/a/b/4G/good,fixed", "line 1: duration"),
+        ("10,specific/a/b/4G/good,periodic:nan", "line 1: period"),
+        ("10,specific/a/b/4G/good,periodic:0", "line 1: period"),
+        ("inf,specific/a/b/4G/good,periodic:1", "line 1: duration"),
         ("", "no steps"),
     ],
 )
@@ -214,6 +246,12 @@ def test_run_periodic_validation():
         run_periodic(model, RecordingBackend(), 10.0, 0.0, rng, VirtualClock())
     with pytest.raises(ValueError):
         run_fixed(model, RecordingBackend(), -1.0, rng, VirtualClock())
+    nan, inf = math.nan, math.inf
+    for duration, period in ((nan, 1.0), (inf, 1.0), (inf, inf), (10.0, nan)):
+        backend = RecordingBackend()
+        with pytest.raises(ValueError):
+            run_periodic(model, backend, duration, period, rng, VirtualClock())
+        assert backend.actions == []
 
 
 def test_failed_apply_still_clears_backend():

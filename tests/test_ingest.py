@@ -150,8 +150,8 @@ def test_write_rejects_appends_reason(tmp_path):
 
 
 # Adversarial parse table. One variant per reject reason of _parse_row, in
-# the layout of bench/datagen.py: (column to overwrite or None to truncate
-# the row, value, reason).
+# the layout of bench/datagen.py, which plants all but the two "/" reasons:
+# (column to overwrite or None to truncate the row, value, reason).
 REJECT_VARIANTS = [
     (None, None, "short row"),
     ("rssi", "", "missing metadata"),
@@ -162,6 +162,8 @@ REJECT_VARIANTS = [
     ("download_kbps", "", "missing download_kbps"),
     ("upload_kbps", "", "missing upload_kbps"),
     ("latency_ms", "", "missing latency_ms"),
+    ("country", "Nor/way", "'/' in country"),
+    ("operator", "T/Mobile", "'/' in operator"),
     ("rat", "5G", "unknown rat '5G'"),
     ("timestamp", "yesterday", "unparseable timestamp"),
     ("rssi", "weak", "unparseable rssi"),
@@ -186,8 +188,8 @@ NUMBERS = [
 ]
 TRICKY = {
     "timestamp": NUMBERS,
-    "country": ["Norway", " norway ", "  ", "", "Italy, north", "\u00d6sterreich", "\t"],
-    "operator": ["Telia", " ICE ", "  ", "", "a,b", "Wind Tre"],
+    "country": ["Norway", " norway ", "  ", "", "Italy, north", "\u00d6sterreich", "\t", "/"],
+    "operator": ["Telia", " ICE ", "  ", "", "a,b", "Wind Tre", " t/mobile "],
     "rat": ["4G", " 4g ", "3g", "3G ", "5G", "", " ", "4 G", "lte"],
     "rssi": NUMBERS,
     "download_kbps": NUMBERS,

@@ -40,7 +40,7 @@ def test_fit_stores_raw_points_and_sample_covariance():
     data = make_lognormal(200, seed=1)
     model = fit(data)
     assert model.n == 200
-    assert model.d == 3
+    assert model.points.shape[1] == 3
     np.testing.assert_array_equal(model.points, data)
     np.testing.assert_allclose(model.covariance, np.cov(data, rowvar=False))
     assert model.bandwidth_factor == pytest.approx(silverman_factor(200, 3))

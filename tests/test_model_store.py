@@ -47,7 +47,7 @@ def test_round_trip_identity(tmp_path):
     path = tmp_path / "models.json"
     save(bundle, path)
     loaded = load(path)
-    assert loaded.format_version == 1
+    assert json.loads(path.read_text())["format_version"] == 1
     assert loaded.created == bundle.created
     assert set(loaded.models) == set(bundle.models)
     for key, original in bundle.models.items():

@@ -15,7 +15,6 @@ from errant import (
     build_profiles,
     dimension_stats,
     filter_profiles,
-    profile_stats,
 )
 
 
@@ -165,14 +164,6 @@ def test_quantile_ordering_invariant():
         stats = dimension_stats(rng.uniform(0, 1000, size=rng.integers(1, 200)))
         assert stats.p5 <= stats.q1 <= stats.median <= stats.q3 <= stats.p95
         assert stats.iqr >= 0
-
-
-def test_profile_stats_columns(make_profile):
-    profile = make_profile(500, seed=3)
-    stats = profile_stats(profile)
-    assert stats.count == 500
-    assert stats.download.median == pytest.approx(np.median(profile.samples[:, 0]))
-    assert stats.latency.mean == pytest.approx(profile.samples[:, 2].mean())
 
 
 def test_profile_requires_positive_samples(good_4g_key):
