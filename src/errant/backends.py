@@ -37,37 +37,18 @@ def _kbit(value: float) -> int:
     return max(1, round(value))
 
 
-def render_commands(
-    params: EmulationParams,
-    egress_iface: str,
-    ifb_iface: str,
-    all_egress: bool = False,
-) -> list[str]:
+def render_commands(params: EmulationParams, egress_iface: str, ifb_iface: str) -> list[str]:
     """Render the command sequence imposing ``params`` on an interface pair.
 
     ``params.latency_ms`` is the round-trip time; each direction gets half of
-    it unless ``all_egress`` puts the whole delay on the egress side. With
-    ``params.latency_std_ms`` the netem delay becomes normally distributed
-    around the mean, split the same way.
+    it. With ``params.latency_std_ms`` the netem delay becomes normally
+    distributed around the mean, its deviation split the same way.
     """
     if not egress_iface or not ifb_iface:
         raise ValueError("interface names must be non-empty")
-    latency_std_ms = params.latency_std_ms
-    if all_egress:
-        egress_delay, ifb_delay = params.latency_ms, 0.0
-        egress_std, ifb_std = latency_std_ms, None
-    else:
-        egress_delay = ifb_delay = params.latency_ms / 2.0
-        egress_std = ifb_std = (
-            latency_std_ms / 2.0 if latency_std_ms is not None else None
-        )
-
-    def netem(delay: float, std: Optional[float]) -> str:
-        clause = f"delay {_ms(delay)}ms"
-        if std is not None:
-            clause += f" {_ms(std)}ms distribution normal"
-        return clause
-
+    netem = f"delay {_ms(params.latency_ms / 2.0)}ms"
+    if params.latency_std_ms is not None:
+        netem += f" {_ms(params.latency_std_ms / 2.0)}ms distribution normal"
     upload = _kbit(params.upload_kbps)
     download = _kbit(params.download_kbps)
     return [
@@ -77,12 +58,10 @@ def render_commands(
         f"matchall action mirred egress redirect dev {ifb_iface}",
         f"tc qdisc add dev {egress_iface} root handle 1: htb default 1",
         f"tc class add dev {egress_iface} parent 1: classid 1:1 htb rate {upload}kbit",
-        f"tc qdisc add dev {egress_iface} parent 1:1 handle 10: "
-        f"netem {netem(egress_delay, egress_std)}",
+        f"tc qdisc add dev {egress_iface} parent 1:1 handle 10: netem {netem}",
         f"tc qdisc add dev {ifb_iface} root handle 1: htb default 1",
         f"tc class add dev {ifb_iface} parent 1: classid 1:1 htb rate {download}kbit",
-        f"tc qdisc add dev {ifb_iface} parent 1:1 handle 10: "
-        f"netem {netem(ifb_delay, ifb_std)}",
+        f"tc qdisc add dev {ifb_iface} parent 1:1 handle 10: netem {netem}",
     ]
 
 
@@ -111,37 +90,26 @@ class ShapingBackend:
 class _CommandBackend(ShapingBackend):
     """Shared flow for backends that speak rendered command lines."""
 
-    def __init__(
-        self,
-        egress_iface: str,
-        ifb_iface: Optional[str] = None,
-        all_egress: bool = False,
-    ) -> None:
+    def __init__(self, egress_iface: str, ifb_iface: Optional[str] = None) -> None:
         super().__init__()
-        if not egress_iface:
-            raise ValueError("egress interface name must be non-empty")
+        # names are settled once, so an empty one never reaches a command, teardown included
+        ifb_iface = default_ifb() if ifb_iface is None else ifb_iface
+        if not egress_iface or not ifb_iface:
+            raise ValueError("interface names must be non-empty")
         self.egress_iface = egress_iface
-        self.ifb_iface = ifb_iface or default_ifb()
-        self.all_egress = all_egress
+        self.ifb_iface = ifb_iface
+        self._clear_commands = render_clear_commands(egress_iface, ifb_iface)
 
     def apply(self, params: EmulationParams) -> None:
-        commands = render_commands(
-            params, self.egress_iface, self.ifb_iface, all_egress=self.all_egress
-        )
+        commands = render_commands(params, self.egress_iface, self.ifb_iface)
         if self.configured is not None:
             # replace semantics: tear down old rules before installing new ones
-            self._execute(
-                render_clear_commands(self.egress_iface, self.ifb_iface),
-                tolerate_errors=True,
-            )
+            self._execute(self._clear_commands, tolerate_errors=True)
         self._execute(commands, tolerate_errors=False)
         self.configured = params
 
     def clear(self) -> None:
-        self._execute(
-            render_clear_commands(self.egress_iface, self.ifb_iface),
-            tolerate_errors=True,
-        )
+        self._execute(self._clear_commands, tolerate_errors=True)
         self.configured = None
 
     def _execute(self, commands: list[str], tolerate_errors: bool) -> None:
@@ -151,13 +119,8 @@ class _CommandBackend(ShapingBackend):
 class DryRunBackend(_CommandBackend):
     """Records the exact command sequence instead of executing it."""
 
-    def __init__(
-        self,
-        egress_iface: str = "eth0",
-        ifb_iface: Optional[str] = None,
-        all_egress: bool = False,
-    ) -> None:
-        super().__init__(egress_iface, ifb_iface, all_egress)
+    def __init__(self, egress_iface: str = "eth0", ifb_iface: Optional[str] = None) -> None:
+        super().__init__(egress_iface, ifb_iface)
         self.log: list[str] = []
 
     def _execute(self, commands: list[str], tolerate_errors: bool) -> None:
@@ -165,9 +128,7 @@ class DryRunBackend(_CommandBackend):
 
 
 def _shell_runner(command: str) -> tuple[int, str]:
-    completed = subprocess.run(
-        shlex.split(command), capture_output=True, text=True, check=False
-    )
+    completed = subprocess.run(shlex.split(command), capture_output=True, text=True, check=False)
     return completed.returncode, completed.stderr.strip()
 
 
@@ -183,10 +144,9 @@ class TcBackend(_CommandBackend):
         self,
         egress_iface: str,
         ifb_iface: Optional[str] = None,
-        all_egress: bool = False,
         runner: Optional[Callable[[str], tuple[int, str]]] = None,
     ) -> None:
-        super().__init__(egress_iface, ifb_iface, all_egress)
+        super().__init__(egress_iface, ifb_iface)
         self._runner = runner or _shell_runner
 
     def _execute(self, commands: list[str], tolerate_errors: bool) -> None:
@@ -194,9 +154,7 @@ class TcBackend(_CommandBackend):
             status, stderr = self._runner(command)
             if status != 0 and not tolerate_errors:
                 detail = f" ({stderr})" if stderr else ""
-                raise BackendError(
-                    f"command failed with status {status}: {command}{detail}"
-                )
+                raise BackendError(f"command failed with status {status}: {command}{detail}")
 
 
 @dataclass(frozen=True)

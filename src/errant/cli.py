@@ -74,6 +74,29 @@ def _parse_size(text: str) -> int:
     return size
 
 
+def _at_least(low: int):
+    """argparse type: an integer no smaller than ``low``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{text.strip()!r} is not an integer") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
+
+
+def _sizes(text: str) -> list[int]:
+    """argparse type: a comma list of positive integers; empty parts are skipped."""
+    sizes = [_at_least(1)(part) for part in text.split(",") if part.strip()]
+    if not sizes:
+        raise argparse.ArgumentTypeError("need at least one size")
+    return sizes
+
+
 def _parse_schema(pairs: Optional[list[str]]) -> Optional[dict[str, str]]:
     if not pairs:
         return None
@@ -100,17 +123,16 @@ def _model_for(bundle: ModelBundle, key: ProfileKey) -> KdeModel:
 
 def _make_backend(args: argparse.Namespace) -> tuple:
     """Build (backend, clock, label) from the --iface/--backend flags."""
-    all_egress = args.all_egress
     if args.iface is not None:
         if hasattr(os, "geteuid") and os.geteuid() != 0:
             raise BackendError(
                 "shaping a real interface requires root; rerun with sudo "
                 "or use --backend dry-run or simulated"
             )
-        return TcBackend(args.iface, all_egress=all_egress), MonotonicClock(), f"tc:{args.iface}"
+        return TcBackend(args.iface), MonotonicClock(), f"tc:{args.iface}"
     if args.backend == "simulated":
         return SimulatedBackend(), VirtualClock(), "simulated"
-    return DryRunBackend(all_egress=all_egress), VirtualClock(), "dry-run"
+    return DryRunBackend(), VirtualClock(), "dry-run"
 
 
 def _print_report(report, backend) -> None:
@@ -213,7 +235,7 @@ def _cmd_trace_run(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args)
     rng = np.random.default_rng(seed)
     bundle = load(args.models)
-    scenario = parse_scenario(Path(args.scenario).read_text(encoding="utf-8"))
+    scenario = parse_scenario(Path(args.scenario).read_text(encoding="utf-8-sig"))
     backend, clock, label = _make_backend(args)
     report = run_trace(scenario, bundle, backend, rng, clock)
     report.notes = {
@@ -233,8 +255,6 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     key = ProfileKey.from_string(args.profile)
     model = _model_for(bundle, key)
     size_bytes = _parse_size(args.object_size)
-    if args.downloads < 1:
-        raise ValueError("--downloads must be positive")
 
     if args.simple:
         baseline = simple_params(Profile(key, model.points))
@@ -282,9 +302,8 @@ def _cmd_subsample(args: argparse.Namespace) -> int:
         with open(args.input, encoding="utf-8-sig", newline="") as handle:
             tests, _ = parse_speedtests(handle)
         profile = _lookup(build_profiles(tests), key, "not present in input")
-    sizes = [int(part) for part in args.sizes.split(",") if part.strip()]
     report = subsample_experiment(
-        profile, sizes, repetitions=args.reps, cap=args.cap, rng=rng
+        profile, args.sizes, repetitions=args.reps, cap=args.cap, rng=rng
     )
     csv_text = report.to_csv(comment=f"seed={seed} version={__version__}")
     if args.output:
@@ -304,11 +323,6 @@ def _add_backend_flags(parser: argparse.ArgumentParser) -> None:
         default="dry-run",
         help="non-executing backend (default: dry-run)",
     )
-    parser.add_argument(
-        "--all-egress",
-        action="store_true",
-        help="place the full latency on egress instead of splitting per direction",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -319,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     build = subparsers.add_parser("build-models", help="fit models from a speed-test CSV")
     build.add_argument("--input", required=True, help="speed-test CSV file")
     build.add_argument("--output", required=True, help="model file to write")
-    build.add_argument("--min-samples", type=int, default=100)
+    build.add_argument("--min-samples", type=_at_least(1), default=100)
     build.add_argument(
         "--column",
         action="append",
@@ -360,10 +374,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     validate.add_argument("--models", required=True)
     validate.add_argument("--profile", required=True)
-    validate.add_argument("--downloads", type=int, default=1000)
+    validate.add_argument("--downloads", type=_at_least(1), default=1000)
     validate.add_argument("--object-size", default="10MB")
     validate.add_argument("--simple", action="store_true")
-    validate.add_argument("--setup-rtts", type=int, default=2)
+    validate.add_argument("--setup-rtts", type=_at_least(0), default=2)
     validate.add_argument("--seed", type=int)
     validate.add_argument("--output", help="write the per-download CSV here")
     validate.set_defaults(func=_cmd_validate)
@@ -374,9 +388,9 @@ def build_parser() -> argparse.ArgumentParser:
     subsample.add_argument("--models")
     subsample.add_argument("--input", help="speed-test CSV instead of a model file")
     subsample.add_argument("--profile", required=True)
-    subsample.add_argument("--sizes", default="10,100,1000")
-    subsample.add_argument("--reps", type=int, default=100)
-    subsample.add_argument("--cap", type=int, default=10000)
+    subsample.add_argument("--sizes", type=_sizes, default="10,100,1000")
+    subsample.add_argument("--reps", type=_at_least(1), default=100)
+    subsample.add_argument("--cap", type=_at_least(1), default=10000)
     subsample.add_argument("--seed", type=int)
     subsample.add_argument("--output", help="write the CSV here instead of stdout")
     subsample.set_defaults(func=_cmd_subsample)

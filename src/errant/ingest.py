@@ -13,7 +13,7 @@ import enum
 import math
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Iterator, Mapping, Optional
 
 import numpy as np
 
@@ -126,12 +126,13 @@ def parse_speedtests(
     ``schema`` maps canonical column names to the names used in the file.
     Every data row ends up either in the returned :class:`SpeedTests` or as
     a ``RejectedRow`` with the reason it was refused; nothing is silently
-    dropped. A missing header or required column is fatal and raises
-    :class:`FormatError`.
+    dropped. A missing header or required column, or a line csv cannot read,
+    raises :class:`FormatError`.
     """
     reader = csv.reader(source)
+    rows = _rows(reader)
     try:
-        header = [cell.strip() for cell in next(reader)]
+        header = [cell.strip() for cell in next(rows)]
     except StopIteration:
         raise FormatError("input has no header row") from None
     mapping = dict(schema) if schema else {}
@@ -153,7 +154,7 @@ def parse_speedtests(
     rat_values: list[str] = []
     values: list[float] = []
     rejects: list[RejectedRow] = []
-    for line, row in enumerate(reader, start=2):
+    for line, row in enumerate(rows, start=2):
         if not row:
             continue
         # The fast check accepts exactly the rows _parse_row accepts; any
@@ -196,6 +197,14 @@ def parse_speedtests(
         samples=table[:, 1:],
     )
     return tests, rejects
+
+
+def _rows(reader) -> Iterator[list[str]]:
+    """The reader's rows; a line csv cannot read (e.g. an oversized field) is a FormatError."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise FormatError(f"line {reader.line_num}: {exc}") from None
 
 
 def _parse_row(row: list[str], positions: dict[str, int], width: int) -> Optional[str]:

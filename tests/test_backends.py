@@ -54,12 +54,6 @@ def test_render_shape_and_key_lines():
     assert commands[8].endswith("netem delay 20ms")
 
 
-def test_render_all_egress_variant():
-    commands = render_commands(PARAMS_BASIC, "eth0", "ifb0", all_egress=True)
-    assert commands[5].endswith("netem delay 40ms")
-    assert commands[8].endswith("netem delay 0ms")
-
-
 def test_render_rounds_rates_and_trims_delay():
     commands = render_commands(EmulationParams(0.4, 1500.6, 12.3456), "eth0", "ifb0")
     assert "rate 1501kbit" in commands[4]
@@ -215,3 +209,7 @@ def test_render_rejects_empty_iface():
         render_commands(PARAMS_BASIC, "", "ifb0")
     with pytest.raises(ValueError):
         DryRunBackend("")
+    with pytest.raises(ValueError):
+        TcBackend("eth0", "")
+    with pytest.raises(ValueError):
+        DryRunBackend(ifb_iface="")

@@ -164,6 +164,23 @@ def test_build_models_unreadable_input(tmp_path, capsys):
     assert "ghost.csv" in capsys.readouterr().err
 
 
+def test_build_models_malformed_csv_is_data_error(tmp_path, capsys):
+    # a field over csv's 131,072-character limit makes csv.reader raise
+    path = tmp_path / "huge.csv"
+    rows = profile_rows(150, seed=3)
+    write_csv(path, rows[:5] + ['1,norway,"' + "x" * 200_000 + '",4G,-70,1,1,1'] + rows[5:])
+    code = run_cli(["build-models", "--input", str(path), "--output", str(tmp_path / "m.json")])
+    assert code == 2
+    assert "line 7" in capsys.readouterr().err
+    assert not (tmp_path / "m.json").exists()
+
+
+def test_build_models_flag_checked_before_input(tmp_path, capsys):
+    argv = ["build-models", "--input", str(tmp_path / "missing.csv"), "--output", "m.json"]
+    assert run_cli(argv + ["--min-samples", "0"]) == 1
+    assert "--min-samples" in capsys.readouterr().err
+
+
 def test_list_profiles(small_bundle_path, capsys):
     assert run_cli(["list-profiles", "--models", str(small_bundle_path)]) == 0
     lines = capsys.readouterr().out.splitlines()
@@ -393,6 +410,22 @@ def test_run_refuses_nonfinite_timing(small_bundle_path, capsys, flags):
     assert "must be" in captured.err
 
 
+def test_run_empty_ifb_refused_before_any_command(capsys, monkeypatch):
+    monkeypatch.setenv("ERRANT_IFB", "")
+    monkeypatch.setattr("os.geteuid", lambda: 0)
+    executed = []
+
+    def runner(command):
+        executed.append(command)
+        return 0, ""
+
+    monkeypatch.setattr("errant.backends._shell_runner", runner)
+    code = run_cli(["run", "--preset", "chrome:3G", "--duration", "2", "--iface", "eth0"])
+    assert code == 2
+    assert capsys.readouterr().out == ""
+    assert executed == []
+
+
 def test_run_entropy_seed_printed(small_bundle_path, capsys):
     code = run_cli(
         [
@@ -440,6 +473,19 @@ def test_trace_run_malformed_line(small_bundle_path, tmp_path, capsys):
     )
     assert code == 2
     assert "line 2" in capsys.readouterr().err
+
+
+def test_trace_run_scenario_with_utf8_bom(small_bundle_path, tmp_path, capsys):
+    text = "10,specific/norway/telia/4G/good,periodic:5\n"
+    outputs = []
+    for prefix in ("", "\ufeff"):
+        scenario = tmp_path / "route.scenario"
+        scenario.write_text(prefix + text, encoding="utf-8")
+        argv = ["trace-run", "--models", str(small_bundle_path), "--scenario", str(scenario)]
+        assert run_cli(argv + ["--seed", "6"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert outputs[0].count(",apply,") == 2
 
 
 def test_validate_row_count_and_header(small_bundle_path, capsys):
@@ -662,6 +708,20 @@ def test_subsample_from_raw_csv(tmp_path, capsys):
     )
     assert code == 0
     assert "dimension,n,repetition,D" in capsys.readouterr().out
+
+
+def test_subsample_malformed_csv_is_data_error(tmp_path, capsys):
+    path = tmp_path / "huge.csv"
+    write_csv(path, profile_rows(250, seed=12) + ['1,norway,telia,4G,-70,1,1,"' + "9" * 200_000])
+    argv = ["subsample", "--input", str(path), "--profile", KEY_TEXT, "--sizes", "10"]
+    assert run_cli(argv + ["--reps", "3", "--cap", "200", "--seed", "13"]) == 2
+    assert "line 252" in capsys.readouterr().err
+
+
+def test_subsample_sizes_checked_before_input(tmp_path, capsys):
+    argv = ["subsample", "--input", str(tmp_path / "missing.csv"), "--profile", KEY_TEXT]
+    assert run_cli(argv + ["--sizes", "10,x"]) == 1
+    assert "--sizes" in capsys.readouterr().err
 
 
 def test_subsample_same_from_raw_csv_and_built_models(tmp_path, capsys):
