@@ -17,7 +17,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import BackendError
+from .errors import BackendError, FormatError
 from .kde import EmulationParams
 
 
@@ -45,7 +45,7 @@ def render_commands(params: EmulationParams, egress_iface: str, ifb_iface: str) 
     distributed around the mean, its deviation split the same way.
     """
     if not egress_iface or not ifb_iface:
-        raise ValueError("interface names must be non-empty")
+        raise FormatError("interface names must be non-empty")
     netem = f"delay {_ms(params.latency_ms / 2.0)}ms"
     if params.latency_std_ms is not None:
         netem += f" {_ms(params.latency_std_ms / 2.0)}ms distribution normal"
@@ -95,7 +95,7 @@ class _CommandBackend(ShapingBackend):
         # names are settled once, so an empty one never reaches a command, teardown included
         ifb_iface = default_ifb() if ifb_iface is None else ifb_iface
         if not egress_iface or not ifb_iface:
-            raise ValueError("interface names must be non-empty")
+            raise FormatError("interface names must be non-empty")
         self.egress_iface = egress_iface
         self.ifb_iface = ifb_iface
         self._clear_commands = render_clear_commands(egress_iface, ifb_iface)

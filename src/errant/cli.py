@@ -39,7 +39,7 @@ from .emulator import (
     simple_params,
     static_preset,
 )
-from .errors import BackendError, ErrantError, FitError, FormatError
+from .errors import BackendError, ErrantError, FitError, FormatError, ScenarioError
 from .ingest import parse_speedtests, write_rejects
 from .kde import KdeModel, fit, sample_points
 from .model_store import ModelBundle, load, save
@@ -63,15 +63,15 @@ def _resolve_seed(args: argparse.Namespace) -> int:
 
 
 def _parse_size(text: str) -> int:
-    """Parse an object size like ``10MB`` (decimal units) into bytes."""
+    """argparse type: an object size like ``10MB`` (decimal units) in bytes."""
     match = re.fullmatch(r"\s*([0-9]+(?:\.[0-9]+)?)\s*([kKmMgG]?)[bB]?\s*", text)
     if not match:
-        raise ValueError(f"cannot parse object size {text!r}; use e.g. 500kB or 10MB")
+        raise argparse.ArgumentTypeError(f"cannot parse {text!r}; use e.g. 500kB or 10MB")
     scale = {"": 1, "k": 10**3, "m": 10**6, "g": 10**9}[match.group(2).lower()]
-    size = int(float(match.group(1)) * scale)
-    if size <= 0:
-        raise ValueError("object size must be positive")
-    return size
+    size = float(match.group(1)) * scale
+    if not 1 <= size < float("inf"):
+        raise argparse.ArgumentTypeError("object size must be positive and finite")
+    return int(size)
 
 
 def _at_least(low: int):
@@ -97,23 +97,19 @@ def _sizes(text: str) -> list[int]:
     return sizes
 
 
-def _parse_schema(pairs: Optional[list[str]]) -> Optional[dict[str, str]]:
-    if not pairs:
-        return None
-    schema = {}
-    for pair in pairs:
-        canonical, separator, actual = pair.partition("=")
-        if not separator or not canonical or not actual:
-            raise ValueError(f"bad --column mapping {pair!r}; use canonical=actual")
-        schema[canonical.strip()] = actual.strip()
-    return schema
+def _column_mapping(text: str) -> tuple[str, str]:
+    """argparse type: one ``canonical=actual`` column name pair."""
+    canonical, _, actual = (part.strip() for part in text.partition("="))
+    if not canonical or not actual:
+        raise argparse.ArgumentTypeError(f"cannot parse {text!r}; use canonical=actual")
+    return canonical, actual
 
 
 def _lookup(found: Mapping, key: ProfileKey, missing: str):
     """``found[key]``; a missing key names the keys that are available."""
     if key not in found:
         available = ", ".join(sorted(k.as_string() for k in found)) or "none"
-        raise ValueError(f"profile {key.as_string()} {missing}; available: {available}")
+        raise FormatError(f"profile {key.as_string()} {missing}; available: {available}")
     return found[key]
 
 
@@ -143,9 +139,8 @@ def _print_report(report, backend) -> None:
 
 
 def _cmd_build_models(args: argparse.Namespace) -> int:
-    schema = _parse_schema(args.column)
     with open(args.input, encoding="utf-8-sig", newline="") as handle:
-        tests, rejects = parse_speedtests(handle, schema=schema)
+        tests, rejects = parse_speedtests(handle, schema=dict(args.column or ()))
     if rejects:
         total = len(tests) + len(rejects)
         print(f"rejected {len(rejects)} of {total} rows", file=sys.stderr)
@@ -235,7 +230,11 @@ def _cmd_trace_run(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args)
     rng = np.random.default_rng(seed)
     bundle = load(args.models)
-    scenario = parse_scenario(Path(args.scenario).read_text(encoding="utf-8-sig"))
+    try:
+        text = Path(args.scenario).read_text(encoding="utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"scenario is not {exc.encoding} text: {exc.reason}") from None
+    scenario = parse_scenario(text)
     backend, clock, label = _make_backend(args)
     report = run_trace(scenario, bundle, backend, rng, clock)
     report.notes = {
@@ -254,7 +253,6 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     bundle = load(args.models)
     key = ProfileKey.from_string(args.profile)
     model = _model_for(bundle, key)
-    size_bytes = _parse_size(args.object_size)
 
     if args.simple:
         baseline = simple_params(Profile(key, model.points))
@@ -264,7 +262,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         draws = np.tile(mean, (args.downloads, 1))
     else:
         draws = sample_points(model, rng, args.downloads)
-    durations, speeds = simulate_download(SimulatedLink(*draws.T, args.setup_rtts), size_bytes)
+    durations, speeds = simulate_download(SimulatedLink(*draws.T, args.setup_rtts), args.size)
 
     lines = [
         f"# seed={seed} version={__version__}",
@@ -276,7 +274,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     csv_text = "\n".join(lines) + "\n"
 
     # reference: the stored measurements pushed through the same fluid model
-    observed = simulate_download(SimulatedLink(*model.points.T, args.setup_rtts), size_bytes)[1]
+    observed = simulate_download(SimulatedLink(*model.points.T, args.setup_rtts), args.size)[1]
     comparison = compare_distributions(observed, speeds)
     if args.output:
         Path(args.output).write_text(csv_text, encoding="utf-8")
@@ -289,13 +287,10 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_subsample(args: argparse.Namespace) -> int:
-    if bool(args.models) == bool(args.input):
-        print("error: exactly one of --models or --input", file=sys.stderr)
-        return 1
     seed = _resolve_seed(args)
     rng = np.random.default_rng(seed)
     key = ProfileKey.from_string(args.profile)
-    if args.models:
+    if args.models is not None:
         bundle = load(args.models)
         profile = Profile(key, _model_for(bundle, key).points)
     else:
@@ -337,6 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     build.add_argument(
         "--column",
         action="append",
+        type=_column_mapping,
         metavar="CANONICAL=ACTUAL",
         help="map a canonical column name to the file's name (repeatable)",
     )
@@ -358,14 +354,14 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--duration", type=float, required=True, help="run length in seconds")
     run.add_argument("--period", type=float, help="resample every PERIOD seconds")
     run.add_argument("--simple", action="store_true", help="average-value baseline mode")
-    run.add_argument("--seed", type=int)
+    run.add_argument("--seed", type=_at_least(0))
     _add_backend_flags(run)
     run.set_defaults(func=_cmd_run)
 
     trace = subparsers.add_parser("trace-run", help="run a multi-step scenario file")
     trace.add_argument("--models", required=True)
     trace.add_argument("--scenario", required=True, help="scenario file, one step per line")
-    trace.add_argument("--seed", type=int)
+    trace.add_argument("--seed", type=_at_least(0))
     _add_backend_flags(trace)
     trace.set_defaults(func=_cmd_trace_run)
 
@@ -375,23 +371,24 @@ def build_parser() -> argparse.ArgumentParser:
     validate.add_argument("--models", required=True)
     validate.add_argument("--profile", required=True)
     validate.add_argument("--downloads", type=_at_least(1), default=1000)
-    validate.add_argument("--object-size", default="10MB")
+    validate.add_argument("--object-size", dest="size", type=_parse_size, default="10MB")
     validate.add_argument("--simple", action="store_true")
     validate.add_argument("--setup-rtts", type=_at_least(0), default=2)
-    validate.add_argument("--seed", type=int)
+    validate.add_argument("--seed", type=_at_least(0))
     validate.add_argument("--output", help="write the per-download CSV here")
     validate.set_defaults(func=_cmd_validate)
 
     subsample = subparsers.add_parser(
         "subsample", help="KS distance of random subsets against a reference set"
     )
-    subsample.add_argument("--models")
-    subsample.add_argument("--input", help="speed-test CSV instead of a model file")
+    source = subsample.add_mutually_exclusive_group(required=True)
+    source.add_argument("--models")
+    source.add_argument("--input", help="speed-test CSV instead of a model file")
     subsample.add_argument("--profile", required=True)
     subsample.add_argument("--sizes", type=_sizes, default="10,100,1000")
     subsample.add_argument("--reps", type=_at_least(1), default=100)
     subsample.add_argument("--cap", type=_at_least(1), default=10000)
-    subsample.add_argument("--seed", type=int)
+    subsample.add_argument("--seed", type=_at_least(0))
     subsample.add_argument("--output", help="write the CSV here instead of stdout")
     subsample.set_defaults(func=_cmd_subsample)
 
@@ -416,12 +413,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         # at devnull so the interpreter's exit-time flush stays quiet
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
-    except BackendError as exc:
+    except (ErrantError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (ErrantError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, BackendError) else 2
     finally:
         for signum, handler in previous.items():
             signal.signal(signum, handler)

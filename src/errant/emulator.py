@@ -18,7 +18,7 @@ import numpy as np
 
 from . import kde
 from .backends import ShapingBackend
-from .errors import PresetError, ScenarioError
+from .errors import FormatError, PresetError, ScenarioError
 from .kde import EmulationParams, KdeModel
 from .model_store import ModelBundle
 from .profiles import Profile, ProfileKey
@@ -143,9 +143,9 @@ def static_preset(tool: str, profile_name: str) -> Tuple[str, EmulationParams]:
 def _check_timing(duration_s: float, period_s: float) -> None:
     """The timing rule of every run: 0 < period <= duration < inf; NaN fails it."""
     if not 0 < duration_s < math.inf:
-        raise ValueError("duration must be positive and finite")
+        raise FormatError("duration must be positive and finite")
     if not 0 < period_s <= duration_s:
-        raise ValueError("period must be in (0, duration]")
+        raise FormatError("period must be in (0, duration]")
 
 
 @dataclass(frozen=True)

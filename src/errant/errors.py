@@ -5,8 +5,8 @@ class ErrantError(Exception):
     """Base class for all toolkit errors."""
 
 
-class FormatError(ErrantError):
-    """Fatal input-format problem, e.g. a missing header or required column."""
+class FormatError(ErrantError, ValueError):
+    """Malformed or out-of-range input, e.g. a missing CSV column or an empty interface name."""
 
 
 class FitError(ErrantError):

@@ -126,8 +126,8 @@ def parse_speedtests(
     ``schema`` maps canonical column names to the names used in the file.
     Every data row ends up either in the returned :class:`SpeedTests` or as
     a ``RejectedRow`` with the reason it was refused; nothing is silently
-    dropped. A missing header or required column, or a line csv cannot read,
-    raises :class:`FormatError`.
+    dropped. A missing header or required column, a line csv cannot read, or
+    text the source cannot decode raises :class:`FormatError`.
     """
     reader = csv.reader(source)
     rows = _rows(reader)
@@ -200,11 +200,13 @@ def parse_speedtests(
 
 
 def _rows(reader) -> Iterator[list[str]]:
-    """The reader's rows; a line csv cannot read (e.g. an oversized field) is a FormatError."""
+    """The reader's rows; a line csv cannot read, or bytes that do not decode, raise FormatError."""
     try:
         yield from reader
     except csv.Error as exc:
         raise FormatError(f"line {reader.line_num}: {exc}") from None
+    except UnicodeDecodeError as exc:  # decoding runs a chunk ahead, so it names no line
+        raise FormatError(f"input is not {exc.encoding} text: {exc.reason}") from None
 
 
 def _parse_row(row: list[str], positions: dict[str, int], width: int) -> Optional[str]:

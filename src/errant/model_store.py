@@ -78,7 +78,7 @@ def load(path: Union[str, Path]) -> ModelBundle:
     """Read a bundle, revalidating every model invariant."""
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ModelFileError(f"cannot read model file {path}: {exc}") from exc
     try:
         doc = json.loads(text, object_pairs_hook=_object_without_repeats)
@@ -150,6 +150,8 @@ def _model_from_doc(key_text: str, body: object) -> KdeModel:
     covariance = covariance.reshape(3, 3)
     if points.ndim != 2 or points.shape[1] != 3 or len(points) < 2:
         raise bad("points must be an (n, 3) array with n >= 2")
+    if not (points > 0).all():
+        raise bad("stored points must be positive")
     if body["n"] != len(points):
         raise bad(f"n={body['n']!r} does not match {len(points)} stored points")
     try:

@@ -13,6 +13,7 @@ from typing import Dict, Iterable, Optional
 
 import numpy as np
 
+from .errors import FormatError
 from .ingest import _BIN_EDGES, Rat, SignalQuality, SpeedTests
 
 # Order of the value columns everywhere in the toolkit.
@@ -40,10 +41,9 @@ class ProfileKey:
     def __post_init__(self) -> None:
         if self.kind is ProfileKind.SPECIFIC:
             if not self.country or not self.operator:
-                raise ValueError("specific profiles need a country and an operator")
-        else:
-            if self.country is not None or self.operator is not None:
-                raise ValueError("universal profiles must not carry country/operator")
+                raise FormatError("specific profiles need a country and an operator")
+        elif self.country is not None or self.operator is not None:
+            raise FormatError("universal profiles must not carry country/operator")
 
     def as_string(self) -> str:
         """Stable text form, e.g. ``specific/norway/telia/4G/good``."""
@@ -55,7 +55,7 @@ class ProfileKey:
     def from_string(cls, text: str) -> "ProfileKey":
         parts = text.strip().split("/")
         if len(parts) != 5:
-            raise ValueError(
+            raise FormatError(
                 f"bad profile key {text!r}; expected "
                 "<specific|universal>/<country>/<operator>/<rat>/<quality>"
             )
@@ -63,15 +63,15 @@ class ProfileKey:
         try:
             kind = ProfileKind(kind_text.lower())
         except ValueError:
-            raise ValueError(f"bad profile kind {kind_text!r}") from None
+            raise FormatError(f"bad profile kind {kind_text!r}") from None
         try:
             rat = Rat(rat_text.upper())
         except ValueError:
-            raise ValueError(f"unknown rat {rat_text!r}") from None
+            raise FormatError(f"unknown rat {rat_text!r}") from None
         try:
             quality = SignalQuality(quality_text.lower())
         except ValueError:
-            raise ValueError(f"unknown quality {quality_text!r}") from None
+            raise FormatError(f"unknown quality {quality_text!r}") from None
         if kind is ProfileKind.UNIVERSAL:
             return cls(kind, None, None, rat, quality)
         return cls(kind, country.lower(), operator.lower(), rat, quality)
@@ -157,15 +157,13 @@ def filter_profiles(
 
 @dataclass(frozen=True)
 class DimensionStats:
-    """Quantile and moment summary of one scalar series."""
+    """Quantile summary of one scalar series."""
 
     median: float
     q1: float
     q3: float
     p5: float
     p95: float
-    mean: float
-    std: float
 
     @property
     def iqr(self) -> float:
@@ -184,6 +182,4 @@ def dimension_stats(values: Iterable[float]) -> DimensionStats:
         q3=float(q3),
         p5=float(p5),
         p95=float(p95),
-        mean=float(series.mean()),
-        std=float(series.std()),
     )

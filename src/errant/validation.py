@@ -7,6 +7,7 @@ from typing import Dict, Iterable, Optional, Tuple
 
 import numpy as np
 
+from .errors import FormatError
 from .profiles import DIMENSIONS, DimensionStats, Profile, dimension_stats
 
 
@@ -85,15 +86,15 @@ def subsample_experiment(
     """
     sizes = sorted(int(size) for size in sizes)
     if not sizes:
-        raise ValueError("need at least one subset size")
+        raise FormatError("need at least one subset size")
     if sizes[0] < 1:
-        raise ValueError("subset sizes must be positive")
+        raise FormatError("subset sizes must be positive")
     if sizes[-1] > cap:
-        raise ValueError(f"subset size {sizes[-1]} exceeds cap {cap}")
+        raise FormatError(f"subset size {sizes[-1]} exceeds cap {cap}")
     if repetitions < 1:
-        raise ValueError("repetitions must be positive")
+        raise FormatError("repetitions must be positive")
     if profile.n < cap:
-        raise ValueError(
+        raise FormatError(
             f"profile {profile.key.as_string()} has {profile.n} samples; "
             f"need at least cap={cap}"
         )

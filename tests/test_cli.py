@@ -770,3 +770,107 @@ def test_usage_errors_exit_one():
 def test_version_exits_zero(capsys):
     assert run_cli(["--version"]) == 0
     assert "errant" in capsys.readouterr().out
+
+
+# The exit-code contract for data errors: each case is bad input, so it exits 2
+# with a message naming the problem, never with a traceback.
+RUN_MODEL = ["run", "--models", "{models}", "--duration", "5", "--profile"]
+RUN_PRESET = ["run", "--preset", "chrome:3G", "--duration"]
+SUBSAMPLE = ["subsample", "--models", "{models}", "--profile", KEY_TEXT]
+
+
+@pytest.mark.parametrize(
+    "argv,ifb,message",
+    [
+        pytest.param(RUN_MODEL + ["nonsense"], None, "bad profile key", id="bad-key"),
+        pytest.param(RUN_MODEL + ["specific//x/4G/good"], None, "country", id="empty-country"),
+        pytest.param(RUN_MODEL + ["universal/any/any/3G/bad"], None, "available", id="no-profile"),
+        pytest.param(RUN_PRESET + ["nan"], None, "duration must be", id="nan-duration"),
+        pytest.param(RUN_PRESET + ["2", "--iface", ""], None, "interface", id="empty-iface"),
+        pytest.param(RUN_PRESET + ["2", "--iface", "eth0"], "", "interface", id="empty-ifb"),
+        pytest.param(
+            SUBSAMPLE + ["--sizes", "10", "--cap", "500"], None, "cap=500", id="cap-above-profile"
+        ),
+        pytest.param(
+            SUBSAMPLE + ["--sizes", "500", "--cap", "100"], None, "exceeds cap", id="size-above-cap"
+        ),
+        pytest.param(["list-profiles", "--models", "{missing}"], None, "cannot read", id="no-model"),
+        pytest.param(["list-profiles", "--models", "{garbage}"], None, "JSON", id="corrupt-model"),
+        pytest.param(["list-profiles", "--models", "{latin1}"], None, "utf-8", id="model-not-utf8"),
+        pytest.param(
+            ["build-models", "--input", "{latin1}", "--output", "{missing}"],
+            None,
+            "utf-8",
+            id="csv-not-utf8",
+        ),
+        pytest.param(
+            ["trace-run", "--models", "{models}", "--scenario", "{latin1}"],
+            None,
+            "utf-8",
+            id="scenario-not-utf8",
+        ),
+    ],
+)
+def test_data_errors_exit_two(small_bundle_path, tmp_path, capsys, monkeypatch, argv, ifb, message):
+    if ifb is not None:
+        monkeypatch.setenv("ERRANT_IFB", ifb)
+    monkeypatch.setattr("os.geteuid", lambda: 0)
+    executed = []
+    monkeypatch.setattr("errant.backends._shell_runner", lambda command: executed.append(command))
+    paths = {name: tmp_path / name for name in ("missing", "garbage", "latin1")}
+    paths["garbage"].write_text("{")
+    paths["latin1"].write_bytes(f"{CSV_HEADER}\n".encode() + "café\n".encode("latin-1"))
+    paths["models"] = small_bundle_path
+    assert run_cli([arg.format(**paths) for arg in argv]) == 2
+    assert message in capsys.readouterr().err
+    assert executed == []
+
+
+@pytest.mark.parametrize(
+    "target,argv",
+    [
+        ("errant.cli.fit", ["build-models", "--input", "{csv}", "--output", "{out}"]),
+        ("errant.backends.render_commands", ["run", "--preset", "chrome:3G", "--duration", "5"]),
+    ],
+)
+def test_bug_is_not_reported_as_data_error(tmp_path, two_profile_csv, monkeypatch, target, argv):
+    # a ValueError from inside the program is a bug: it ends with a traceback, not exit 2
+    def broken(*args):
+        raise ValueError("injected bug")
+
+    monkeypatch.setattr(target, broken)
+    paths = {"csv": two_profile_csv, "out": tmp_path / "m.json"}
+    with pytest.raises(ValueError, match="injected bug"):
+        main([arg.format(**paths) for arg in argv])
+
+
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["validate", "--models", "{missing}", "--profile", KEY_TEXT, "--object-size", "10XB"],
+         "--object-size"),
+        (["build-models", "--input", "{missing}", "--output", "{missing}", "--column", "timestamp"],
+         "--column"),
+        (["run", "--preset", "chrome:3G", "--duration", "5", "--seed", "-1"], "--seed"),
+    ],
+)
+def test_flag_values_checked_before_input(tmp_path, capsys, argv, flag):
+    missing = tmp_path / "missing"
+    assert run_cli([arg.format(missing=missing) for arg in argv]) == 1
+    assert flag in capsys.readouterr().err
+
+
+def test_validate_refuses_model_with_nonpositive_point(small_bundle_path, tmp_path, capsys):
+    text = small_bundle_path.read_text()
+    first_point = text.index("        [") + len("        [")
+    path = tmp_path / "negative.json"
+    path.write_text(text[:first_point] + "-" + text[first_point:])
+    argv = ["validate", "--models", str(path), "--profile", KEY_TEXT, "--downloads", "5"]
+    assert run_cli(argv) == 2
+    assert f"model {KEY_TEXT}: stored points must be positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("source", ["--models", "--input"])
+def test_subsample_empty_source_path_is_data_error(capsys, source):
+    assert run_cli(["subsample", source, "", "--profile", KEY_TEXT]) == 2
+    assert "error:" in capsys.readouterr().err

@@ -116,6 +116,16 @@ def test_negative_factor_rejected_with_profile_name(tmp_path):
         load(path)
 
 
+
+@pytest.mark.parametrize("value", [0.0, -1.0])
+def test_nonpositive_point_rejected_with_profile_name(tmp_path, value):
+    doc = json.loads(dumps(two_model_bundle()))
+    doc["models"][KEY_B.as_string()]["points"][3][1] = value
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(CorruptModelError, match=re.escape(f"model {KEY_B.as_string()}: stored")):
+        load(path)
+
 def test_unsupported_version_rejected(tmp_path):
     path = tmp_path / "m.json"
     save(ModelBundle(), path)
