@@ -40,7 +40,7 @@ from .emulator import (
     static_preset,
 )
 from .errors import BackendError, ErrantError, FitError, FormatError, ScenarioError
-from .ingest import parse_speedtests, write_rejects
+from .ingest import COLUMNS, parse_speedtests, write_rejects
 from .kde import KdeModel, fit, sample_points
 from .model_store import ModelBundle, load, save
 from .profiles import Profile, ProfileKey, build_profiles, filter_profiles
@@ -102,6 +102,10 @@ def _column_mapping(text: str) -> tuple[str, str]:
     canonical, _, actual = (part.strip() for part in text.partition("="))
     if not canonical or not actual:
         raise argparse.ArgumentTypeError(f"cannot parse {text!r}; use canonical=actual")
+    if canonical not in COLUMNS:
+        raise argparse.ArgumentTypeError(
+            f"unknown column {canonical!r}; expected one of {', '.join(COLUMNS)}"
+        )
     return canonical, actual
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from math import inf
 from typing import Optional, Union
 
 import numpy as np
@@ -38,10 +39,15 @@ class EmulationParams:
     latency_std_ms: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.download_kbps <= 0 or self.upload_kbps <= 0 or self.latency_ms < 0:
-            raise ValueError("bandwidths must be positive and latency nonnegative")
-        if self.latency_std_ms is not None and not self.latency_std_ms >= 0:
-            raise ValueError("latency std must be nonnegative")
+        # chained comparisons are false for NaN, so NaN is refused too
+        if not (
+            0 < self.download_kbps < inf
+            and 0 < self.upload_kbps < inf
+            and 0 <= self.latency_ms < inf
+        ):
+            raise ValueError("bandwidths must be positive and latency nonnegative, all finite")
+        if self.latency_std_ms is not None and not 0 <= self.latency_std_ms < inf:
+            raise ValueError("latency std must be nonnegative and finite")
 
 
 def silverman_factor(n: int, d: int) -> float:
@@ -178,20 +184,49 @@ def sample_points(model: KdeModel, rng: np.random.Generator, count: int) -> np.n
         kept.append(good)
         accepted += len(good)
         proposed += batch
-        if proposed >= _REJECTION_WINDOW and accepted < 0.01 * proposed:
-            rate = 100.0 * (1.0 - accepted / proposed)
-            raise PathologicalModelError(
-                f"{rate:.1f}% of draws rejected after {proposed} proposals; "
-                "model cannot produce strictly positive parameters"
-            )
+        _check_acceptance(accepted, proposed)
     if not kept:
         return np.empty((0, 3))
     return np.concatenate(kept)[:count]
 
 
 def sample(model: KdeModel, rng: np.random.Generator, count: int) -> list[EmulationParams]:
-    """Draw ``count`` strictly positive parameter tuples from the model."""
-    return [
-        EmulationParams(float(down), float(up), float(lat))
-        for down, up, lat in sample_points(model, rng, count)
-    ]
+    """Draw ``count`` strictly positive parameter tuples from the model.
+
+    Makes the same random draws as :func:`sample_points` and returns the same
+    values, leaving ``rng`` in the same state, but scans the proposals in
+    order and stops at the last one it keeps, so a few draws cost far less.
+    """
+    if count < 0:
+        raise ValueError("count must be nonnegative")
+    cholesky = model._kernel_cholesky
+    points = model.points
+    kept: list[EmulationParams] = []
+    proposed = 0
+    while len(kept) < count:
+        batch = max(count - len(kept), 256)
+        indexes = rng.integers(0, model.n, size=batch)
+        # one batched product, as in sample_points: row by row the sums differ
+        noise = rng.standard_normal((batch, 3)) @ cholesky.T
+        accepted = len(kept)  # every earlier batch was scanned in full
+        for index, offset in zip(indexes, noise):
+            down, up, lat = (points[index] + offset).tolist()
+            if down > 0.0 and up > 0.0 and lat > 0.0:
+                kept.append(EmulationParams(down, up, lat))
+                if len(kept) == count:
+                    break
+        proposed += batch
+        if proposed >= _REJECTION_WINDOW:  # only then can the guard fire
+            # it counts every positive row of the batch, as sample_points does
+            accepted += int(((points[indexes] + noise) > 0.0).all(axis=1).sum())
+            _check_acceptance(accepted, proposed)
+    return kept
+
+
+def _check_acceptance(accepted: int, proposed: int) -> None:
+    if proposed >= _REJECTION_WINDOW and accepted < 0.01 * proposed:
+        rate = 100.0 * (1.0 - accepted / proposed)
+        raise PathologicalModelError(
+            f"{rate:.1f}% of draws rejected after {proposed} proposals; "
+            "model cannot produce strictly positive parameters"
+        )

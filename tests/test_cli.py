@@ -2,6 +2,7 @@
 
 import os
 import signal
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from errant import cli
 from errant.cli import main
 
 KEY_TEXT = "specific/norway/telia/4G/good"
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run_cli(argv):
@@ -602,6 +604,12 @@ def test_run_periodic_draws_one_point_per_apply(small_bundle_path, capsys):
         assert row[2:] == [repr(float(value)) for value in expected]
 
 
+def test_run_periodic_dry_run_matches_golden(small_bundle_path, capsys):
+    argv = ["run", "--models", str(small_bundle_path), "--profile", KEY_TEXT]
+    assert run_cli(argv + ["--duration", "30", "--period", "3", "--seed", "21"]) == 0
+    assert capsys.readouterr().out == (GOLDEN / "run_periodic_dry_run.txt").read_text()
+
+
 VALIDATE_HEADER = "download,download_kbps,upload_kbps,latency_ms,duration_s,avg_speed_kbps"
 
 
@@ -845,19 +853,23 @@ def test_bug_is_not_reported_as_data_error(tmp_path, two_profile_csv, monkeypatc
 
 
 @pytest.mark.parametrize(
-    "argv,flag",
+    "argv,expected",
     [
         (["validate", "--models", "{missing}", "--profile", KEY_TEXT, "--object-size", "10XB"],
          "--object-size"),
         (["build-models", "--input", "{missing}", "--output", "{missing}", "--column", "timestamp"],
          "--column"),
         (["run", "--preset", "chrome:3G", "--duration", "5", "--seed", "-1"], "--seed"),
+        (["build-models", "--input", "{missing}", "--output", "{missing}",
+          "--column", "downlaod_kbps=dl"],
+         "--column: unknown column 'downlaod_kbps'; expected one of timestamp, country, operator, "
+         "rat, rssi, download_kbps, upload_kbps, latency_ms"),
     ],
 )
-def test_flag_values_checked_before_input(tmp_path, capsys, argv, flag):
+def test_flag_values_checked_before_input(tmp_path, capsys, argv, expected):
     missing = tmp_path / "missing"
     assert run_cli([arg.format(missing=missing) for arg in argv]) == 1
-    assert flag in capsys.readouterr().err
+    assert expected in capsys.readouterr().err
 
 
 def test_validate_refuses_model_with_nonpositive_point(small_bundle_path, tmp_path, capsys):

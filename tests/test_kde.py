@@ -151,7 +151,7 @@ def test_sample_returns_params_objects():
     assert all(p.download_kbps > 0 and p.latency_ms > 0 for p in draws)
 
 
-def test_pathological_model_raises():
+def _pathological_model():
     # kernels centered deep in the negative orthant never yield positive draws
     points = np.array(
         [
@@ -161,9 +161,78 @@ def test_pathological_model_raises():
             [-1000.0, -1000.0, -1001.0],
         ]
     )
-    model = KdeModel(points=points, covariance=np.eye(3), bandwidth_factor=1.0)
+    return KdeModel(points=points, covariance=np.eye(3), bandwidth_factor=1.0)
+
+
+def test_pathological_model_raises():
     with pytest.raises(PathologicalModelError):
-        sample_points(model, np.random.default_rng(10), 1)
+        sample_points(_pathological_model(), np.random.default_rng(10), 1)
+
+
+def _near_zero_model():
+    # stored points hugging zero with wide kernels: over half the proposals
+    # are rejected, so draws come from past row 0 and across batches
+    rng = np.random.default_rng(41)
+    model = fit(np.exp(rng.normal(0.0, 1.5, size=(60, 3))))
+    draws = model.points[rng.integers(0, model.n, 2000)]
+    draws = draws + rng.standard_normal((2000, 3)) @ model._kernel_cholesky.T
+    assert 0.2 < 1.0 - (draws > 0).all(axis=1).mean() < 0.9
+    return model
+
+
+def _as_points(params):
+    return np.array([[p.download_kbps, p.upload_kbps, p.latency_ms] for p in params]).reshape(-1, 3)
+
+
+@pytest.mark.parametrize("kind", ["lognormal", "near_zero"])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("count", [0, 1, 2, 255, 256, 257, 1000])
+def test_sample_scan_equals_sample_points(kind, seed, count):
+    model = fit(make_lognormal(300, seed=15)) if kind == "lognormal" else _near_zero_model()
+    scan_rng, bulk_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    scanned = _as_points(sample(model, scan_rng, count))
+    np.testing.assert_array_equal(scanned, sample_points(model, bulk_rng, count))
+    assert scan_rng.random() == bulk_rng.random()  # same generator state afterwards
+
+
+def test_sample_single_draws_equal_sample_points_across_rejections():
+    model = _near_zero_model()
+    scan_rng, bulk_rng = np.random.default_rng(4), np.random.default_rng(4)
+    for _ in range(300):
+        np.testing.assert_array_equal(
+            _as_points(sample(model, scan_rng, 1)), sample_points(model, bulk_rng, 1)
+        )
+    assert scan_rng.random() == bulk_rng.random()
+
+
+def test_sample_guard_counts_whole_last_batch():
+    # about 1% of proposals survive; with seed 6 the last batch holds more
+    # positive rows than the scan keeps, and only counting all of them keeps
+    # the acceptance rate above the guard's 1%, as it is for sample_points
+    points = np.array(
+        [
+            [-0.79, -0.79, -0.79],
+            [-0.8, -0.79, -0.79],
+            [-0.79, -0.8, -0.79],
+            [-0.79, -0.79, -0.8],
+        ]
+    )
+    model = KdeModel(points=points, covariance=np.eye(3), bandwidth_factor=1.0)
+    scan_rng, bulk_rng = np.random.default_rng(6), np.random.default_rng(6)
+    scanned = _as_points(sample(model, scan_rng, 10))
+    np.testing.assert_array_equal(scanned, sample_points(model, bulk_rng, 10))
+    assert scan_rng.random() == bulk_rng.random()
+
+
+@pytest.mark.parametrize("count", [1, 300])
+def test_sample_and_sample_points_refuse_pathological_model_alike(count):
+    messages = []
+    for draw in (sample, sample_points):
+        with pytest.raises(PathologicalModelError) as caught:
+            draw(_pathological_model(), np.random.default_rng(10), count)
+        messages.append(str(caught.value))
+    assert messages[0] == messages[1]
+    assert "proposals; model cannot produce strictly positive parameters" in messages[0]
 
 
 def test_sample_count_validation():
@@ -186,6 +255,24 @@ def test_emulation_params_validation():
     assert EmulationParams(1.0, 1.0, 0.0).latency_ms == 0.0
     assert EmulationParams(1.0, 1.0, 1.0).latency_std_ms is None
     assert EmulationParams(1.0, 1.0, 1.0, latency_std_ms=0.0).latency_std_ms == 0.0
+
+
+@pytest.mark.parametrize(
+    "args,std",
+    [
+        ((float("nan"), 1.0, 1.0), None),
+        ((1.0, float("nan"), 1.0), None),
+        ((1.0, 1.0, float("nan")), None),
+        ((float("inf"), 1.0, 1.0), None),
+        ((1.0, float("inf"), 1.0), None),
+        ((1.0, 1.0, float("inf")), None),
+        ((1.0, 1.0, 1.0), float("nan")),
+        ((1.0, 1.0, 1.0), float("inf")),
+    ],
+)
+def test_emulation_params_refuse_nan_and_infinity(args, std):
+    with pytest.raises(ValueError, match="finite"):
+        EmulationParams(*args, latency_std_ms=std)
 
 
 def test_model_rejects_bad_inputs():

@@ -2,7 +2,10 @@
 
 from pathlib import Path
 
-from conftest import csv_stream
+import numpy as np
+from conftest import csv_stream, make_lognormal
+
+from errant import DryRunBackend, VirtualClock, fit
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -33,3 +36,25 @@ def test_bench_tracer_counts_parsed_rows_and_rejects(monkeypatch):
     finally:
         tracer.uninstall()
     assert tracing.SpanSummary(tracer).counts["ingest.parse_speedtests"] == [4, 1]
+
+
+def test_bench_tracer_sees_one_kde_sample_per_apply(monkeypatch):
+    # the benchmark's kde.sample_s is the draw's time only while every
+    # resample goes through kde.sample
+    monkeypatch.syspath_prepend(str(BENCH))
+    import errant.emulator
+    import tracing
+
+    model = fit(make_lognormal(100, seed=3))
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        report = errant.emulator.run_periodic(
+            model, DryRunBackend("eth0", "ifb0"), 10.0, 2.0, np.random.default_rng(5), VirtualClock()
+        )
+    finally:
+        tracer.uninstall()
+    assert sum(event.action == "apply" for event in report.events) == 5
+    calls = tracing.SpanSummary(tracer).calls
+    assert calls["emulator.run_periodic"] == 1
+    assert calls["kde.sample"] == 5
