@@ -5,6 +5,7 @@ single host: upload is limited by an HTB class on the egress device, ingress
 traffic is redirected to an ifb device where download is limited the same
 way, and the round-trip latency is split half on each side so a full RTT is
 experienced end to end. A netem qdisc under each HTB class adds the delay.
+A resample rebuilds each direction's root in turn and keeps the ifb redirect.
 """
 
 from __future__ import annotations
@@ -75,7 +76,7 @@ def render_clear_commands(egress_iface: str, ifb_iface: str) -> list[str]:
 
 
 class ShapingBackend:
-    """Base contract: apply replaces any configured state; clear is idempotent."""
+    """Base contract: apply rebuilds any configured state in place; clear is idempotent."""
 
     def __init__(self) -> None:
         self.configured: Optional[EmulationParams] = None
@@ -102,10 +103,14 @@ class _CommandBackend(ShapingBackend):
 
     def apply(self, params: EmulationParams) -> None:
         commands = render_commands(params, self.egress_iface, self.ifb_iface)
-        if self.configured is not None:
-            # replace semantics: tear down old rules before installing new ones
-            self._execute(self._clear_commands, tolerate_errors=True)
-        self._execute(commands, tolerate_errors=False)
+        if self.configured is None:
+            self._execute(commands, tolerate_errors=False)
+        else:
+            # resample in place: one direction's root at a time, the other keeps shaping
+            egress_root, _, ifb_root = self._clear_commands
+            for delete, tree in ((egress_root, commands[3:6]), (ifb_root, commands[6:])):
+                self._execute([delete], tolerate_errors=True)
+                self._execute(tree, tolerate_errors=False)
         self.configured = params
 
     def clear(self) -> None:

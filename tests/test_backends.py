@@ -81,11 +81,13 @@ def test_dry_run_replace_then_clear_leaves_no_residual():
     backend.apply(EmulationParams(512.0, 256.0, 200.0))
     backend.clear()
     log = backend.log
-    # first apply installs directly; the second tears down before re-adding
+    # first apply installs directly; the second rebuilds each direction's root
+    # in turn, keeping the link, ingress hook and redirect
+    resample = render_commands(EmulationParams(512.0, 256.0, 200.0), "eth0", "ifb0")
     assert log[:9] == render_commands(PARAMS_BASIC, "eth0", "ifb0")
-    assert log[9:12] == CLEAR_LINES
-    assert log[12:21] == render_commands(EmulationParams(512.0, 256.0, 200.0), "eth0", "ifb0")
-    assert log[21:] == CLEAR_LINES
+    assert log[9:13] == ["tc qdisc del dev eth0 root"] + resample[3:6]
+    assert log[13:17] == ["tc qdisc del dev ifb0 root"] + resample[6:9]
+    assert log[17:] == CLEAR_LINES
     assert backend.configured is None
 
 
@@ -114,8 +116,13 @@ def test_tc_backend_runs_commands_in_order():
     backend = TcBackend("eth0", "ifb0", runner=runner)
     backend.apply(PARAMS_BASIC)
     assert executed == render_commands(PARAMS_BASIC, "eth0", "ifb0")
+    backend.apply(EmulationParams(512.0, 256.0, 200.0))
+    resample = render_commands(EmulationParams(512.0, 256.0, 200.0), "eth0", "ifb0")
+    assert executed[9:] == (
+        ["tc qdisc del dev eth0 root"] + resample[3:6] + ["tc qdisc del dev ifb0 root"] + resample[6:]
+    )
     backend.clear()
-    assert executed[9:] == CLEAR_LINES
+    assert executed[17:] == CLEAR_LINES
 
 
 def test_tc_backend_raises_on_failed_install():

@@ -19,6 +19,7 @@ from errant import (
     ScenarioError,
     Segment,
     ShapingBackend,
+    TcBackend,
     VirtualClock,
     fit,
     parse_scenario,
@@ -34,6 +35,7 @@ from errant.emulator import _PRESETS
 from errant.kde import EmulationParams
 
 GOLDEN = Path(__file__).parent / "golden"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 class RecordingBackend(ShapingBackend):
@@ -396,6 +398,74 @@ def test_run_trace_dry_run_matches_golden():
         parse_scenario(TRACE_TEXT), trace_bundle(), backend, np.random.default_rng(13), VirtualClock()
     )
     assert "\n".join(backend.log) + "\n" == (GOLDEN / "trace_dry_run.txt").read_text()
+
+
+class _CheckedTcBackend(TcBackend):
+    """TcBackend on the benchmark's fake tc, checking its state around every action."""
+
+    def __init__(self, runner, fake):
+        super().__init__("eth0", "ifb0", runner=runner)
+        self.fake = fake
+        self.applies = []  # (first install?, fake's command count before, after)
+
+    def apply(self, params):
+        first, start = self.configured is None, self.fake.commands
+        super().apply(params)
+        self.applies.append((first, start, self.fake.commands))
+        assert self.fake.shaped()
+
+    def clear(self):
+        super().clear()
+        assert not self.fake.has_rules()
+
+
+def test_tc_resample_keeps_one_direction_shaped(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    from faketc import FakeTc
+
+    fake = FakeTc(0.0, "eth0", "ifb0")
+    netem_after = []  # devices with a netem leaf after each command
+
+    def runner(command):
+        result = fake(command)
+        netem_after.append(set(fake.netem))
+        return result
+
+    backend = _CheckedTcBackend(runner, fake)
+    scenario = parse_scenario(
+        "10,specific/norway/telia/4G/good,periodic:2\n"
+        "6,universal/any/any/3G/bad,periodic:3\n"
+        "4,specific/norway/telia/4G/good,fixed\n"
+    )
+    run_trace(scenario, trace_bundle(), backend, np.random.default_rng(16), VirtualClock())
+    counts = [(first, end - start) for first, start, end in backend.applies]
+    assert counts == [(True, 9)] + [(False, 8)] * 4 + [(True, 9), (False, 8), (True, 9)]
+    assert fake.commands == 9 * 3 + 8 * 5 + 3 * 3
+    for first, start, end in backend.applies:
+        if not first:  # a resample never unshapes both directions at once
+            assert all(netem_after[start:end])
+
+
+def test_failed_resample_is_cleared(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    from faketc import FakeTc
+
+    fake = FakeTc(0.0, "eth0", "ifb0")
+    ifb_class_adds = 0
+
+    def runner(command):
+        nonlocal ifb_class_adds
+        if command.startswith("tc class add dev ifb0"):
+            ifb_class_adds += 1
+            if ifb_class_adds == 2:  # the second apply's download class
+                return 2, "RTNETLINK answers: Operation not permitted"
+        return fake(command)
+
+    backend = TcBackend("eth0", "ifb0", runner=runner)
+    with pytest.raises(BackendError, match="tc class add dev ifb0 .*Operation not permitted"):
+        run_periodic(small_model(), backend, 10.0, 2.0, np.random.default_rng(17), VirtualClock())
+    assert backend.configured is None  # run cleared on the error path
+    assert not fake.has_rules()
 
 
 def test_run_trace_missing_profile_preflight():
