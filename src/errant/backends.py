@@ -103,14 +103,18 @@ class _CommandBackend(ShapingBackend):
 
     def apply(self, params: EmulationParams) -> None:
         commands = render_commands(params, self.egress_iface, self.ifb_iface)
-        if self.configured is None:
-            self._execute(commands, tolerate_errors=False)
-        else:
-            # resample in place: one direction's root at a time, the other keeps shaping
-            egress_root, _, ifb_root = self._clear_commands
-            for delete, tree in ((egress_root, commands[3:6]), (ifb_root, commands[6:])):
-                self._execute([delete], tolerate_errors=True)
-                self._execute(tree, tolerate_errors=False)
+        try:
+            if self.configured is None:
+                self._execute(commands, tolerate_errors=False)
+            else:
+                # resample in place: one direction's root at a time, the other keeps shaping
+                egress_root, _, ifb_root = self._clear_commands
+                for delete, tree in ((egress_root, commands[3:6]), (ifb_root, commands[6:])):
+                    self._execute([delete], tolerate_errors=True)
+                    self._execute(tree, tolerate_errors=False)
+        except BackendError:
+            self.clear()  # all or nothing: never leave half a rule set installed
+            raise
         self.configured = params
 
     def clear(self) -> None:
@@ -142,7 +146,8 @@ class TcBackend(_CommandBackend):
 
     ``runner`` maps a command line to (exit status, stderr); tests inject a
     fake one. Failures during rule removal are tolerated (the rules may not
-    exist yet), failures while installing rules raise :class:`BackendError`.
+    exist yet); a failure while installing rules removes every rule and raises
+    :class:`BackendError`.
     """
 
     def __init__(

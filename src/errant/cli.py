@@ -55,11 +55,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _resolve_seed(args: argparse.Namespace) -> int:
-    if args.seed is not None:
-        return args.seed
-    # entropy-derived default, printed in every report for replay
-    return int.from_bytes(os.urandom(4), "little")
+def _seeded(args: argparse.Namespace) -> tuple[int, np.random.Generator]:
+    # without --seed, an entropy-derived seed, printed in every report for replay
+    seed = int.from_bytes(os.urandom(4), "little") if args.seed is None else args.seed
+    return seed, np.random.default_rng(seed)
 
 
 def _parse_size(text: str) -> int:
@@ -117,8 +116,10 @@ def _lookup(found: Mapping, key: ProfileKey, missing: str):
     return found[key]
 
 
-def _model_for(bundle: ModelBundle, key: ProfileKey) -> KdeModel:
-    return _lookup(bundle.models, key, "not in model file")
+def _profile_model(args: argparse.Namespace) -> tuple[ProfileKey, KdeModel]:
+    """(key, model) named by --profile; the key is parsed before --models is read."""
+    key = ProfileKey.from_string(args.profile)
+    return key, _lookup(load(args.models).models, key, "not in model file")
 
 
 def _make_backend(args: argparse.Namespace) -> tuple:
@@ -167,8 +168,7 @@ def _cmd_build_models(args: argparse.Namespace) -> int:
         models=models, created=datetime.now(timezone.utc).isoformat(timespec="seconds")
     )
     save(bundle, args.output)
-    for key in sorted(models, key=ProfileKey.as_string):
-        model = models[key]
+    for key, model in models.items():
         print(f"{key.as_string()}: n={model.n} bandwidth_factor={model.bandwidth_factor:.5f}")
     print(f"saved {len(models)} models to {args.output}")
     return 0
@@ -201,8 +201,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.simple and args.period is not None:
         print("error: --simple holds constant parameters; --period does not apply", file=sys.stderr)
         return 1
-    seed = _resolve_seed(args)
-    rng = np.random.default_rng(seed)
+    seed, rng = _seeded(args)
     backend, clock, label = _make_backend(args)
     notes = {"version": __version__, "seed": str(seed), "backend": label}
     if args.preset:
@@ -211,12 +210,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
         notes.update(preset=name, mode="static")
         report = run([Segment(args.duration, args.duration, lambda: params)], backend, clock)
     else:
-        bundle = load(args.models)
-        key = ProfileKey.from_string(args.profile)
-        model = _model_for(bundle, key)
+        key, model = _profile_model(args)
         notes["profile"] = key.as_string()
         if args.simple:
-            params = simple_params(Profile(key, model.points))
+            params = simple_params(model.points)
             notes["mode"] = "simple"
             report = run([Segment(args.duration, args.duration, lambda: params)], backend, clock)
         elif args.period is not None:
@@ -231,8 +228,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace_run(args: argparse.Namespace) -> int:
-    seed = _resolve_seed(args)
-    rng = np.random.default_rng(seed)
+    seed, rng = _seeded(args)
     bundle = load(args.models)
     try:
         text = Path(args.scenario).read_text(encoding="utf-8-sig")
@@ -252,18 +248,12 @@ def _cmd_trace_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    seed = _resolve_seed(args)
-    rng = np.random.default_rng(seed)
-    bundle = load(args.models)
-    key = ProfileKey.from_string(args.profile)
-    model = _model_for(bundle, key)
-
+    seed, rng = _seeded(args)
+    _, model = _profile_model(args)
     if args.simple:
-        baseline = simple_params(Profile(key, model.points))
-        # the fluid model is deterministic, so the Gaussian latency collapses
-        # to its mean and every download sees identical parameters
-        mean = [baseline.download_kbps, baseline.upload_kbps, baseline.latency_ms]
-        draws = np.tile(mean, (args.downloads, 1))
+        # the fluid model is deterministic, so the baseline's Gaussian latency
+        # collapses to its mean and every download sees the per-dimension means
+        draws = np.tile(model.points.mean(axis=0), (args.downloads, 1))
     else:
         draws = sample_points(model, rng, args.downloads)
     durations, speeds = simulate_download(SimulatedLink(*draws.T, args.setup_rtts), args.size)
@@ -291,13 +281,12 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_subsample(args: argparse.Namespace) -> int:
-    seed = _resolve_seed(args)
-    rng = np.random.default_rng(seed)
-    key = ProfileKey.from_string(args.profile)
+    seed, rng = _seeded(args)
     if args.models is not None:
-        bundle = load(args.models)
-        profile = Profile(key, _model_for(bundle, key).points)
+        key, model = _profile_model(args)
+        profile = Profile(key, model.points)
     else:
+        key = ProfileKey.from_string(args.profile)
         with open(args.input, encoding="utf-8-sig", newline="") as handle:
             tests, _ = parse_speedtests(handle)
         profile = _lookup(build_profiles(tests), key, "not present in input")

@@ -21,7 +21,7 @@ from .backends import ShapingBackend
 from .errors import FormatError, PresetError, ScenarioError
 from .kde import EmulationParams, KdeModel
 from .model_store import ModelBundle
-from .profiles import Profile, ProfileKey
+from .profiles import ProfileKey
 
 
 class Clock(Protocol):
@@ -95,14 +95,14 @@ def sample_params(model: KdeModel, rng: np.random.Generator) -> EmulationParams:
     return kde.sample(model, rng, 1)[0]
 
 
-def simple_params(profile: Profile) -> EmulationParams:
-    """Baseline parameters for a profile: per-dimension means, latency std."""
-    means = profile.samples.mean(axis=0)
+def simple_params(samples: np.ndarray) -> EmulationParams:
+    """Baseline parameters for (n, 3) samples: per-dimension means, latency std."""
+    means = samples.mean(axis=0)
     return EmulationParams(
         download_kbps=float(means[0]),
         upload_kbps=float(means[1]),
         latency_ms=float(means[2]),
-        latency_std_ms=float(profile.samples[:, 2].std()),
+        latency_std_ms=float(samples[:, 2].std()),
     )
 
 

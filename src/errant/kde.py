@@ -98,14 +98,6 @@ class KdeModel:
         except np.linalg.LinAlgError:
             raise FitError("kernel covariance is singular") from None
 
-    @cached_property
-    def _kernel_cholesky_inv(self) -> np.ndarray:
-        return np.linalg.inv(self._kernel_cholesky)
-
-    @cached_property
-    def _kernel_sqrt_det(self) -> float:
-        return float(np.prod(np.diag(self._kernel_cholesky)))
-
 
 def fit(samples: np.ndarray) -> KdeModel:
     """Fit a kernel density model with the rule-of-thumb bandwidth.
@@ -145,8 +137,9 @@ def density(model: KdeModel, point: np.ndarray) -> Union[float, np.ndarray]:
 
 
 def _density_batch(model: KdeModel, x: np.ndarray) -> np.ndarray:
-    linv = model._kernel_cholesky_inv
-    norm = _TWO_PI**-1.5 / model._kernel_sqrt_det
+    cholesky = model._kernel_cholesky
+    linv = np.linalg.inv(cholesky)
+    norm = _TWO_PI**-1.5 / float(np.prod(np.diag(cholesky)))
     # whitened coordinates turn the kernel quadratic form into a squared
     # euclidean distance, computed via one matrix product per chunk
     w = model.points @ linv.T
@@ -172,7 +165,7 @@ def sample_points(model: KdeModel, rng: np.random.Generator, count: int) -> np.n
     if count < 0:
         raise ValueError("count must be nonnegative")
     cholesky = model._kernel_cholesky
-    kept: list[np.ndarray] = []
+    kept = [np.empty((0, 3))]
     accepted = 0
     proposed = 0
     while accepted < count:
@@ -185,8 +178,6 @@ def sample_points(model: KdeModel, rng: np.random.Generator, count: int) -> np.n
         accepted += len(good)
         proposed += batch
         _check_acceptance(accepted, proposed)
-    if not kept:
-        return np.empty((0, 3))
     return np.concatenate(kept)[:count]
 
 

@@ -610,6 +610,18 @@ def test_run_periodic_dry_run_matches_golden(small_bundle_path, capsys):
     assert capsys.readouterr().out == (GOLDEN / "run_periodic_dry_run.txt").read_text()
 
 
+def test_run_simulated_backend_reports_like_dry_run(small_bundle_path, capsys):
+    argv = ["run", "--models", str(small_bundle_path), "--profile", KEY_TEXT]
+    argv += ["--duration", "30", "--period", "3", "--seed", "21"]
+    assert run_cli(argv) == 0
+    dry_run = capsys.readouterr().out.splitlines(keepends=True)
+    assert run_cli(argv + ["--backend", "simulated"]) == 0
+    report = "".join(line for line in dry_run if not line.startswith("# $ "))
+    expected = report.replace("# backend=dry-run\n", "# backend=simulated\n")
+    assert "# backend=simulated\n" in expected
+    assert capsys.readouterr().out == expected
+
+
 VALIDATE_HEADER = "download,download_kbps,upload_kbps,latency_ms,duration_s,avg_speed_kbps"
 
 
@@ -870,6 +882,13 @@ def test_flag_values_checked_before_input(tmp_path, capsys, argv, expected):
     missing = tmp_path / "missing"
     assert run_cli([arg.format(missing=missing) for arg in argv]) == 1
     assert expected in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["run", "--duration", "5"], ["validate"], ["subsample"]])
+def test_profile_key_checked_before_model_file(tmp_path, capsys, command):
+    argv = command + ["--models", str(tmp_path / "missing"), "--profile", "nonsense"]
+    assert run_cli(argv) == 2
+    assert "bad profile key 'nonsense'" in capsys.readouterr().err
 
 
 def test_validate_refuses_model_with_nonpositive_point(small_bundle_path, tmp_path, capsys):

@@ -139,7 +139,7 @@ def test_unknown_preset_lists_available():
 
 def test_simple_params_means_and_latency_std(good_4g_key):
     profile = Profile(good_4g_key, np.array([[100.0, 50.0, 10.0], [200.0, 150.0, 30.0]]))
-    baseline = simple_params(profile)
+    baseline = simple_params(profile.samples)
     assert baseline.download_kbps == 150.0
     assert baseline.upload_kbps == 100.0
     assert baseline.latency_ms == 20.0
@@ -295,7 +295,7 @@ def test_run_holds_preset_and_baseline_params(good_4g_key):
 
     backend = RecordingBackend()
     profile = Profile(good_4g_key, make_lognormal(50, seed=9))
-    baseline = simple_params(profile)
+    baseline = simple_params(profile.samples)
     run([Segment(5.0, 5.0, lambda: baseline)], backend, VirtualClock())
     action, payload = backend.actions[0]
     assert action == "apply"
@@ -466,6 +466,30 @@ def test_failed_resample_is_cleared(monkeypatch):
         run_periodic(small_model(), backend, 10.0, 2.0, np.random.default_rng(17), VirtualClock())
     assert backend.configured is None  # run cleared on the error path
     assert not fake.has_rules()
+
+
+def test_failed_first_install_is_cleared(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    from faketc import FakeTc
+
+    fake = FakeTc(0.0, "eth0", "ifb0")
+    failures = []
+
+    def runner(command):
+        if command.startswith("tc class add dev ifb0") and not failures:
+            failures.append(command)  # only the first install's download class fails
+            return 2, "RTNETLINK answers: Operation not permitted"
+        return fake(command)
+
+    backend = TcBackend("eth0", "ifb0", runner=runner)
+    params = EmulationParams(1000.0, 500.0, 40.0)
+    with pytest.raises(BackendError, match="tc class add dev ifb0 .*Operation not permitted"):
+        backend.apply(params)
+    assert not fake.has_rules()  # the ingress hook and egress tree came off again
+    assert backend.configured is None
+    backend.apply(params)  # a retry without clear installs from scratch
+    assert fake.shaped()
+    assert backend.configured == params
 
 
 def test_run_trace_missing_profile_preflight():
