@@ -137,7 +137,10 @@ class DryRunBackend(_CommandBackend):
 
 
 def _shell_runner(command: str) -> tuple[int, str]:
-    completed = subprocess.run(shlex.split(command), capture_output=True, text=True, check=False)
+    try:
+        completed = subprocess.run(shlex.split(command), capture_output=True, text=True, check=False)
+    except OSError as exc:  # e.g. no tc on PATH: the shell's "command not found" status
+        return 127, str(exc)
     return completed.returncode, completed.stderr.strip()
 
 
@@ -181,12 +184,14 @@ class SimulatedLink:
     setup_rtts: int = 2
 
     def __post_init__(self) -> None:
-        if np.any(self.download_rate_kbps <= 0) or np.any(self.upload_rate_kbps <= 0):
-            raise ValueError("link rates must be positive")
-        if np.any(self.rtt_ms < 0):
-            raise ValueError("rtt must be nonnegative")
-        if self.setup_rtts < 0:
-            raise ValueError("setup_rtts must be nonnegative")
+        # EmulationParams' rule element by element; comparisons are false for NaN
+        rates = (self.download_rate_kbps, self.upload_rate_kbps)
+        if not all(np.all((0 < rate) & (rate < np.inf)) for rate in rates):
+            raise ValueError("link rates must be positive and finite")
+        if not np.all((0 <= self.rtt_ms) & (self.rtt_ms < np.inf)):
+            raise ValueError("rtt must be nonnegative and finite")
+        if not 0 <= self.setup_rtts < np.inf:
+            raise ValueError("setup_rtts must be nonnegative and finite")
 
 
 def simulate_download(link: SimulatedLink, size_bytes: float) -> tuple[float, float]:
@@ -196,8 +201,8 @@ def simulate_download(link: SimulatedLink, size_bytes: float) -> tuple[float, fl
     then moves data at exactly the link's download rate. A link of arrays
     gives arrays, element for element equal to the scalar results.
     """
-    if size_bytes <= 0:
-        raise ValueError("size_bytes must be positive")
+    if not 0 < size_bytes < np.inf:
+        raise ValueError("size_bytes must be positive and finite")
     size_kbit = size_bytes * 8.0 / 1000.0
     duration = link.setup_rtts * (link.rtt_ms / 1000.0) + size_kbit / link.download_rate_kbps
     return duration, size_kbit / duration

@@ -74,8 +74,10 @@ class KdeModel:
             raise FitError("covariance must be a symmetric 3x3 matrix")
         if not np.isfinite(points).all() or not np.isfinite(covariance).all():
             raise FitError("points and covariance must be finite")
-        if not self.bandwidth_factor > 0:
-            raise FitError("bandwidth_factor must be positive")
+        with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN is refused below
+            kernel = np.square(self.bandwidth_factor) * covariance
+        if not (self.bandwidth_factor > 0 and np.isfinite(kernel).all()):
+            raise FitError("bandwidth_factor must be positive, with a finite kernel covariance")
         eigenvalues = np.linalg.eigvalsh(covariance)
         if eigenvalues.min() < -1e-9 * max(1.0, eigenvalues.max()):
             raise FitError("covariance must be positive semi-definite")

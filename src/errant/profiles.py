@@ -109,41 +109,27 @@ def build_profiles(tests: SpeedTests) -> Dict[ProfileKey, Profile]:
     their input order, and profiles come in the order their first
     measurement appears, each specific profile before its universal one.
     """
-    rats, levels = tuple(_BIN_EDGES), tuple(SignalQuality)
-    # a cell is one (rat, quality) combination, coded rat * 3 + quality with
-    # quality 0, 1, 2 for bad, ordinary, good, binned as bin_signal does
+    # a cell is one (rat, quality) pair, numbered rat * 3 + quality; searchsorted
+    # puts a value on an edge in the weaker bin, as bin_signal does
+    cell_keys = [(rat, level) for rat in _BIN_EDGES for level in SignalQuality]
     cell = np.empty(len(tests), dtype=np.intp)
-    for index, rat in enumerate(rats):
+    for index, (rat, edges) in enumerate(_BIN_EDGES.items()):
         rows = tests.rat == rat.value
-        rssi = tests.rssi[rows]
-        bad_upper, ordinary_upper = _BIN_EDGES[rat]
-        quality = np.where(rssi <= bad_upper, 0, np.where(rssi <= ordinary_upper, 1, 2))
-        cell[rows] = index * len(levels) + quality
-    cells = len(rats) * len(levels)
-    pairs: Dict[tuple[str, str], int] = {}
-    pair = np.array(
-        [
-            pairs.setdefault(names, len(pairs))
-            for names in zip(tests.country.tolist(), tests.operator.tolist())
-        ],
-        dtype=np.intp,
-    )
-    pair_names = list(pairs)
-
-    groups = []  # (first row, is universal, key, rows in input order)
-    for universal, codes in ((False, pair * cells + cell), (True, cell)):
-        order = np.argsort(codes, kind="stable")
-        found, starts = np.unique(codes[order], return_index=True)
-        for code, rows in zip(found.tolist(), np.split(order, starts[1:])):
-            pair_index, cell_index = divmod(code, cells)
-            rat, level = rats[cell_index // len(levels)], levels[cell_index % len(levels)]
-            if universal:
-                key = ProfileKey(ProfileKind.UNIVERSAL, None, None, rat, level)
-            else:
-                key = ProfileKey(ProfileKind.SPECIFIC, *pair_names[pair_index], rat, level)
-            groups.append((rows[0], universal, key, rows))
-    groups.sort(key=lambda group: group[:2])
-    return {key: Profile(key, tests.samples[rows]) for _, _, key, rows in groups}
+        cell[rows] = index * len(SignalQuality) + np.searchsorted(edges, tests.rssi[rows])
+    # number each (country, operator, cell) in the order its first row appears
+    numbers: Dict[tuple[str, str, int], int] = {}
+    triples = zip(tests.country.tolist(), tests.operator.tolist(), cell.tolist())
+    group = np.array([numbers.setdefault(key, len(numbers)) for key in triples], dtype=np.intp)
+    members = np.split(np.argsort(group, kind="stable"), np.cumsum(np.bincount(group))[:-1])
+    profiles: Dict[ProfileKey, Profile] = {}
+    for (country, operator, index), rows in zip(numbers, members):
+        rat, level = cell_keys[index]
+        key = ProfileKey(ProfileKind.SPECIFIC, country, operator, rat, level)
+        profiles[key] = Profile(key, tests.samples[rows])
+        universal = ProfileKey(ProfileKind.UNIVERSAL, None, None, rat, level)
+        if universal not in profiles:  # this group holds the cell's first row
+            profiles[universal] = Profile(universal, tests.samples[np.flatnonzero(cell == index)])
+    return profiles
 
 
 def filter_profiles(

@@ -17,6 +17,7 @@ from errant import (
     render_commands,
     simulate_download,
 )
+from errant.backends import _shell_runner
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -182,15 +183,48 @@ def test_simulate_download_arrays_match_scalars():
         SimulatedLink(down, np.append(up[:-1], 0.0), rtt)
     with pytest.raises(ValueError):
         SimulatedLink(down, up, np.append(rtt[:-1], -1.0))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            SimulatedLink(np.append(down[:-1], bad), up, rtt)
+        with pytest.raises(ValueError):
+            SimulatedLink(down, up, np.append(rtt[:-1], bad))
 
 
 def test_simulated_link_validation():
-    with pytest.raises(ValueError):
-        SimulatedLink(0.0, 100.0, 10.0)
-    with pytest.raises(ValueError):
-        SimulatedLink(100.0, 100.0, -1.0)
-    with pytest.raises(ValueError):
-        simulate_download(SimulatedLink(100.0, 100.0, 10.0), 0)
+    nan, inf = float("nan"), float("inf")
+    for link in [
+        (0.0, 100.0, 10.0),
+        (100.0, 100.0, -1.0),
+        (nan, 100.0, 10.0),
+        (inf, 100.0, 10.0),
+        (100.0, nan, 10.0),
+        (100.0, inf, 10.0),
+        (100.0, 100.0, nan),
+        (100.0, 100.0, inf),
+        (100.0, 100.0, 10.0, -1),
+        (100.0, 100.0, 10.0, nan),
+        (100.0, 100.0, 10.0, inf),
+    ]:
+        with pytest.raises(ValueError):
+            SimulatedLink(*link)
+    for size in (0, -1.0, nan, inf):
+        with pytest.raises(ValueError):
+            simulate_download(SimulatedLink(100.0, 100.0, 10.0), size)
+
+
+def test_missing_binary_fails_apply_as_backend_error(tmp_path, monkeypatch):
+    monkeypatch.setenv("PATH", str(tmp_path))  # an empty directory: no ip or tc can run
+    executed = []
+
+    def runner(command):
+        executed.append(command)
+        return _shell_runner(command)
+
+    backend = TcBackend("eth0", "ifb0", runner=runner)
+    with pytest.raises(BackendError, match="status 127: ip link set dev ifb0 up"):
+        backend.apply(PARAMS_BASIC)
+    assert executed == ["ip link set dev ifb0 up", *CLEAR_LINES]  # the teardown still ran
+    assert backend.configured is None
 
 
 def test_simulated_backend_applies_and_clears():

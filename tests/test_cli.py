@@ -1,6 +1,7 @@
 """Command-line behavior: pipelines, reports, exit codes, determinism."""
 
 import os
+import re
 import signal
 from pathlib import Path
 
@@ -381,6 +382,14 @@ def test_run_real_iface_needs_root(small_bundle_path, capsys, monkeypatch):
     )
     assert code == 3
     assert "root" in capsys.readouterr().err
+
+
+def test_run_without_ip_or_tc_is_backend_failure(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("PATH", str(tmp_path))  # an empty directory: no ip or tc can run
+    monkeypatch.setattr("os.geteuid", lambda: 0)
+    code = run_cli(["run", "--iface", "eth0", "--preset", "chrome:3G", "--duration", "1"])
+    assert code == 3
+    assert "status 127: ip link set dev" in capsys.readouterr().err
 
 
 def test_run_empty_iface_refused(small_bundle_path, capsys, monkeypatch):
@@ -899,6 +908,16 @@ def test_validate_refuses_model_with_nonpositive_point(small_bundle_path, tmp_pa
     argv = ["validate", "--models", str(path), "--profile", KEY_TEXT, "--downloads", "5"]
     assert run_cli(argv) == 2
     assert f"model {KEY_TEXT}: stored points must be positive" in capsys.readouterr().err
+
+
+def test_run_refuses_model_with_infinite_bandwidth_factor(small_bundle_path, tmp_path, capsys):
+    text = small_bundle_path.read_text()
+    path = tmp_path / "infinite.json"
+    path.write_text(re.sub(r'"bandwidth_factor": [^,]+', '"bandwidth_factor": Infinity', text))
+    argv = ["run", "--models", str(path), "--profile", KEY_TEXT, "--duration", "5", "--seed", "1"]
+    assert run_cli(argv) == 2
+    err = capsys.readouterr().err
+    assert f"model {KEY_TEXT}: bandwidth_factor must be positive" in err
 
 
 @pytest.mark.parametrize("source", ["--models", "--input"])

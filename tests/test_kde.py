@@ -286,3 +286,6 @@ def test_model_rejects_bad_inputs():
         KdeModel(points=np.empty((0, 3)), covariance=cov, bandwidth_factor=0.5)
     with pytest.raises(FitError, match="semi-definite"):
         KdeModel(points=data, covariance=np.diag([1.0, -1.0, 1.0]), bandwidth_factor=0.5)
+    for factor in (float("inf"), 1e308):
+        with pytest.raises(FitError, match="finite kernel covariance"):
+            KdeModel(points=data, covariance=cov, bandwidth_factor=factor)

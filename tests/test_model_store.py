@@ -117,6 +117,16 @@ def test_negative_factor_rejected_with_profile_name(tmp_path):
 
 
 
+@pytest.mark.parametrize("factor", [float("inf"), 1e308])
+def test_nonfinite_kernel_covariance_rejected_with_profile_name(tmp_path, factor):
+    doc = json.loads(dumps(two_model_bundle()))
+    doc["models"][KEY_B.as_string()]["bandwidth_factor"] = factor
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(doc))  # json writes inf as Infinity, which json reads back
+    with pytest.raises(CorruptModelError, match=re.escape(f"model {KEY_B.as_string()}: ")):
+        load(path)
+
+
 @pytest.mark.parametrize("value", [0.0, -1.0])
 def test_nonpositive_point_rejected_with_profile_name(tmp_path, value):
     doc = json.loads(dumps(two_model_bundle()))

@@ -117,6 +117,17 @@ def test_grouping_matches_per_row_reference():
     assert len(on_edges) == 6  # every edge is hit under both RATs
 
 
+def test_no_rows_give_no_profiles():
+    empty = SpeedTests(
+        country=np.array([], dtype=str),
+        operator=np.array([], dtype=str),
+        rat=np.array([], dtype=str),
+        rssi=np.array([], dtype=float),
+        samples=np.empty((0, 3)),
+    )
+    assert build_profiles(empty) == {}
+
+
 def test_filter_boundary_inclusive(make_profile):
     at_99 = {"k99": make_profile(99, seed=1)}
     at_100 = {"k100": make_profile(100, seed=2)}
