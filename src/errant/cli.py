@@ -89,10 +89,13 @@ def _at_least(low: int):
 
 
 def _sizes(text: str) -> list[int]:
-    """argparse type: a comma list of positive integers; empty parts are skipped."""
+    """argparse type: a comma list of distinct positive integers; empty parts are skipped."""
     sizes = [_at_least(1)(part) for part in text.split(",") if part.strip()]
     if not sizes:
         raise argparse.ArgumentTypeError("need at least one size")
+    repeated = [size for size in sizes if sizes.count(size) > 1]
+    if repeated:
+        raise argparse.ArgumentTypeError(f"size {repeated[0]} is repeated")
     return sizes
 
 

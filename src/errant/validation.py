@@ -30,18 +30,14 @@ def ks_two_sample(a: Iterable[float], b: Iterable[float]) -> KsResult:
     sorted_b = np.sort(np.asarray(b, dtype=float))
     if len(sorted_a) == 0 or len(sorted_b) == 0:
         raise ValueError("both samples must be non-empty")
-    return KsResult(
-        d_statistic=_ks_sorted(sorted_a, sorted_b),
-        n_a=len(sorted_a),
-        n_b=len(sorted_b),
-    )
-
-
-def _ks_sorted(sorted_a: np.ndarray, sorted_b: np.ndarray) -> float:
     merged = np.concatenate([sorted_a, sorted_b])
     cdf_a = np.searchsorted(sorted_a, merged, side="right") / len(sorted_a)
     cdf_b = np.searchsorted(sorted_b, merged, side="right") / len(sorted_b)
-    return float(np.abs(cdf_a - cdf_b).max())
+    return KsResult(
+        d_statistic=float(np.abs(cdf_a - cdf_b).max()),
+        n_a=len(sorted_a),
+        n_b=len(sorted_b),
+    )
 
 
 @dataclass
@@ -89,6 +85,9 @@ def subsample_experiment(
         raise FormatError("need at least one subset size")
     if sizes[0] < 1:
         raise FormatError("subset sizes must be positive")
+    repeated = [size for size, following in zip(sizes, sizes[1:]) if size == following]
+    if repeated:
+        raise FormatError(f"subset size {repeated[0]} is repeated")
     if sizes[-1] > cap:
         raise FormatError(f"subset size {sizes[-1]} exceeds cap {cap}")
     if repetitions < 1:
@@ -100,7 +99,12 @@ def subsample_experiment(
         )
     rng = rng or np.random.default_rng()
     reference = profile.samples[rng.choice(profile.n, size=cap, replace=False)]
-    reference_sorted = [np.sort(reference[:, column]) for column in range(3)]
+    # Every subset row is a reference row, so both ECDFs step only at the
+    # reference's distinct values. Each row's dense rank among them is enough
+    # to count the rows at or below each value: the same counts a
+    # merged-sample KS reads, so D comes out as the same float.
+    ranks = [np.unique(reference[:, column], return_inverse=True)[1] for column in range(3)]
+    reference_cdfs = [np.cumsum(np.bincount(rank)) / cap for rank in ranks]
     d_values: Dict[Tuple[str, int], np.ndarray] = {
         (dimension, size): np.empty(repetitions)
         for size in sizes
@@ -108,11 +112,11 @@ def subsample_experiment(
     }
     for size in sizes:
         for repetition in range(repetitions):
-            subset = reference[rng.choice(cap, size=size, replace=False)]
-            for column, dimension in enumerate(DIMENSIONS):
-                d_values[(dimension, size)][repetition] = _ks_sorted(
-                    np.sort(subset[:, column]), reference_sorted[column]
-                )
+            picks = rng.choice(cap, size=size, replace=False)
+            for rank, reference_cdf, dimension in zip(ranks, reference_cdfs, DIMENSIONS):
+                counts = np.bincount(rank[picks], minlength=len(reference_cdf))
+                d = np.abs(np.cumsum(counts) / size - reference_cdf).max()
+                d_values[(dimension, size)][repetition] = d
     return SubsampleReport(sizes=tuple(sizes), d_values=d_values)
 
 

@@ -751,6 +751,15 @@ def test_subsample_sizes_checked_before_input(tmp_path, capsys):
     argv = ["subsample", "--input", str(tmp_path / "missing.csv"), "--profile", KEY_TEXT]
     assert run_cli(argv + ["--sizes", "10,x"]) == 1
     assert "--sizes" in capsys.readouterr().err
+    assert run_cli(argv + ["--sizes", "10,50,10"]) == 1
+    assert "size 10 is repeated" in capsys.readouterr().err
+
+
+def test_subsample_seeded_matches_golden(small_bundle_path, capsys):
+    argv = ["subsample", "--models", str(small_bundle_path), "--profile", KEY_TEXT]
+    argv += ["--seed", "3", "--cap", "400", "--sizes", "1,10,100,400", "--reps", "5"]
+    assert run_cli(argv) == 0
+    assert capsys.readouterr().out == (GOLDEN / "subsample_seeded.txt").read_text()
 
 
 def test_subsample_same_from_raw_csv_and_built_models(tmp_path, capsys):

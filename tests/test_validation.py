@@ -1,5 +1,7 @@
 """Two-sample KS statistic and the subsampling experiment."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from conftest import make_lognormal
@@ -7,6 +9,7 @@ from scipy import stats as scipy_stats
 
 from errant import (
     DIMENSIONS,
+    Profile,
     compare_distributions,
     ks_two_sample,
     subsample_experiment,
@@ -105,6 +108,50 @@ def test_subsample_validation(make_profile):
         subsample_experiment(profile, sizes=[], cap=200, rng=rng)
     with pytest.raises(ValueError):
         subsample_experiment(profile, sizes=[0], cap=200, rng=rng)
+    with pytest.raises(ValueError, match="subset size 10 is repeated"):
+        subsample_experiment(profile, sizes=[10, 50, 10], cap=200, rng=rng)
+
+
+def _quantized(profile):
+    """The same profile with each dimension rounded up to a few distinct values."""
+    steps = np.array([10000.0, 4000.0, 20.0])
+    return Profile(profile.key, np.ceil(profile.samples / steps) * steps)
+
+
+@pytest.mark.parametrize("ties", [False, True], ids=["tie-free", "tie-heavy"])
+@pytest.mark.parametrize("n, cap", [(500, 300), (300, 300)])
+def test_subsample_d_equals_plain_ks(make_profile, ties, n, cap):
+    profile = make_profile(n, seed=21)
+    if ties:
+        profile = _quantized(profile)
+    sizes, repetitions = [1, 7, 150, cap], 4
+    report = subsample_experiment(
+        profile, sizes, repetitions=repetitions, cap=cap, rng=np.random.default_rng(22)
+    )
+    # replay the experiment's draws: the reference first, then one set of
+    # picks per repetition, smallest size first
+    rng = np.random.default_rng(22)
+    reference = profile.samples[rng.choice(profile.n, size=cap, replace=False)]
+    for size in sizes:
+        for repetition in range(repetitions):
+            picks = rng.choice(cap, size=size, replace=False)
+            for column, dimension in enumerate(DIMENSIONS):
+                plain = ks_two_sample(reference[picks, column], reference[:, column])
+                assert report.d_values[(dimension, size)][repetition] == plain.d_statistic
+
+
+def test_subsample_memory_stays_per_repetition(make_profile):
+    # one (repetitions, cap) float array alone would take 8 MiB
+    profile = make_profile(10000, seed=23)
+    tracemalloc.start()
+    try:
+        subsample_experiment(
+            profile, [1, 100, 1000], repetitions=100, cap=10000, rng=np.random.default_rng(24)
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def test_subsample_csv_layout(make_profile):
