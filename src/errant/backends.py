@@ -118,8 +118,10 @@ class _CommandBackend(ShapingBackend):
         self.configured = params
 
     def clear(self) -> None:
-        self._execute(self._clear_commands, tolerate_errors=True)
-        self.configured = None
+        try:
+            self._execute(self._clear_commands, tolerate_errors=True)
+        finally:
+            self.configured = None
 
     def _execute(self, commands: list[str], tolerate_errors: bool) -> None:
         raise NotImplementedError
@@ -149,7 +151,9 @@ class TcBackend(_CommandBackend):
 
     ``runner`` maps a command line to (exit status, stderr); tests inject a
     fake one. Failures during rule removal are tolerated (the rules may not
-    exist yet); a failure while installing rules removes every rule and raises
+    exist yet), and an exception raised by one removal line, such as a
+    signal's ``SystemExit``, propagates only after every line has run. A
+    failure while installing rules removes every rule and raises
     :class:`BackendError`.
     """
 
@@ -163,11 +167,22 @@ class TcBackend(_CommandBackend):
         self._runner = runner or _shell_runner
 
     def _execute(self, commands: list[str], tolerate_errors: bool) -> None:
+        interrupted: Optional[BaseException] = None
         for command in commands:
-            status, stderr = self._runner(command)
+            try:
+                status, stderr = self._runner(command)
+            except BaseException as exc:
+                if not tolerate_errors:
+                    raise
+                # a teardown runs every line, even past a SIGTERM's SystemExit;
+                # the first exception is raised once the last line has run
+                interrupted = interrupted or exc
+                continue
             if status != 0 and not tolerate_errors:
                 detail = f" ({stderr})" if stderr else ""
                 raise BackendError(f"command failed with status {status}: {command}{detail}")
+        if interrupted is not None:
+            raise interrupted
 
 
 @dataclass(frozen=True)

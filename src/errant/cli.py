@@ -15,7 +15,7 @@ import signal
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Mapping, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -42,8 +42,8 @@ from .emulator import (
 from .errors import BackendError, ErrantError, FitError, FormatError, ScenarioError
 from .ingest import COLUMNS, parse_speedtests, write_rejects
 from .kde import KdeModel, fit, sample_points
-from .model_store import ModelBundle, load, save
-from .profiles import Profile, ProfileKey, build_profiles, filter_profiles
+from .model_store import ModelBundle, load, load_model, save
+from .profiles import Profile, ProfileKey, build_profiles, filter_profiles, lookup
 from .validation import compare_distributions, subsample_experiment
 
 
@@ -111,18 +111,10 @@ def _column_mapping(text: str) -> tuple[str, str]:
     return canonical, actual
 
 
-def _lookup(found: Mapping, key: ProfileKey, missing: str):
-    """``found[key]``; a missing key names the keys that are available."""
-    if key not in found:
-        available = ", ".join(sorted(k.as_string() for k in found)) or "none"
-        raise FormatError(f"profile {key.as_string()} {missing}; available: {available}")
-    return found[key]
-
-
 def _profile_model(args: argparse.Namespace) -> tuple[ProfileKey, KdeModel]:
     """(key, model) named by --profile; the key is parsed before --models is read."""
     key = ProfileKey.from_string(args.profile)
-    return key, _lookup(load(args.models).models, key, "not in model file")
+    return key, load_model(args.models, key)
 
 
 def _make_backend(args: argparse.Namespace) -> tuple:
@@ -292,7 +284,7 @@ def _cmd_subsample(args: argparse.Namespace) -> int:
         key = ProfileKey.from_string(args.profile)
         with open(args.input, encoding="utf-8-sig", newline="") as handle:
             tests, _ = parse_speedtests(handle)
-        profile = _lookup(build_profiles(tests), key, "not present in input")
+        profile = lookup(build_profiles(tests), key, "not present in input")
     report = subsample_experiment(
         profile, args.sizes, repetitions=args.reps, cap=args.cap, rng=rng
     )

@@ -10,15 +10,19 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Union
+from typing import Dict, Optional, Union
 
 import numpy as np
 
 from .errors import CorruptModelError, FitError, ModelFileError, VersionError
 from .kde import KdeModel
-from .profiles import ProfileKey
+from .profiles import ProfileKey, lookup
 
 FORMAT_VERSION = 1
+
+# the canonical text up to the created value, and what follows that value
+_HEAD = f'{{\n  "format_version": {FORMAT_VERSION},\n  "created": '
+_AFTER_CREATED = ',\n  "models": {'
 
 
 @dataclass
@@ -38,19 +42,18 @@ def _floats(values: np.ndarray) -> list[str]:
     return list(map(float.__repr__, values.ravel().tolist()))
 
 
+def _key_line(key: ProfileKey) -> str:
+    return f"    {json.dumps(key.as_string())}: {{"
+
+
 def dumps(bundle: ModelBundle) -> str:
     """Serialize a bundle to its canonical text form."""
-    lines = [
-        "{",
-        f'  "format_version": {FORMAT_VERSION},',
-        f'  "created": {json.dumps(bundle.created)},',
-        '  "models": {',
-    ]
+    lines = [_HEAD + json.dumps(bundle.created) + _AFTER_CREATED]
     keys = sorted(bundle.models, key=ProfileKey.as_string)
     for position, key in enumerate(keys):
         model = bundle.models[key]
         covariance = ", ".join(_floats(model.covariance))
-        lines.append(f"    {json.dumps(key.as_string())}: {{")
+        lines.append(_key_line(key))
         lines.append(f'      "n": {model.n},')
         lines.append(f'      "bandwidth_factor": {float(model.bandwidth_factor)!r},')
         lines.append(f'      "covariance": [{covariance}],')
@@ -74,12 +77,16 @@ def save(bundle: ModelBundle, path: Union[str, Path]) -> None:
         raise ModelFileError(f"cannot write model file {path}: {exc}") from exc
 
 
-def load(path: Union[str, Path]) -> ModelBundle:
-    """Read a bundle, revalidating every model invariant."""
+def _read_text(path: Union[str, Path]) -> str:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ModelFileError(f"cannot read model file {path}: {exc}") from exc
+
+
+def load(path: Union[str, Path]) -> ModelBundle:
+    """Read a bundle, revalidating every model invariant."""
+    text = _read_text(path)
     try:
         doc = json.loads(text, object_pairs_hook=_object_without_repeats)
     except json.JSONDecodeError as exc:
@@ -115,6 +122,37 @@ def load(path: Union[str, Path]) -> ModelBundle:
         key_texts[key] = key_text
         models[key] = _model_from_doc(key_text, body)
     return ModelBundle(models=models, created=created)
+
+
+def load_model(path: Union[str, Path], key: ProfileKey) -> KdeModel:
+    """The model stored for ``key``, revalidated like :func:`load` does.
+
+    In the canonical layout only the header and this model's object are
+    decoded and checked, so a fault in another model goes unnoticed. Any
+    other layout is read in full through :func:`load`.
+    """
+    text = _read_text(path)
+    model = _canonical_model(text, key)
+    if model is None:
+        return lookup(load(path).models, key, "not in model file")
+    return model
+
+
+def _canonical_model(text: str, key: ProfileKey) -> Optional[KdeModel]:
+    # None unless the text has the canonical head and names the key on exactly one line
+    marker = f"\n{_key_line(key)}\n"
+    first = text.find(marker)
+    if not text.startswith(_HEAD) or first < 0 or text.find(marker, first + 1) >= 0:
+        return None
+    decode = json.JSONDecoder(object_pairs_hook=_object_without_repeats).raw_decode
+    try:
+        created, end = decode(text, len(_HEAD))
+        body, _ = decode(text, first + len(marker) - 2)
+    except (json.JSONDecodeError, CorruptModelError):
+        return None  # load reports it, naming the file
+    if not isinstance(created, str) or not text.startswith(_AFTER_CREATED + "\n", end):
+        return None
+    return _model_from_doc(key.as_string(), body)
 
 
 def _object_without_repeats(pairs: list) -> dict:

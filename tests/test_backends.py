@@ -143,6 +143,24 @@ def test_tc_backend_tolerates_failing_clear():
     assert backend.configured is None
 
 
+@pytest.mark.parametrize("interrupted", [0, 1, 2])
+def test_tc_backend_clear_runs_every_line_past_a_signal(interrupted):
+    executed = []
+
+    def runner(command):
+        executed.append(command)
+        if len(executed) == 9 + interrupted + 1:  # after the install, clear line k
+            raise SystemExit(143)  # what the CLI's SIGTERM handler raises
+        return 0, ""
+
+    backend = TcBackend("eth0", "ifb0", runner=runner)
+    backend.apply(PARAMS_BASIC)
+    with pytest.raises(SystemExit):
+        backend.clear()
+    assert executed[9:] == CLEAR_LINES
+    assert backend.configured is None
+
+
 def test_simulate_download_closed_form():
     link = SimulatedLink(20000.0, 5000.0, 40.0, setup_rtts=2)
     duration, speed = simulate_download(link, 10_000_000)

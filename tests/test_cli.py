@@ -7,9 +7,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import CSV_HEADER, profile_rows
+from conftest import CSV_HEADER, make_lognormal, profile_rows
 
-from errant import DryRunBackend, VirtualClock, load, sample_points
+from errant import DryRunBackend, ProfileKey, VirtualClock, fit, load, sample_points, save
 from errant import cli
 from errant.cli import main
 
@@ -927,6 +927,53 @@ def test_run_refuses_model_with_infinite_bandwidth_factor(small_bundle_path, tmp
     assert run_cli(argv) == 2
     err = capsys.readouterr().err
     assert f"model {KEY_TEXT}: bandwidth_factor must be positive" in err
+
+
+# Each single-profile command, with the arguments that follow --models.
+SINGLE_PROFILE = [
+    ["run", "--duration", "5", "--period", "1", "--seed", "4", "--profile", KEY_TEXT],
+    ["validate", "--downloads", "5", "--seed", "4", "--profile", KEY_TEXT],
+    ["subsample", "--sizes", "10", "--reps", "2", "--cap", "300", "--seed", "4",
+     "--profile", KEY_TEXT],
+]
+OTHER_KEY = "universal/any/any/3G/bad"
+
+
+@pytest.mark.parametrize(
+    "old,new",
+    [
+        ("        [", "        [-"),  # a nonpositive point
+        ("        [", "        [oops, "),  # text that is not JSON
+        (f'"{OTHER_KEY}"', '"specific/Norway/telia/4G/good"'),  # the selected profile again
+    ],
+    ids=["nonpositive-point", "not-json", "same-profile-spelled-differently"],
+)
+def test_single_profile_commands_ignore_other_models(small_bundle_path, tmp_path, capsys, old, new):
+    bundle = load(small_bundle_path)
+    bundle.models[ProfileKey.from_string(OTHER_KEY)] = fit(make_lognormal(150, seed=2))
+    clean = tmp_path / "clean.json"
+    save(bundle, clean)
+    text = clean.read_text()
+    other = text.index(f'    "{OTHER_KEY}"')  # sorts after the selected model
+    corrupt = tmp_path / "corrupt.json"
+    corrupt.write_text(text[:other] + text[other:].replace(old, new, 1))
+    for argv in SINGLE_PROFILE:
+        outputs = []
+        for path in (clean, corrupt):
+            assert run_cli([argv[0], "--models", str(path), *argv[1:]]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+    assert run_cli(["list-profiles", "--models", str(corrupt)]) == 2
+
+
+def test_single_profile_commands_skip_whole_bundle_load(small_bundle_path, monkeypatch):
+    def whole_bundle_load(path):
+        raise AssertionError("a canonical file was read in full")
+
+    for name in ("errant.model_store.load", "errant.cli.load"):
+        monkeypatch.setattr(name, whole_bundle_load)
+    for argv in SINGLE_PROFILE:
+        assert run_cli([argv[0], "--models", str(small_bundle_path), *argv[1:]]) == 0
 
 
 @pytest.mark.parametrize("source", ["--models", "--input"])

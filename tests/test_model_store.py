@@ -10,6 +10,7 @@ from conftest import make_lognormal
 
 from errant import (
     CorruptModelError,
+    FormatError,
     KdeModel,
     ModelBundle,
     ModelFileError,
@@ -20,6 +21,7 @@ from errant import (
     load,
     save,
 )
+from errant.model_store import load_model
 
 KEY_A = ProfileKey.from_string("specific/norway/telia/4G/good")
 KEY_B = ProfileKey.from_string("universal/any/any/3G/bad")
@@ -248,3 +250,68 @@ def test_two_texts_naming_one_profile_rejected(tmp_path, first, second):
     with pytest.raises(CorruptModelError) as caught:
         load(path)
     assert repr(first) in str(caught.value) and repr(second) in str(caught.value)
+
+
+KEY_NON_ASCII = ProfileKey.from_string("specific/curaçao/digicel/3G/ordinary")
+
+
+def three_model_bundle():
+    bundle = two_model_bundle()
+    bundle.models[KEY_NON_ASCII] = fit(make_lognormal(90, seed=7))
+    return bundle
+
+
+def assert_same_model(loaded, expected):
+    np.testing.assert_array_equal(loaded.points, expected.points)
+    np.testing.assert_array_equal(loaded.covariance, expected.covariance)
+    assert loaded.bandwidth_factor == expected.bandwidth_factor
+
+
+@pytest.mark.parametrize("indent", [None, 1], ids=["canonical", "reindented"])
+def test_load_model_equals_whole_bundle_load(tmp_path, monkeypatch, indent):
+    path = tmp_path / "m.json"
+    save(three_model_bundle(), path)
+    if indent is not None:  # another layout: read in full through load
+        path.write_text(json.dumps(json.loads(path.read_text()), indent=indent))
+    assert "\\u00e7" in path.read_text()  # the key is escaped the way dumps writes it
+    bundle = load(path)
+    assert len(bundle.models) == 3
+    if indent is None:  # a canonical file is never read in full
+
+        def whole_bundle_load(path):
+            raise AssertionError("a canonical file was read in full")
+
+        monkeypatch.setattr("errant.model_store.load", whole_bundle_load)
+    for key, model in bundle.models.items():
+        assert_same_model(load_model(path, key), model)
+
+
+def test_load_model_refuses_other_version(tmp_path):
+    path = tmp_path / "m.json"
+    save(two_model_bundle(), path)
+    path.write_text(path.read_text().replace('"format_version": 1', '"format_version": 2'))
+    with pytest.raises(VersionError, match="format_version 2"):
+        load_model(path, KEY_A)
+
+
+def test_load_model_refuses_key_written_twice(tmp_path):
+    # the marker line occurs twice, so the whole file is read and refused
+    path = tmp_path / "m.json"
+    save(two_model_bundle(), path)
+    text = path.read_text()
+    body = text[text.index(f'    "{KEY_A.as_string()}"') : text.index(f'    "{KEY_B.as_string()}"')]
+    path.write_text(text.replace(body, body + body))
+    with pytest.raises(CorruptModelError, match="appears twice"):
+        load_model(path, KEY_A)
+
+
+def test_load_model_names_available_profiles(tmp_path):
+    path = tmp_path / "m.json"
+    save(two_model_bundle(), path)
+    missing = ProfileKey.from_string("universal/any/any/4G/good")
+    expected = (
+        f"profile {missing.as_string()} not in model file; "
+        f"available: {KEY_A.as_string()}, {KEY_B.as_string()}"
+    )
+    with pytest.raises(FormatError, match=f"^{re.escape(expected)}$"):
+        load_model(path, missing)
