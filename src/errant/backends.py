@@ -10,11 +10,14 @@ A resample rebuilds each direction's root in turn and keeps the ifb redirect.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import shlex
+import signal
 import subprocess
+import threading
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -38,6 +41,11 @@ def _kbit(value: float) -> int:
     return max(1, round(value))
 
 
+def _check_ifaces(egress_iface: str, ifb_iface: str) -> None:
+    if not egress_iface or not ifb_iface:
+        raise FormatError("interface names must be non-empty")
+
+
 def render_commands(params: EmulationParams, egress_iface: str, ifb_iface: str) -> list[str]:
     """Render the command sequence imposing ``params`` on an interface pair.
 
@@ -45,8 +53,7 @@ def render_commands(params: EmulationParams, egress_iface: str, ifb_iface: str) 
     it. With ``params.latency_std_ms`` the netem delay becomes normally
     distributed around the mean, its deviation split the same way.
     """
-    if not egress_iface or not ifb_iface:
-        raise FormatError("interface names must be non-empty")
+    _check_ifaces(egress_iface, ifb_iface)
     netem = f"delay {_ms(params.latency_ms / 2.0)}ms"
     if params.latency_std_ms is not None:
         netem += f" {_ms(params.latency_std_ms / 2.0)}ms distribution normal"
@@ -68,11 +75,51 @@ def render_commands(params: EmulationParams, egress_iface: str, ifb_iface: str) 
 
 def render_clear_commands(egress_iface: str, ifb_iface: str) -> list[str]:
     """Commands removing every installed rule; failures on absent rules are benign."""
+    _check_ifaces(egress_iface, ifb_iface)
     return [
         f"tc qdisc del dev {egress_iface} root",
         f"tc qdisc del dev {egress_iface} ingress",
         f"tc qdisc del dev {ifb_iface} root",
     ]
+
+
+# signals that end a run; a teardown holds them back until its last line has run
+_HELD_SIGNALS = {
+    getattr(signal, name) for name in ("SIGINT", "SIGTERM", "SIGHUP") if hasattr(signal, name)
+}
+
+
+@contextlib.contextmanager
+def _signals_held() -> Iterator[None]:
+    """Hold SIGINT, SIGTERM and SIGHUP while the block runs, then deliver them.
+
+    Only the main thread runs Python signal handlers, so only there can a
+    signal cut the block short. Blocking the signals there is not enough: the
+    kernel hands a signal to any thread not blocking it, such as a BLAS
+    worker, and the handler still runs in the main thread. So each handler is
+    swapped for one that records the signal. The mask stays for the ``tc``
+    processes started in the block: they inherit it, so a Ctrl-C at the
+    terminal does not kill one midway.
+    """
+    if threading.current_thread() is not threading.main_thread():
+        yield
+        return
+    caught: list[int] = []
+    # a handler set outside Python reads as None and cannot be put back, so it stays
+    previous = {s: h for s in _HELD_SIGNALS if (h := signal.getsignal(s)) is not None}
+    for signum in previous:
+        signal.signal(signum, lambda signum, frame: caught.append(signum))
+    masked = hasattr(signal, "pthread_sigmask")
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, previous) if masked else None
+    try:
+        yield
+    finally:
+        if masked:
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)  # pending signals are recorded now
+        for signum, handler in previous.items():
+            signal.signal(signum, handler)
+        for signum in caught:
+            signal.raise_signal(signum)
 
 
 class ShapingBackend:
@@ -95,8 +142,6 @@ class _CommandBackend(ShapingBackend):
         super().__init__()
         # names are settled once, so an empty one never reaches a command, teardown included
         ifb_iface = default_ifb() if ifb_iface is None else ifb_iface
-        if not egress_iface or not ifb_iface:
-            raise FormatError("interface names must be non-empty")
         self.egress_iface = egress_iface
         self.ifb_iface = ifb_iface
         self._clear_commands = render_clear_commands(egress_iface, ifb_iface)
@@ -118,10 +163,11 @@ class _CommandBackend(ShapingBackend):
         self.configured = params
 
     def clear(self) -> None:
-        try:
-            self._execute(self._clear_commands, tolerate_errors=True)
-        finally:
-            self.configured = None
+        with _signals_held():
+            try:
+                self._execute(self._clear_commands, tolerate_errors=True)
+            finally:
+                self.configured = None
 
     def _execute(self, commands: list[str], tolerate_errors: bool) -> None:
         raise NotImplementedError

@@ -33,9 +33,8 @@ from .emulator import (
     VirtualClock,
     parse_scenario,
     run,
-    run_fixed,
-    run_periodic,
     run_trace,
+    sample_params,
     simple_params,
     static_preset,
 )
@@ -203,20 +202,19 @@ def _cmd_run(args: argparse.Namespace) -> int:
         tool, _, name = args.preset.partition(":")
         name, params = static_preset(tool, name)
         notes.update(preset=name, mode="static")
-        report = run([Segment(args.duration, args.duration, lambda: params)], backend, clock)
+        draw = lambda: params
     else:
         key, model = _profile_model(args)
         notes["profile"] = key.as_string()
         if args.simple:
             params = simple_params(model.points)
             notes["mode"] = "simple"
-            report = run([Segment(args.duration, args.duration, lambda: params)], backend, clock)
-        elif args.period is not None:
-            notes["mode"] = f"periodic:{args.period:g}"
-            report = run_periodic(model, backend, args.duration, args.period, rng, clock)
+            draw = lambda: params
         else:
-            notes["mode"] = "fixed"
-            report = run_fixed(model, backend, args.duration, rng, clock)
+            notes["mode"] = "fixed" if args.period is None else f"periodic:{args.period:g}"
+            draw = lambda: sample_params(model, rng)
+    period = args.duration if args.period is None else args.period
+    report = run([Segment(args.duration, period, draw)], backend, clock)
     report.notes = notes
     _print_report(report, backend)
     return 0

@@ -134,11 +134,6 @@ def density(model: KdeModel, point: np.ndarray) -> Union[float, np.ndarray]:
     batch = np.atleast_2d(x)
     if batch.ndim != 2 or batch.shape[1] != 3:
         raise ValueError("expected a point of shape (3,) or a batch (m, 3)")
-    values = _density_batch(model, batch)
-    return float(values[0]) if single else values
-
-
-def _density_batch(model: KdeModel, x: np.ndarray) -> np.ndarray:
     cholesky = model._kernel_cholesky
     linv = np.linalg.inv(cholesky)
     norm = _TWO_PI**-1.5 / float(np.prod(np.diag(cholesky)))
@@ -146,14 +141,14 @@ def _density_batch(model: KdeModel, x: np.ndarray) -> np.ndarray:
     # euclidean distance, computed via one matrix product per chunk
     w = model.points @ linv.T
     w_sq = np.einsum("ij,ij->i", w, w)
-    out = np.empty(len(x))
+    out = np.empty(len(batch))
     chunk = max(1, 4_000_000 // model.n)
-    for lo in range(0, len(x), chunk):
-        z = x[lo : lo + chunk] @ linv.T
+    for lo in range(0, len(batch), chunk):
+        z = batch[lo : lo + chunk] @ linv.T
         quad = np.einsum("ij,ij->i", z, z)[:, None] + w_sq[None, :] - 2.0 * (z @ w.T)
         np.maximum(quad, 0.0, out=quad)  # guard tiny negative rounding
         out[lo : lo + chunk] = np.exp(quad * -0.5, out=quad).mean(axis=1)
-    return norm * out
+    return float(norm * out[0]) if single else norm * out
 
 
 def sample_points(model: KdeModel, rng: np.random.Generator, count: int) -> np.ndarray:
@@ -166,19 +161,16 @@ def sample_points(model: KdeModel, rng: np.random.Generator, count: int) -> np.n
     """
     if count < 0:
         raise ValueError("count must be nonnegative")
-    cholesky = model._kernel_cholesky
     kept = [np.empty((0, 3))]
     accepted = 0
     proposed = 0
     while accepted < count:
-        batch = max(count - accepted, 256)
-        indexes = rng.integers(0, model.n, size=batch)
-        noise = rng.standard_normal((batch, 3)) @ cholesky.T
+        indexes, noise = _proposals(model, rng, count - accepted)
         draws = model.points[indexes] + noise
         good = draws[(draws > 0.0).all(axis=1)]
         kept.append(good)
         accepted += len(good)
-        proposed += batch
+        proposed += len(indexes)
         _check_acceptance(accepted, proposed)
     return np.concatenate(kept)[:count]
 
@@ -192,15 +184,11 @@ def sample(model: KdeModel, rng: np.random.Generator, count: int) -> list[Emulat
     """
     if count < 0:
         raise ValueError("count must be nonnegative")
-    cholesky = model._kernel_cholesky
     points = model.points
     kept: list[EmulationParams] = []
     proposed = 0
     while len(kept) < count:
-        batch = max(count - len(kept), 256)
-        indexes = rng.integers(0, model.n, size=batch)
-        # one batched product, as in sample_points: row by row the sums differ
-        noise = rng.standard_normal((batch, 3)) @ cholesky.T
+        indexes, noise = _proposals(model, rng, count - len(kept))
         accepted = len(kept)  # every earlier batch was scanned in full
         for index, offset in zip(indexes, noise):
             down, up, lat = (points[index] + offset).tolist()
@@ -208,12 +196,22 @@ def sample(model: KdeModel, rng: np.random.Generator, count: int) -> list[Emulat
                 kept.append(EmulationParams(down, up, lat))
                 if len(kept) == count:
                     break
-        proposed += batch
+        proposed += len(indexes)
         if proposed >= _REJECTION_WINDOW:  # only then can the guard fire
             # it counts every positive row of the batch, as sample_points does
             accepted += int(((points[indexes] + noise) > 0.0).all(axis=1).sum())
             _check_acceptance(accepted, proposed)
     return kept
+
+
+def _proposals(
+    model: KdeModel, rng: np.random.Generator, missing: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Both samplers' stream: ``max(missing, 256)`` stored-point indexes and their kernel noise."""
+    batch = max(missing, 256)
+    indexes = rng.integers(0, model.n, size=batch)
+    # one batched product: row by row the sums come out in another order
+    return indexes, rng.standard_normal((batch, 3)) @ model._kernel_cholesky.T
 
 
 def _check_acceptance(accepted: int, proposed: int) -> None:

@@ -32,10 +32,6 @@ class ModelBundle:
     models: Dict[ProfileKey, KdeModel] = field(default_factory=dict)
     created: str = ""
 
-    def models_by_name(self) -> Dict[str, KdeModel]:
-        """The same models keyed by profile string, for lookup convenience."""
-        return {key.as_string(): model for key, model in self.models.items()}
-
 
 def _floats(values: np.ndarray) -> list[str]:
     # repr of a builtin float round-trips exactly and is valid JSON

@@ -28,6 +28,13 @@ class ProfileKind(str, enum.Enum):
         return self.value
 
 
+def _member(kinds: type, value: str, refusal: str):
+    try:
+        return kinds(value)
+    except ValueError:
+        raise FormatError(refusal) from None
+
+
 @dataclass(frozen=True)
 class ProfileKey:
     """Identity of a profile; country/operator are None for universal profiles."""
@@ -42,6 +49,12 @@ class ProfileKey:
         if self.kind is ProfileKind.SPECIFIC:
             if not self.country or not self.operator:
                 raise FormatError("specific profiles need a country and an operator")
+            # the key must read back as written: from_string splits on "/" and lower-cases
+            for part in (self.country, self.operator):
+                if "/" in part or part != part.lower():
+                    raise FormatError(
+                        f"country and operator must be lower-case without '/': {part!r}"
+                    )
         elif self.country is not None or self.operator is not None:
             raise FormatError("universal profiles must not carry country/operator")
 
@@ -60,18 +73,9 @@ class ProfileKey:
                 "<specific|universal>/<country>/<operator>/<rat>/<quality>"
             )
         kind_text, country, operator, rat_text, quality_text = parts
-        try:
-            kind = ProfileKind(kind_text.lower())
-        except ValueError:
-            raise FormatError(f"bad profile kind {kind_text!r}") from None
-        try:
-            rat = Rat(rat_text.upper())
-        except ValueError:
-            raise FormatError(f"unknown rat {rat_text!r}") from None
-        try:
-            quality = SignalQuality(quality_text.lower())
-        except ValueError:
-            raise FormatError(f"unknown quality {quality_text!r}") from None
+        kind = _member(ProfileKind, kind_text.lower(), f"bad profile kind {kind_text!r}")
+        rat = _member(Rat, rat_text.upper(), f"unknown rat {rat_text!r}")
+        quality = _member(SignalQuality, quality_text.lower(), f"unknown quality {quality_text!r}")
         if kind is ProfileKind.UNIVERSAL:
             return cls(kind, None, None, rat, quality)
         return cls(kind, country.lower(), operator.lower(), rat, quality)

@@ -1,5 +1,10 @@
 """Command rendering, backend state machines, and the fluid-model link."""
 
+import os
+import signal
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +23,7 @@ from errant import (
     simulate_download,
 )
 from errant.backends import _shell_runner
+from errant.cli import _exit_on_signal
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -161,6 +167,45 @@ def test_tc_backend_clear_runs_every_line_past_a_signal(interrupted):
     assert backend.configured is None
 
 
+def _send_sigterm(sender):
+    if sender == "self":
+        os.kill(os.getpid(), signal.SIGTERM)
+        return
+    # a signal from outside may reach any thread of this process, such as a BLAS worker
+    kill = f"import os, signal; os.kill({os.getpid()}, signal.SIGTERM)"
+    subprocess.run([sys.executable, "-c", kill], check=True)
+    time.sleep(0.2)  # time for the signal to arrive, even on a loaded machine
+
+
+@pytest.mark.parametrize("sender", ["self", "other-process"])
+@pytest.mark.parametrize("interrupted", [0, 1, 2])
+def test_sigterm_during_clear_removes_every_rule(monkeypatch, interrupted, sender):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    from faketc import FakeTc
+
+    fake = FakeTc(0.0, "eth0", "ifb0")
+    executed = []
+
+    def runner(command):
+        executed.append(command)
+        if len(executed) == 9 + interrupted + 1:  # after the install, just before clear line k
+            _send_sigterm(sender)
+        return fake(command)
+
+    previous = signal.signal(signal.SIGTERM, _exit_on_signal)  # as the CLI installs it
+    try:
+        backend = TcBackend("eth0", "ifb0", runner=runner)
+        backend.apply(PARAMS_BASIC)
+        with pytest.raises(SystemExit) as caught:
+            backend.clear()
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+    assert caught.value.code == 143
+    assert not fake.has_rules()
+    assert backend.configured is None
+    assert signal.getsignal(signal.SIGTERM) is previous
+
+
 def test_simulate_download_closed_form():
     link = SimulatedLink(20000.0, 5000.0, 40.0, setup_rtts=2)
     duration, speed = simulate_download(link, 10_000_000)
@@ -266,6 +311,10 @@ def test_simulated_backend_gaussian_uses_mean():
 def test_render_rejects_empty_iface():
     with pytest.raises(ValueError):
         render_commands(PARAMS_BASIC, "", "ifb0")
+    with pytest.raises(ValueError):
+        render_clear_commands("", "ifb0")
+    with pytest.raises(ValueError):
+        render_clear_commands("eth0", "")
     with pytest.raises(ValueError):
         DryRunBackend("")
     with pytest.raises(ValueError):

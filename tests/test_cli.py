@@ -115,6 +115,19 @@ def test_build_models_rejects_slash_in_names(tmp_path, capsys):
     assert "t/mobile" not in capsys.readouterr().out
 
 
+def test_build_models_skips_zero_variance_profile(tmp_path, capsys):
+    path = tmp_path / "flat.csv"
+    flat = [re.sub(r",[^,]*$", ",40.000", row) for row in profile_rows(120, seed=9, operator="ice")]
+    write_csv(path, profile_rows(150, seed=1) + flat)
+    out = tmp_path / "m.json"
+    assert run_cli(["build-models", "--input", str(path), "--output", str(out)]) == 0
+    assert capsys.readouterr().err == (
+        "skipping specific/norway/ice/4G/good: zero variance in latency; cannot fit a density\n"
+    )
+    keys = sorted(key.as_string() for key in load(out).models)
+    assert keys == ["specific/norway/telia/4G/good", "universal/any/any/4G/good"]
+
+
 def test_csv_with_utf8_bom_reads_like_without(tmp_path, capsys):
     text = "\n".join([CSV_HEADER] + profile_rows(150, seed=8) + ["1,norway,telia,4G,-70,0,1,1"])
     out = tmp_path / "m.json"
@@ -823,6 +836,17 @@ SUBSAMPLE = ["subsample", "--models", "{models}", "--profile", KEY_TEXT]
         pytest.param(RUN_MODEL + ["nonsense"], None, "bad profile key", id="bad-key"),
         pytest.param(RUN_MODEL + ["specific//x/4G/good"], None, "country", id="empty-country"),
         pytest.param(RUN_MODEL + ["universal/any/any/3G/bad"], None, "available", id="no-profile"),
+        pytest.param(
+            RUN_MODEL + ["mobile/norway/telia/4G/good"], None, "bad profile kind 'mobile'",
+            id="bad-kind",
+        ),
+        pytest.param(
+            RUN_MODEL + ["universal/any/any/5G/good"], None, "unknown rat '5G'", id="bad-rat"
+        ),
+        pytest.param(
+            RUN_MODEL + ["universal/any/any/4G/great"], None, "unknown quality 'great'",
+            id="bad-quality",
+        ),
         pytest.param(RUN_PRESET + ["nan"], None, "duration must be", id="nan-duration"),
         pytest.param(RUN_PRESET + ["2", "--iface", ""], None, "interface", id="empty-iface"),
         pytest.param(RUN_PRESET + ["2", "--iface", "eth0"], "", "interface", id="empty-ifb"),
@@ -835,6 +859,23 @@ SUBSAMPLE = ["subsample", "--models", "{models}", "--profile", KEY_TEXT]
         pytest.param(["list-profiles", "--models", "{missing}"], None, "cannot read", id="no-model"),
         pytest.param(["list-profiles", "--models", "{garbage}"], None, "JSON", id="corrupt-model"),
         pytest.param(["list-profiles", "--models", "{latin1}"], None, "utf-8", id="model-not-utf8"),
+        pytest.param(
+            ["list-profiles", "--models", "{array}"], None, "array must hold a JSON object",
+            id="model-not-object",
+        ),
+        pytest.param(
+            ["list-profiles", "--models", "{nomodels}"], None, "nomodels has no models object",
+            id="model-file-without-models",
+        ),
+        # a canonical file whose selected model or created value is bad is read in full
+        pytest.param(
+            ["validate", "--models", "{badjson}", "--profile", KEY_TEXT], None,
+            "badjson is not valid JSON", id="selected-model-not-json",
+        ),
+        pytest.param(
+            ["validate", "--models", "{numcreated}", "--profile", KEY_TEXT], None,
+            "numcreated has a non-text created field", id="created-not-text",
+        ),
         pytest.param(
             ["build-models", "--input", "{latin1}", "--output", "{missing}"],
             None,
@@ -855,9 +896,15 @@ def test_data_errors_exit_two(small_bundle_path, tmp_path, capsys, monkeypatch, 
     monkeypatch.setattr("os.geteuid", lambda: 0)
     executed = []
     monkeypatch.setattr("errant.backends._shell_runner", lambda command: executed.append(command))
-    paths = {name: tmp_path / name for name in ("missing", "garbage", "latin1")}
+    names = ("missing", "garbage", "latin1", "array", "nomodels", "badjson", "numcreated")
+    paths = {name: tmp_path / name for name in names}
     paths["garbage"].write_text("{")
     paths["latin1"].write_bytes(f"{CSV_HEADER}\n".encode() + "café\n".encode("latin-1"))
+    paths["array"].write_text("[]")
+    paths["nomodels"].write_text('{"format_version": 1}')
+    model_text = small_bundle_path.read_text()
+    paths["badjson"].write_text(model_text.replace("        [", "        [oops, ", 1))
+    paths["numcreated"].write_text(re.sub(r'"created": "[^"]*"', '"created": 5', model_text))
     paths["models"] = small_bundle_path
     assert run_cli([arg.format(**paths) for arg in argv]) == 2
     assert message in capsys.readouterr().err
@@ -894,6 +941,8 @@ def test_bug_is_not_reported_as_data_error(tmp_path, two_profile_csv, monkeypatc
           "--column", "downlaod_kbps=dl"],
          "--column: unknown column 'downlaod_kbps'; expected one of timestamp, country, operator, "
          "rat, rssi, download_kbps, upload_kbps, latency_ms"),
+        (["subsample", "--models", "{missing}", "--profile", KEY_TEXT, "--sizes", ","],
+         "--sizes: need at least one size"),
     ],
 )
 def test_flag_values_checked_before_input(tmp_path, capsys, argv, expected):

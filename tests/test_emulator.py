@@ -183,6 +183,7 @@ def test_parse_scenario_with_comments():
         ("-inf,specific/a/b/4G/good,fixed", "line 1: duration"),
         ("10,specific/a/b/4G/good,periodic:nan", "line 1: period"),
         ("10,specific/a/b/4G/good,periodic:0", "line 1: period"),
+        ("10,specific/a/b/4G/good,periodic:x", "line 1: bad period in 'periodic:x'"),
         ("inf,specific/a/b/4G/good,periodic:1", "line 1: duration"),
         ("", "no steps"),
     ],

@@ -37,13 +37,6 @@ def two_model_bundle():
     )
 
 
-def test_models_by_name_view():
-    bundle = two_model_bundle()
-    by_name = bundle.models_by_name()
-    assert set(by_name) == {KEY_A.as_string(), KEY_B.as_string()}
-    assert by_name[KEY_A.as_string()] is bundle.models[KEY_A]
-
-
 def test_round_trip_identity(tmp_path):
     bundle = two_model_bundle()
     path = tmp_path / "models.json"
@@ -156,6 +149,39 @@ def test_garbage_file_rejected(tmp_path):
 def test_missing_file_rejected(tmp_path):
     with pytest.raises(ModelFileError, match="nope.json"):
         load(tmp_path / "nope.json")
+
+
+def test_unwritable_path_rejected(tmp_path):
+    with pytest.raises(ModelFileError, match="cannot write model file .*nowhere"):
+        save(two_model_bundle(), tmp_path / "nowhere" / "m.json")
+
+
+@pytest.mark.parametrize(
+    "field,value,message",
+    [
+        (None, [], " must be an object"),
+        ("points", None, ": missing field 'points'"),
+        ("bandwidth_factor", "0.5", ": bandwidth_factor must be a number"),
+        ("bandwidth_factor", True, ": bandwidth_factor must be a number"),
+        ("covariance", ["x"] * 9, ": covariance and points must be numeric arrays"),
+        ("covariance", [1.0] * 8, ": covariance must hold exactly 9 numbers"),
+        ("points", [[1.0, 2.0, 3.0]], ": points must be an (n, 3) array with n >= 2"),
+    ],
+)
+def test_malformed_model_object_rejected_with_profile_name(tmp_path, field, value, message):
+    doc = json.loads(dumps(two_model_bundle()))
+    models = doc["models"]
+    if field is None:  # the whole model object
+        models[KEY_B.as_string()] = value
+    elif value is None:
+        del models[KEY_B.as_string()][field]
+    else:
+        models[KEY_B.as_string()][field] = value
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(doc))
+    expected = f"model {KEY_B.as_string()}{message}"
+    with pytest.raises(CorruptModelError, match=f"^{re.escape(expected)}$"):
+        load(path)
 
 
 def test_point_count_mismatch_rejected(tmp_path):

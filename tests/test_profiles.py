@@ -98,7 +98,7 @@ def per_row_profiles(records):
 def test_grouping_matches_per_row_reference():
     rng = np.random.default_rng(23)
     pairs = [("norway", "telia"), ("norway", "ice"), ("italy", "tim"), ("italy", "wind tre"),
-             ("spain", "movistar"), ("spain", "orange"), ("italy, north", "a/b")]
+             ("spain", "movistar"), ("spain", "orange"), ("italy, north", "a:b")]
     edges = [-100.0, -85.0, -75.0]
     data = make_lognormal(3000, seed=24)
     records = []
@@ -196,6 +196,11 @@ def test_profile_key_validation():
         ProfileKey(ProfileKind.SPECIFIC, None, "telia", Rat.FOUR_G, SignalQuality.GOOD)
     with pytest.raises(ValueError):
         ProfileKey(ProfileKind.UNIVERSAL, "norway", None, Rat.FOUR_G, SignalQuality.GOOD)
+    # keys that would not read back: "/" splits a key, and parts are read lower-cased
+    with pytest.raises(ValueError, match="'t/mobile'"):
+        ProfileKey(ProfileKind.SPECIFIC, "norway", "t/mobile", Rat.FOUR_G, SignalQuality.GOOD)
+    with pytest.raises(ValueError, match="'Norway'"):
+        ProfileKey(ProfileKind.SPECIFIC, "Norway", "telia", Rat.FOUR_G, SignalQuality.GOOD)
     with pytest.raises(ValueError, match="quality"):
         ProfileKey.from_string("specific/norway/telia/4G/excellent")
     with pytest.raises(ValueError):
