@@ -83,6 +83,13 @@ def render_clear_commands(egress_iface: str, ifb_iface: str) -> list[str]:
     ]
 
 
+# stderr of a removal line whose rule is absent: ENOENT (older kernels, the
+# benchmark's fake tc), the kernel's sch_api.c messages, iproute2's missing device
+_ABSENT = (
+    "No such file or directory", "Cannot delete qdisc with handle of zero",
+    "Cannot find specified qdisc", "Cannot find device",
+)
+
 # signals that end a run; a teardown holds them back until its last line has run
 _HELD_SIGNALS = {
     getattr(signal, name) for name in ("SIGINT", "SIGTERM", "SIGHUP") if hasattr(signal, name)
@@ -148,15 +155,12 @@ class _CommandBackend(ShapingBackend):
 
     def apply(self, params: EmulationParams) -> None:
         commands = render_commands(params, self.egress_iface, self.ifb_iface)
+        if self.configured is not None:
+            # resample in place: one direction's root at a time, the other keeps shaping
+            egress_root, _, ifb_root = self._clear_commands
+            commands = [egress_root, *commands[3:6], ifb_root, *commands[6:]]
         try:
-            if self.configured is None:
-                self._execute(commands, tolerate_errors=False)
-            else:
-                # resample in place: one direction's root at a time, the other keeps shaping
-                egress_root, _, ifb_root = self._clear_commands
-                for delete, tree in ((egress_root, commands[3:6]), (ifb_root, commands[6:])):
-                    self._execute([delete], tolerate_errors=True)
-                    self._execute(tree, tolerate_errors=False)
+            self._execute(commands)
         except BackendError:
             self.clear()  # all or nothing: never leave half a rule set installed
             raise
@@ -164,12 +168,19 @@ class _CommandBackend(ShapingBackend):
 
     def clear(self) -> None:
         with _signals_held():
-            try:
-                self._execute(self._clear_commands, tolerate_errors=True)
-            finally:
-                self.configured = None
+            # a teardown runs every line, even past a SIGTERM's SystemExit;
+            # the first exception is raised once the last line has run
+            failure: Optional[BaseException] = None
+            for command in self._clear_commands:
+                try:
+                    self._execute([command])
+                except BaseException as exc:
+                    failure = failure or exc
+            self.configured = None
+            if failure is not None:
+                raise failure
 
-    def _execute(self, commands: list[str], tolerate_errors: bool) -> None:
+    def _execute(self, commands: list[str]) -> None:
         raise NotImplementedError
 
 
@@ -180,7 +191,7 @@ class DryRunBackend(_CommandBackend):
         super().__init__(egress_iface, ifb_iface)
         self.log: list[str] = []
 
-    def _execute(self, commands: list[str], tolerate_errors: bool) -> None:
+    def _execute(self, commands: list[str]) -> None:
         self.log.extend(commands)
 
 
@@ -196,11 +207,12 @@ class TcBackend(_CommandBackend):
     """Executes rendered commands through the system tc/ip binaries.
 
     ``runner`` maps a command line to (exit status, stderr); tests inject a
-    fake one. Failures during rule removal are tolerated (the rules may not
-    exist yet), and an exception raised by one removal line, such as a
-    signal's ``SystemExit``, propagates only after every line has run. A
-    failure while installing rules removes every rule and raises
-    :class:`BackendError`.
+    fake one. Lines run in order up to the first exception or failed status;
+    a removal line whose stderr says the rule is absent has not failed. A
+    failed install or resample removes every rule and raises
+    :class:`BackendError`. A teardown runs every line, even past a signal's
+    ``SystemExit``, then raises the first exception, such as a
+    :class:`BackendError` naming a removal that failed for another reason.
     """
 
     def __init__(
@@ -212,23 +224,15 @@ class TcBackend(_CommandBackend):
         super().__init__(egress_iface, ifb_iface)
         self._runner = runner or _shell_runner
 
-    def _execute(self, commands: list[str], tolerate_errors: bool) -> None:
-        interrupted: Optional[BaseException] = None
+    def _execute(self, commands: list[str]) -> None:
         for command in commands:
-            try:
-                status, stderr = self._runner(command)
-            except BaseException as exc:
-                if not tolerate_errors:
-                    raise
-                # a teardown runs every line, even past a SIGTERM's SystemExit;
-                # the first exception is raised once the last line has run
-                interrupted = interrupted or exc
-                continue
-            if status != 0 and not tolerate_errors:
+            status, stderr = self._runner(command)
+            # a removal line may find its rule absent, e.g. before the first install
+            if status != 0 and not (
+                command in self._clear_commands and any(text in stderr for text in _ABSENT)
+            ):
                 detail = f" ({stderr})" if stderr else ""
                 raise BackendError(f"command failed with status {status}: {command}{detail}")
-        if interrupted is not None:
-            raise interrupted
 
 
 @dataclass(frozen=True)

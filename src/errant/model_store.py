@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Optional, Union
+from typing import Dict, Union
 
 import numpy as np
 
@@ -82,7 +82,10 @@ def _read_text(path: Union[str, Path]) -> str:
 
 def load(path: Union[str, Path]) -> ModelBundle:
     """Read a bundle, revalidating every model invariant."""
-    text = _read_text(path)
+    return _bundle(_read_text(path), path)
+
+
+def _bundle(text: str, path: Union[str, Path]) -> ModelBundle:
     try:
         doc = json.loads(text, object_pairs_hook=_object_without_repeats)
     except json.JSONDecodeError as exc:
@@ -125,30 +128,22 @@ def load_model(path: Union[str, Path], key: ProfileKey) -> KdeModel:
 
     In the canonical layout only the header and this model's object are
     decoded and checked, so a fault in another model goes unnoticed. Any
-    other layout is read in full through :func:`load`.
+    other layout is decoded in full, as :func:`load` does.
     """
     text = _read_text(path)
-    model = _canonical_model(text, key)
-    if model is None:
-        return lookup(load(path).models, key, "not in model file")
-    return model
-
-
-def _canonical_model(text: str, key: ProfileKey) -> Optional[KdeModel]:
-    # None unless the text has the canonical head and names the key on exactly one line
     marker = f"\n{_key_line(key)}\n"
     first = text.find(marker)
-    if not text.startswith(_HEAD) or first < 0 or text.find(marker, first + 1) >= 0:
-        return None
-    decode = json.JSONDecoder(object_pairs_hook=_object_without_repeats).raw_decode
-    try:
-        created, end = decode(text, len(_HEAD))
-        body, _ = decode(text, first + len(marker) - 2)
-    except (json.JSONDecodeError, CorruptModelError):
-        return None  # load reports it, naming the file
-    if not isinstance(created, str) or not text.startswith(_AFTER_CREATED + "\n", end):
-        return None
-    return _model_from_doc(key.as_string(), body)
+    # the canonical head, and the key named on exactly one line
+    if text.startswith(_HEAD) and first >= 0 and text.find(marker, first + 1) < 0:
+        decode = json.JSONDecoder(object_pairs_hook=_object_without_repeats).raw_decode
+        try:
+            created, end = decode(text, len(_HEAD))
+            body, _ = decode(text, first + len(marker) - 2)
+        except (json.JSONDecodeError, CorruptModelError):
+            created = None  # _bundle reports it, naming the file
+        if isinstance(created, str) and text.startswith(_AFTER_CREATED + "\n", end):
+            return _model_from_doc(key.as_string(), body)
+    return lookup(_bundle(text, path).models, key, "not in model file")
 
 
 def _object_without_repeats(pairs: list) -> dict:

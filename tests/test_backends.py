@@ -14,18 +14,22 @@ from errant import (
     BackendError,
     DryRunBackend,
     EmulationParams,
+    Segment,
     SimulatedBackend,
     SimulatedLink,
     TcBackend,
+    VirtualClock,
     default_ifb,
     render_clear_commands,
     render_commands,
+    run,
     simulate_download,
 )
 from errant.backends import _shell_runner
 from errant.cli import _exit_on_signal
 
 GOLDEN = Path(__file__).parent / "golden"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 PARAMS_BASIC = EmulationParams(20000.0, 5000.0, 40.0)
 
@@ -34,6 +38,18 @@ CLEAR_LINES = [
     "tc qdisc del dev eth0 ingress",
     "tc qdisc del dev ifb0 root",
 ]
+RESAMPLE_REMOVALS = ["tc qdisc del dev eth0 root", "tc qdisc del dev ifb0 root"]
+ABSENT = (2, "RTNETLINK answers: No such file or directory")  # what bench/faketc.py answers
+DENIED = (2, "RTNETLINK answers: Operation not permitted")
+
+
+@pytest.fixture
+def make_fake_tc(monkeypatch):
+    """New runners modelling tc on eth0 and ifb0, refusing what the kernel would."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    from faketc import FakeTc
+
+    return lambda: FakeTc(0.0, "eth0", "ifb0")
 
 
 def test_render_basic_matches_golden():
@@ -144,9 +160,78 @@ def test_tc_backend_raises_on_failed_install():
 
 
 def test_tc_backend_tolerates_failing_clear():
-    backend = TcBackend("eth0", "ifb0", runner=lambda command: (2, "no such qdisc"))
-    backend.clear()  # removal errors are benign
+    # the fake tc's answer, then the kernel's and iproute2's for an absent rule or device
+    for stderr in (
+        ABSENT[1],
+        "Error: Cannot delete qdisc with handle of zero.",
+        "Error: Cannot find specified qdisc on specified device.",
+        'Cannot find device "eth0"',
+    ):
+        backend = TcBackend("eth0", "ifb0", runner=lambda command: (2, stderr))
+        backend.clear()  # nothing to remove is benign
+        assert backend.configured is None
+
+
+def test_tc_backend_clear_raises_on_a_failed_removal():
+    executed = []
+
+    def runner(command):
+        executed.append(command)
+        return DENIED if command == CLEAR_LINES[0] else (0, "")
+
+    backend = TcBackend("eth0", "ifb0", runner=runner)
+    backend.apply(PARAMS_BASIC)
+    with pytest.raises(BackendError, match="status 2: tc qdisc del dev eth0 root"):
+        backend.clear()
+    assert executed[9:] == CLEAR_LINES  # the later removals still ran
     assert backend.configured is None
+
+
+def test_failed_cleanup_after_failed_install_raises_the_teardown_error():
+    def runner(command):
+        if "htb rate" in command or command == CLEAR_LINES[1]:
+            return DENIED
+        return 0, ""
+
+    backend = TcBackend("eth0", "ifb0", runner=runner)
+    with pytest.raises(BackendError, match="tc qdisc del dev eth0 ingress") as caught:
+        backend.apply(PARAMS_BASIC)
+    assert "htb rate" in str(caught.value.__context__)  # the install error is kept
+    assert backend.configured is None
+
+
+@pytest.mark.parametrize("removal", RESAMPLE_REMOVALS)
+def test_tc_backend_resample_tolerates_an_absent_root(removal):
+    executed = []
+
+    def runner(command):
+        executed.append(command)
+        return ABSENT if len(executed) > 9 and command == removal else (0, "")
+
+    backend = TcBackend("eth0", "ifb0", runner=runner)
+    backend.apply(PARAMS_BASIC)
+    resample = EmulationParams(512.0, 256.0, 200.0)
+    backend.apply(resample)
+    assert len(executed) == 17  # every line of the resample ran
+    assert backend.configured == resample
+
+
+@pytest.mark.parametrize("removal", RESAMPLE_REMOVALS)
+def test_tc_backend_resample_stops_at_an_exception_on_a_removal_line(removal):
+    executed = []
+
+    def runner(command):
+        executed.append(command)
+        if len(executed) > 9 and command == removal:
+            raise SystemExit(143)
+        return 0, ""
+
+    backend = TcBackend("eth0", "ifb0", runner=runner)
+    backend.apply(PARAMS_BASIC)
+    with pytest.raises(SystemExit):
+        backend.apply(EmulationParams(512.0, 256.0, 200.0))
+    assert executed[-1] == removal
+    assert executed.count(removal) == 1  # no later line ran, nor a teardown
 
 
 @pytest.mark.parametrize("interrupted", [0, 1, 2])
@@ -179,11 +264,8 @@ def _send_sigterm(sender):
 
 @pytest.mark.parametrize("sender", ["self", "other-process"])
 @pytest.mark.parametrize("interrupted", [0, 1, 2])
-def test_sigterm_during_clear_removes_every_rule(monkeypatch, interrupted, sender):
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
-    from faketc import FakeTc
-
-    fake = FakeTc(0.0, "eth0", "ifb0")
+def test_sigterm_during_clear_removes_every_rule(make_fake_tc, interrupted, sender):
+    fake = make_fake_tc()
     executed = []
 
     def runner(command):
@@ -204,6 +286,60 @@ def test_sigterm_during_clear_removes_every_rule(monkeypatch, interrupted, sende
     assert not fake.has_rules()
     assert backend.configured is None
     assert signal.getsignal(signal.SIGTERM) is previous
+
+
+def _run_sweep(runner):
+    # 5 applies and a clear, 2 applies and a clear, 1 apply and a clear: 76 commands
+    segments = [
+        Segment(duration, period, lambda: PARAMS_BASIC)
+        for duration, period in ((10.0, 2.0), (6.0, 3.0), (4.0, 4.0))
+    ]
+    run(segments, TcBackend("eth0", "ifb0", runner=runner), VirtualClock())
+
+
+def test_fault_sweep_runs_76_commands(make_fake_tc):
+    fake, executed = make_fake_tc(), []
+    _run_sweep(lambda command: executed.append(command) or fake(command))
+    assert len(executed) == 76
+    assert executed[41:44] == executed[61:64] == executed[73:] == CLEAR_LINES
+    assert not fake.has_rules()
+
+
+@pytest.mark.parametrize("mode", ["status", "signal", "status-then-removal"])
+def test_fault_sweep_leaves_no_rule_unreported(make_fake_tc, mode):
+    # a fault at each command k of the sweep; afterwards no rule is left, or
+    # the error raised names a removal that failed. The signal is a real one,
+    # not a bare SystemExit, so that a teardown holds it as it would in the CLI.
+    expected = SystemExit if mode == "signal" else BackendError
+    stray = []
+    for k in range(76):
+        fake, calls = make_fake_tc(), []
+        fail_next_removal = mode == "status-then-removal"
+
+        def runner(command):
+            nonlocal fail_next_removal
+            calls.append(command)
+            if len(calls) == k + 1 and mode == "signal":
+                signal.raise_signal(signal.SIGTERM)
+            elif len(calls) == k + 1:
+                return DENIED
+            elif len(calls) > k + 1 and fail_next_removal and command.startswith("tc qdisc del"):
+                fail_next_removal = False
+                return DENIED
+            return fake(command)
+
+        previous = signal.signal(signal.SIGTERM, _exit_on_signal)  # as the CLI installs it
+        try:
+            _run_sweep(runner)
+            raised = None
+        except (BackendError, SystemExit) as exc:
+            raised = exc
+        finally:
+            signal.signal(signal.SIGTERM, previous)
+        named = isinstance(raised, BackendError) and "tc qdisc del" in str(raised)
+        if not isinstance(raised, expected) or fake.has_rules() and not named:
+            stray.append((k, calls[k], repr(raised)))
+    assert stray == []
 
 
 def test_simulate_download_closed_form():

@@ -3,6 +3,8 @@
 import os
 import re
 import signal
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -943,12 +945,28 @@ def test_bug_is_not_reported_as_data_error(tmp_path, two_profile_csv, monkeypatc
          "rat, rssi, download_kbps, upload_kbps, latency_ms"),
         (["subsample", "--models", "{missing}", "--profile", KEY_TEXT, "--sizes", ","],
          "--sizes: need at least one size"),
+        (["validate", "--models", "{missing}", "--profile", KEY_TEXT, "--object-size", "0"],
+         "object size must be positive and finite"),
     ],
 )
 def test_flag_values_checked_before_input(tmp_path, capsys, argv, expected):
     missing = tmp_path / "missing"
     assert run_cli([arg.format(missing=missing) for arg in argv]) == 1
     assert expected in capsys.readouterr().err
+
+
+def test_reader_closing_stdout_ends_quietly(small_bundle_path):
+    # 20k lines are far more than a pipe holds, so the write meets the closed end
+    argv = ["validate", "--models", str(small_bundle_path), "--profile", KEY_TEXT,
+            "--downloads", "20000", "--seed", "1"]
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parent.parent))
+    with subprocess.Popen([sys.executable, "-m", "errant.cli", *argv], env=env,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as child:
+        assert child.stdout.readline().startswith(b"# seed=1 ")
+        child.stdout.close()  # the reader goes away, as `| head -1` does
+        stderr = child.stderr.read()
+        assert child.wait(timeout=60) == 0
+    assert stderr == b""
 
 
 @pytest.mark.parametrize("command", [["run", "--duration", "5"], ["validate"], ["subsample"]])

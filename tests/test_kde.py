@@ -54,6 +54,14 @@ def test_fit_needs_two_samples():
         fit(np.array([[1.0, 2.0, 3.0]]))
 
 
+@pytest.mark.parametrize("shape", [(10,), (10, 2), (10, 4), (2, 10, 3)])
+def test_fit_and_density_refuse_other_shapes(shape):
+    with pytest.raises(FitError, match=r"shape \(n, 3\)"):
+        fit(np.ones(shape))
+    with pytest.raises(ValueError, match=r"batch \(m, 3\)"):
+        density(fit(make_lognormal(20, seed=3)), np.ones(shape))
+
+
 def test_fit_rejects_zero_variance_naming_dimension():
     data = make_lognormal(50, seed=2)
     data[:, 1] = 777.0
@@ -286,6 +294,13 @@ def test_model_rejects_bad_inputs():
         KdeModel(points=np.empty((0, 3)), covariance=cov, bandwidth_factor=0.5)
     with pytest.raises(FitError, match="semi-definite"):
         KdeModel(points=data, covariance=np.diag([1.0, -1.0, 1.0]), bandwidth_factor=0.5)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(FitError, match="must be finite"):
+            KdeModel(points=np.where(data == data[0, 0], bad, data), covariance=cov,
+                     bandwidth_factor=0.5)
+    singular = KdeModel(points=data, covariance=np.diag([1.0, 1.0, 0.0]), bandwidth_factor=0.5)
+    with pytest.raises(FitError, match="kernel covariance is singular"):
+        sample_points(singular, np.random.default_rng(1), 1)
     for factor in (float("inf"), 1e308):
         with pytest.raises(FitError, match="finite kernel covariance"):
             KdeModel(points=data, covariance=cov, bandwidth_factor=factor)

@@ -302,14 +302,19 @@ def test_load_model_equals_whole_bundle_load(tmp_path, monkeypatch, indent):
     assert "\\u00e7" in path.read_text()  # the key is escaped the way dumps writes it
     bundle = load(path)
     assert len(bundle.models) == 3
-    if indent is None:  # a canonical file is never read in full
+    if indent is None:  # a canonical file is never decoded in full
 
-        def whole_bundle_load(path):
-            raise AssertionError("a canonical file was read in full")
+        def whole_bundle_decode(text, path):
+            raise AssertionError("a canonical file was decoded in full")
 
-        monkeypatch.setattr("errant.model_store.load", whole_bundle_load)
+        monkeypatch.setattr("errant.model_store._bundle", whole_bundle_decode)
+    reads = []
+    monkeypatch.setattr(
+        "errant.model_store._read_text", lambda path: reads.append(path) or Path(path).read_text()
+    )
     for key, model in bundle.models.items():
         assert_same_model(load_model(path, key), model)
+    assert reads == [path] * 3  # the file is read once per call, in either layout
 
 
 def test_load_model_refuses_other_version(tmp_path):

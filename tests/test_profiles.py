@@ -138,6 +138,8 @@ def test_filter_boundary_inclusive(make_profile):
 def test_filter_min_one_keeps_everything(make_profile):
     profiles = {"a": make_profile(3, seed=1), "b": make_profile(7, seed=2)}
     assert filter_profiles(profiles, min_samples=1) == profiles
+    with pytest.raises(ValueError, match="at least 1"):
+        filter_profiles(profiles, min_samples=0)
 
 
 def test_filter_idempotent(make_profile):
@@ -149,6 +151,11 @@ def test_filter_idempotent(make_profile):
 def test_dimension_stats_small_series():
     stats = dimension_stats([10.0, 20.0, 30.0])
     assert stats.median == 20.0
+
+
+def test_dimension_stats_refuses_empty_series():
+    with pytest.raises(ValueError, match="empty series"):
+        dimension_stats([])
 
 
 def test_dimension_stats_single_sample():
