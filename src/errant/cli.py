@@ -21,6 +21,7 @@ import numpy as np
 
 from . import __version__
 from .backends import (
+    _HELD_SIGNALS,
     DryRunBackend,
     SimulatedBackend,
     SimulatedLink,
@@ -387,9 +388,8 @@ def _exit_on_signal(signum: int, frame: object) -> None:
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    # SIGTERM and SIGHUP unwind like Ctrl-C, so a run still clears its backend
-    caught = {signal.SIGTERM, getattr(signal, "SIGHUP", signal.SIGTERM)}
-    previous = {signum: signal.signal(signum, _exit_on_signal) for signum in caught}
+    # the signals a teardown holds end a run quietly with 128 + signum, after its clear
+    previous = {signum: signal.signal(signum, _exit_on_signal) for signum in _HELD_SIGNALS}
     try:
         code = args.func(args)
         sys.stdout.flush()  # surface EPIPE here, while it is still catchable

@@ -10,7 +10,6 @@ draws with any nonpositive component.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from math import inf
 from typing import Optional, Union
 
@@ -59,7 +58,11 @@ def silverman_factor(n: int, d: int) -> float:
 
 @dataclass(frozen=True, eq=False)
 class KdeModel:
-    """Gaussian-kernel density over stored (download, upload, latency) points."""
+    """Gaussian-kernel density over stored (download, upload, latency) points.
+
+    Construction factors the kernel covariance ``bandwidth_factor**2 * covariance``
+    once and raises :class:`FitError` if it does not factor: a model that exists can sample.
+    """
 
     points: np.ndarray
     covariance: np.ndarray
@@ -78,27 +81,18 @@ class KdeModel:
             kernel = np.square(self.bandwidth_factor) * covariance
         if not (self.bandwidth_factor > 0 and np.isfinite(kernel).all()):
             raise FitError("bandwidth_factor must be positive, with a finite kernel covariance")
-        eigenvalues = np.linalg.eigvalsh(covariance)
-        if eigenvalues.min() < -1e-9 * max(1.0, eigenvalues.max()):
-            raise FitError("covariance must be positive semi-definite")
+        try:
+            # np.square would round some factors differently and change seeded draws
+            cholesky = np.linalg.cholesky(self.bandwidth_factor**2 * covariance)
+        except np.linalg.LinAlgError:
+            raise FitError("kernel covariance is not positive definite") from None
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "covariance", covariance)
+        object.__setattr__(self, "_kernel_cholesky", cholesky)
 
     @property
     def n(self) -> int:
         return len(self.points)
-
-    @cached_property
-    def kernel_covariance(self) -> np.ndarray:
-        """Covariance of each point's kernel: bandwidth_factor**2 * covariance."""
-        return self.bandwidth_factor**2 * self.covariance
-
-    @cached_property
-    def _kernel_cholesky(self) -> np.ndarray:
-        try:
-            return np.linalg.cholesky(self.kernel_covariance)
-        except np.linalg.LinAlgError:
-            raise FitError("kernel covariance is singular") from None
 
 
 def fit(samples: np.ndarray) -> KdeModel:
@@ -115,13 +109,11 @@ def fit(samples: np.ndarray) -> KdeModel:
     for dimension, variance in zip(DIMENSIONS, points.var(axis=0, ddof=1)):
         if variance == 0.0:
             raise FitError(f"zero variance in {dimension}; cannot fit a density")
-    model = KdeModel(
+    return KdeModel(
         points=points,
         covariance=np.cov(points, rowvar=False),
         bandwidth_factor=silverman_factor(len(points), points.shape[1]),
     )
-    _ = model._kernel_cholesky  # fail now if the covariance is singular
-    return model
 
 
 def density(model: KdeModel, point: np.ndarray) -> Union[float, np.ndarray]:

@@ -4,6 +4,7 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -252,13 +253,40 @@ def test_tc_backend_clear_runs_every_line_past_a_signal(interrupted):
     assert backend.configured is None
 
 
+def test_tc_backend_clear_on_a_worker_thread_swaps_no_handler():
+    # only the main thread may set handlers, so off it the teardown just runs
+    executed, handlers, failures = [], [], []
+
+    def runner(command):
+        executed.append(command)
+        handlers.append(signal.getsignal(signal.SIGTERM))
+        return 0, ""
+
+    def clear():
+        try:
+            TcBackend("eth0", "ifb0", runner=runner).clear()
+        except BaseException as exc:
+            failures.append(exc)
+
+    before = signal.getsignal(signal.SIGTERM)
+    worker = threading.Thread(target=clear)
+    worker.start()
+    worker.join(timeout=10)
+    assert not worker.is_alive()
+    assert failures == []
+    assert executed == CLEAR_LINES
+    assert handlers == [before] * 3
+    assert signal.getsignal(signal.SIGTERM) is before
+
+
 def _send_sigterm(sender):
+    # a process-directed signal may reach any thread of this process, such as a
+    # BLAS worker, which runs the handler's C part whenever it is next scheduled
     if sender == "self":
         os.kill(os.getpid(), signal.SIGTERM)
-        return
-    # a signal from outside may reach any thread of this process, such as a BLAS worker
-    kill = f"import os, signal; os.kill({os.getpid()}, signal.SIGTERM)"
-    subprocess.run([sys.executable, "-c", kill], check=True)
+    else:
+        kill = f"import os, signal; os.kill({os.getpid()}, signal.SIGTERM)"
+        subprocess.run([sys.executable, "-c", kill], check=True)
     time.sleep(0.2)  # time for the signal to arrive, even on a loaded machine
 
 

@@ -1,5 +1,6 @@
 """Command-line behavior: pipelines, reports, exit codes, determinism."""
 
+import json
 import os
 import re
 import signal
@@ -217,6 +218,45 @@ def test_list_profiles_empty_bundle(tmp_path, capsys):
     ]
 
 
+SINGULAR_KEY = "universal/any/any/3G/bad"
+
+
+@pytest.fixture
+def singular_bundle_path(small_bundle_path):
+    """The small bundle plus a model whose kernel covariance does not factor."""
+    doc = json.loads(small_bundle_path.read_text())
+    singular = dict(doc["models"][KEY_TEXT], covariance=[1e6, 0, 0, 0, 1e5, 0, 0, 0, 0])
+    doc["models"][SINGULAR_KEY] = singular
+    small_bundle_path.write_text(json.dumps(doc))
+    return small_bundle_path
+
+
+def test_list_profiles_refuses_a_kernel_that_does_not_factor(singular_bundle_path, capsys):
+    assert run_cli(["list-profiles", "--models", str(singular_bundle_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"model {SINGULAR_KEY}: kernel covariance is not positive definite" in captured.err
+
+
+def test_trace_run_refuses_a_kernel_that_does_not_factor_before_any_command(
+    singular_bundle_path, tmp_path, capsys, monkeypatch
+):
+    monkeypatch.setattr("os.geteuid", lambda: 0)
+    executed = []
+
+    def runner(command):
+        executed.append(command)
+        return 0, ""
+
+    monkeypatch.setattr("errant.backends._shell_runner", runner)
+    scenario = tmp_path / "route.scenario"
+    scenario.write_text(f"1,{KEY_TEXT},fixed\n1,{SINGULAR_KEY},fixed\n")
+    argv = ["trace-run", "--models", str(singular_bundle_path), "--scenario", str(scenario)]
+    assert run_cli(argv + ["--iface", "eth0", "--seed", "1"]) == 2
+    assert executed == []
+    assert SINGULAR_KEY in capsys.readouterr().err
+
+
 def test_run_dry_run_fixed(small_bundle_path, capsys):
     code = run_cli(
         [
@@ -362,6 +402,29 @@ def test_termination_signal_clears_backend(small_bundle_path, monkeypatch, name)
     assert (backend.applies, backend.clears) == (2, 1)
     assert backend.configured is None
     assert signal.getsignal(signum) is before
+
+
+def test_ctrl_c_exits_130_after_the_clear(small_bundle_path, monkeypatch):
+    calls = []
+    execute = DryRunBackend._execute
+
+    def interrupting_execute(self, commands):
+        calls.append(commands)
+        if len(calls) == 5:
+            signal.raise_signal(signal.SIGINT)
+        execute(self, commands)
+
+    monkeypatch.setattr(DryRunBackend, "_execute", interrupting_execute)
+    before = signal.getsignal(signal.SIGINT)
+    argv = ["run", "--models", str(small_bundle_path), "--profile", KEY_TEXT]
+    with pytest.raises(SystemExit) as caught:
+        try:
+            main(argv + ["--duration", "10", "--period", "1", "--seed", "1"])
+        except KeyboardInterrupt:  # left to run, it would end the whole test session
+            pytest.fail("Ctrl-C ended the run with a KeyboardInterrupt")
+    assert caught.value.code == 130
+    assert len(calls) == 8  # the fifth apply, then the three lines of the clear
+    assert signal.getsignal(signal.SIGINT) is before
 
 
 def test_run_missing_profile(small_bundle_path, capsys):

@@ -208,7 +208,7 @@ def test_non_psd_covariance_rejected(tmp_path):
     }
     path = tmp_path / "m.json"
     path.write_text(json.dumps(doc))
-    with pytest.raises(CorruptModelError, match="semi-definite"):
+    with pytest.raises(CorruptModelError, match="not positive definite"):
         load(path)
 
 

@@ -110,6 +110,8 @@ def test_subsample_validation(make_profile):
         subsample_experiment(profile, sizes=[0], cap=200, rng=rng)
     with pytest.raises(ValueError, match="subset size 10 is repeated"):
         subsample_experiment(profile, sizes=[10, 50, 10], cap=200, rng=rng)
+    with pytest.raises(ValueError, match="repetitions must be positive"):
+        subsample_experiment(profile, sizes=[10], repetitions=0, cap=200, rng=rng)
 
 
 def _quantized(profile):
