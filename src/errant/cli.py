@@ -388,8 +388,10 @@ def _exit_on_signal(signum: int, frame: object) -> None:
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    # the signals a teardown holds end a run quietly with 128 + signum, after its clear
-    previous = {signum: signal.signal(signum, _exit_on_signal) for signum in _HELD_SIGNALS}
+    # the signals a teardown holds end a run quietly with 128 + signum, after its clear;
+    # one started ignored (a background job's SIGINT, nohup's SIGHUP) stays ignored
+    caught = [s for s in _HELD_SIGNALS if signal.getsignal(s) is not signal.SIG_IGN]
+    previous = {signum: signal.signal(signum, _exit_on_signal) for signum in caught}
     try:
         code = args.func(args)
         sys.stdout.flush()  # surface EPIPE here, while it is still catchable

@@ -78,12 +78,14 @@ class KdeModel:
         if not np.isfinite(points).all() or not np.isfinite(covariance).all():
             raise FitError("points and covariance must be finite")
         with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN is refused below
-            kernel = np.square(self.bandwidth_factor) * covariance
+            try:  # ``**2``, not np.square: the two round some factors apart, and draws follow it
+                kernel = self.bandwidth_factor**2 * covariance
+            except OverflowError:  # a Python float's square raises instead of giving inf
+                kernel = np.full_like(covariance, inf)
         if not (self.bandwidth_factor > 0 and np.isfinite(kernel).all()):
             raise FitError("bandwidth_factor must be positive, with a finite kernel covariance")
         try:
-            # np.square would round some factors differently and change seeded draws
-            cholesky = np.linalg.cholesky(self.bandwidth_factor**2 * covariance)
+            cholesky = np.linalg.cholesky(kernel)
         except np.linalg.LinAlgError:
             raise FitError("kernel covariance is not positive definite") from None
         object.__setattr__(self, "points", points)

@@ -280,13 +280,12 @@ def test_tc_backend_clear_on_a_worker_thread_swaps_no_handler():
 
 
 def _send_sigterm(sender):
-    # a process-directed signal may reach any thread of this process, such as a
-    # BLAS worker, which runs the handler's C part whenever it is next scheduled
     if sender == "self":
         os.kill(os.getpid(), signal.SIGTERM)
-    else:
-        kill = f"import os, signal; os.kill({os.getpid()}, signal.SIGTERM)"
-        subprocess.run([sys.executable, "-c", kill], check=True)
+        return
+    # a signal from outside may reach any thread of this process, such as a BLAS worker
+    kill = f"import os, signal; os.kill({os.getpid()}, signal.SIGTERM)"
+    subprocess.run([sys.executable, "-c", kill], check=True)
     time.sleep(0.2)  # time for the signal to arrive, even on a loaded machine
 
 
