@@ -2,15 +2,31 @@
 
 Builds kernel density models of (download bandwidth, upload bandwidth,
 latency) from speed-test measurements, and replays them through traffic
-shaping commands, a dry-run command log, or an in-process simulated link.
+shaping commands or a dry-run command log. ``validate`` checks them by
+simulating downloads over sampled links.
 """
 
+import signal as _signal
+
 __version__ = "0.1.0"
+
+# signals that end a run; a teardown holds them back until its last line has run
+_HELD_SIGNALS = {
+    getattr(_signal, name) for name in ("SIGINT", "SIGTERM", "SIGHUP") if hasattr(_signal, name)
+}
+
+# threads inherit the mask of the thread that starts them, so numpy's BLAS
+# workers, started on import, leave these signals to the main thread
+if hasattr(_signal, "pthread_sigmask"):
+    _mask = _signal.pthread_sigmask(_signal.SIG_BLOCK, _HELD_SIGNALS)
+    try:
+        import numpy as _numpy  # noqa: F401
+    finally:
+        _signal.pthread_sigmask(_signal.SIG_SETMASK, _mask)
 
 from .backends import (
     DryRunBackend,
     ShapingBackend,
-    SimulatedBackend,
     SimulatedLink,
     TcBackend,
     default_ifb,

@@ -1,4 +1,4 @@
-"""Shaping backends: tc/netem command rendering, execution, and a simulated link.
+"""Shaping backends: tc/netem command rendering and execution, and ``validate``'s fluid link.
 
 The shaping layout mirrors common practice for bidirectional control from a
 single host: upload is limited by an HTB class on the egress device, ingress
@@ -21,6 +21,7 @@ from typing import Callable, Iterator, Optional
 
 import numpy as np
 
+from . import _HELD_SIGNALS
 from .errors import BackendError, FormatError
 from .kde import EmulationParams
 
@@ -90,23 +91,20 @@ _ABSENT = (
     "Cannot find specified qdisc", "Cannot find device",
 )
 
-# signals that end a run; a teardown holds them back until its last line has run
-_HELD_SIGNALS = {
-    getattr(signal, name) for name in ("SIGINT", "SIGTERM", "SIGHUP") if hasattr(signal, name)
-}
-
 
 @contextlib.contextmanager
 def _signals_held() -> Iterator[None]:
     """Hold SIGINT, SIGTERM and SIGHUP while the block runs, then deliver them.
 
     Only the main thread runs Python signal handlers, so only there can a
-    signal cut the block short. Blocking the signals there is not enough: the
-    kernel hands a signal to any thread not blocking it, such as a BLAS
-    worker, and the handler still runs in the main thread. So each handler is
-    swapped for one that records the signal. The mask stays for the ``tc``
-    processes started in the block: they inherit it, so a Ctrl-C at the
-    terminal does not kill one midway.
+    signal cut the block short. Blocking the signals there is enough when
+    errant is imported before numpy: the package imports numpy with them
+    blocked, so BLAS worker threads inherit the mask. pytest and library
+    callers often import numpy first, and the kernel may hand a signal to
+    such a worker, while the handler still runs in the main thread. So each
+    handler is also swapped for one that records the signal. The mask stays
+    for the ``tc`` processes started in the block: they inherit it, so a
+    Ctrl-C at the terminal does not kill one midway.
     """
     if threading.current_thread() is not threading.main_thread():
         yield
@@ -271,29 +269,3 @@ def simulate_download(link: SimulatedLink, size_bytes: float) -> tuple[float, fl
     size_kbit = size_bytes * 8.0 / 1000.0
     duration = link.setup_rtts * (link.rtt_ms / 1000.0) + size_kbit / link.download_rate_kbps
     return duration, size_kbit / duration
-
-
-class SimulatedBackend(ShapingBackend):
-    """Backend that retargets an in-process fluid link instead of interfaces.
-
-    The fluid model is deterministic, so a Gaussian latency pins the link at
-    the mean latency.
-    """
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.link: Optional[SimulatedLink] = None
-
-    def apply(self, params: EmulationParams) -> None:
-        self.link = SimulatedLink(params.download_kbps, params.upload_kbps, params.latency_ms)
-        self.configured = params
-
-    def clear(self) -> None:
-        self.link = None
-        self.configured = None
-
-    def download(self, size_bytes: float) -> tuple[float, float]:
-        """Simulate one download over the currently applied link."""
-        if self.link is None:
-            raise BackendError("no parameters applied; nothing to download through")
-        return simulate_download(self.link, size_bytes)

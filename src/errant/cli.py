@@ -1,6 +1,7 @@
 """Command-line surface tying the pipeline together.
 
-Exit codes: 0 success, 1 usage error, 2 data/format error, 3 backend failure.
+Exit codes: 0 success, 1 usage error, 2 data/format error, 3 backend failure,
+128 + signal number (130 Ctrl-C, 143 SIGTERM, 129 SIGHUP) after the clear.
 Every report CSV starts with a comment line recording the seed and the tool
 version so any randomized run can be replayed.
 """
@@ -19,15 +20,8 @@ from typing import Optional
 
 import numpy as np
 
-from . import __version__
-from .backends import (
-    _HELD_SIGNALS,
-    DryRunBackend,
-    SimulatedBackend,
-    SimulatedLink,
-    TcBackend,
-    simulate_download,
-)
+from . import _HELD_SIGNALS, __version__
+from .backends import DryRunBackend, SimulatedLink, TcBackend, simulate_download
 from .emulator import (
     MonotonicClock,
     Segment,
@@ -118,16 +112,14 @@ def _profile_model(args: argparse.Namespace) -> tuple[ProfileKey, KdeModel]:
 
 
 def _make_backend(args: argparse.Namespace) -> tuple:
-    """Build (backend, clock, label) from the --iface/--backend flags."""
+    """Build (backend, clock, label): ``tc`` on --iface, else the dry run."""
     if args.iface is not None:
         if hasattr(os, "geteuid") and os.geteuid() != 0:
             raise BackendError(
                 "shaping a real interface requires root; rerun with sudo "
-                "or use --backend dry-run or simulated"
+                "or drop --iface for a dry run"
             )
         return TcBackend(args.iface), MonotonicClock(), f"tc:{args.iface}"
-    if args.backend == "simulated":
-        return SimulatedBackend(), VirtualClock(), "simulated"
     return DryRunBackend(), VirtualClock(), "dry-run"
 
 
@@ -296,17 +288,6 @@ def _cmd_subsample(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_backend_flags(parser: argparse.ArgumentParser) -> None:
-    group = parser.add_mutually_exclusive_group()
-    group.add_argument("--iface", help="real egress interface to shape (needs root)")
-    group.add_argument(
-        "--backend",
-        choices=("dry-run", "simulated"),
-        default="dry-run",
-        help="non-executing backend (default: dry-run)",
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="errant", description=__doc__)
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
@@ -342,14 +323,14 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--period", type=float, help="resample every PERIOD seconds")
     run.add_argument("--simple", action="store_true", help="average-value baseline mode")
     run.add_argument("--seed", type=_at_least(0))
-    _add_backend_flags(run)
+    run.add_argument("--iface", help="real interface to shape, as root (default: dry run)")
     run.set_defaults(func=_cmd_run)
 
     trace = subparsers.add_parser("trace-run", help="run a multi-step scenario file")
     trace.add_argument("--models", required=True)
     trace.add_argument("--scenario", required=True, help="scenario file, one step per line")
     trace.add_argument("--seed", type=_at_least(0))
-    _add_backend_flags(trace)
+    trace.add_argument("--iface", help="real interface to shape, as root (default: dry run)")
     trace.set_defaults(func=_cmd_trace_run)
 
     validate = subparsers.add_parser(

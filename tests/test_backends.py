@@ -11,12 +11,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import errant
 from errant import (
     BackendError,
     DryRunBackend,
     EmulationParams,
     Segment,
-    SimulatedBackend,
     SimulatedLink,
     TcBackend,
     VirtualClock,
@@ -315,6 +315,29 @@ def test_sigterm_during_clear_removes_every_rule(make_fake_tc, interrupted, send
     assert signal.getsignal(signal.SIGTERM) is previous
 
 
+def test_import_leaves_run_ending_signals_to_the_main_thread():
+    # as in the CLI, errant is imported before numpy: every thread that numpy's
+    # import starts, such as a BLAS worker, blocks the signals a teardown holds
+    if not Path("/proc/self/task").is_dir():
+        pytest.skip("needs /proc")
+    probe = (
+        "import os, errant\n"
+        "for tid in os.listdir('/proc/self/task'):\n"
+        "    status = open(f'/proc/self/task/{tid}/status').read()\n"
+        "    print(tid == str(os.getpid()), int(status.split('SigBlk:')[1].split()[0], 16))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(errant.__file__).parent.parent))
+    probed = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                            text=True, check=True, timeout=60)
+    threads = [line.split() for line in probed.stdout.splitlines()]
+    workers = [int(mask) for main, mask in threads if main == "False"]
+    if not workers:
+        pytest.skip("numpy started no worker thread")
+    held = sum(1 << (s - 1) for s in (signal.SIGINT, signal.SIGTERM, signal.SIGHUP))
+    assert all(mask & held == held for mask in workers)
+    assert [int(mask) & held for main, mask in threads if main == "True"] == [0]  # restored
+
+
 def _run_sweep(runner):
     # 5 applies and a clear, 2 applies and a clear, 1 apply and a clear: 76 commands
     segments = [
@@ -453,22 +476,32 @@ def test_missing_binary_fails_apply_as_backend_error(tmp_path, monkeypatch):
     assert backend.configured is None
 
 
-def test_simulated_backend_applies_and_clears():
-    backend = SimulatedBackend()
-    backend.apply(PARAMS_BASIC)
-    assert backend.link == SimulatedLink(20000.0, 5000.0, 40.0, 2)
-    duration, speed = backend.download(10_000_000)
-    assert duration == pytest.approx(4.08)
-    backend.clear()
-    assert backend.link is None
-    with pytest.raises(BackendError):
-        backend.download(1000)
-
-
-def test_simulated_backend_gaussian_uses_mean():
-    backend = SimulatedBackend()
-    backend.apply(EmulationParams(20000.0, 5000.0, 40.0, latency_std_ms=10.0))
-    assert backend.link.rtt_ms == 40.0
+def test_shell_runner_drives_stub_binaries(tmp_path, monkeypatch):
+    # stub ip and tc log their argv and answer STUB_STDERR, if set, with status 2;
+    # the stubs are all of PATH, so no real tc can run
+    log = tmp_path / "argv.log"
+    for name in ("ip", "tc"):
+        stub = tmp_path / name
+        stub.write_text(
+            f'#!/bin/sh\necho "{name} $*" >> "{log}"\n[ -z "$STUB_STDERR" ] && exit 0\n'
+            'printf "%s\\n" "$STUB_STDERR" >&2\nexit 2\n'
+        )
+        stub.chmod(0o755)
+    monkeypatch.setenv("PATH", str(tmp_path))
+    tc, dry = TcBackend("eth0", "ifb0"), DryRunBackend("eth0", "ifb0")
+    for backend in (tc, dry):
+        monkeypatch.setenv("STUB_STDERR", ABSENT[1])  # before the install no removal finds a rule
+        backend.clear()
+        monkeypatch.delenv("STUB_STDERR")
+        backend.apply(PARAMS_BASIC)
+        backend.apply(EmulationParams(8000.0, 1000.0, 90.0))  # a resample
+        backend.clear()
+    assert log.read_text().splitlines() == dry.log
+    assert len(dry.log) == 3 + 9 + 8 + 3
+    monkeypatch.setenv("STUB_STDERR", DENIED[1])
+    with pytest.raises(BackendError) as denied:
+        tc.clear()
+    assert str(denied.value) == f"command failed with status 2: {CLEAR_LINES[0]} ({DENIED[1]})"
 
 
 def test_render_rejects_empty_iface():

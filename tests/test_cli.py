@@ -706,18 +706,6 @@ def test_run_periodic_dry_run_matches_golden(small_bundle_path, capsys):
     assert capsys.readouterr().out == (GOLDEN / "run_periodic_dry_run.txt").read_text()
 
 
-def test_run_simulated_backend_reports_like_dry_run(small_bundle_path, capsys):
-    argv = ["run", "--models", str(small_bundle_path), "--profile", KEY_TEXT]
-    argv += ["--duration", "30", "--period", "3", "--seed", "21"]
-    assert run_cli(argv) == 0
-    dry_run = capsys.readouterr().out.splitlines(keepends=True)
-    assert run_cli(argv + ["--backend", "simulated"]) == 0
-    report = "".join(line for line in dry_run if not line.startswith("# $ "))
-    expected = report.replace("# backend=dry-run\n", "# backend=simulated\n")
-    assert "# backend=simulated\n" in expected
-    assert capsys.readouterr().out == expected
-
-
 VALIDATE_HEADER = "download,download_kbps,upload_kbps,latency_ms,duration_s,avg_speed_kbps"
 
 
@@ -1019,6 +1007,10 @@ def test_bug_is_not_reported_as_data_error(tmp_path, two_profile_csv, monkeypatc
          "--sizes: need at least one size"),
         (["validate", "--models", "{missing}", "--profile", KEY_TEXT, "--object-size", "0"],
          "object size must be positive and finite"),
+        (["run", "--preset", "chrome:3G", "--duration", "5", "--backend", "simulated"],
+         "--backend"),
+        (["trace-run", "--models", "{missing}", "--scenario", "{missing}", "--backend", "dry-run"],
+         "--backend"),
     ],
 )
 def test_flag_values_checked_before_input(tmp_path, capsys, argv, expected):
