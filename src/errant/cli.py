@@ -14,6 +14,7 @@ import os
 import re
 import signal
 import sys
+import threading
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Optional
@@ -37,7 +38,7 @@ from .errors import BackendError, ErrantError, FitError, FormatError, ScenarioEr
 from .ingest import COLUMNS, parse_speedtests, write_rejects
 from .kde import KdeModel, fit, sample_points
 from .model_store import ModelBundle, load, load_model, save
-from .profiles import Profile, ProfileKey, build_profiles, filter_profiles, lookup
+from .profiles import Profile, ProfileKey, build_profiles, filter_profiles
 from .validation import compare_distributions, subsample_experiment
 
 
@@ -93,16 +94,21 @@ def _sizes(text: str) -> list[int]:
     return sizes
 
 
-def _column_mapping(text: str) -> tuple[str, str]:
-    """argparse type: one ``canonical=actual`` column name pair."""
-    canonical, _, actual = (part.strip() for part in text.partition("="))
-    if not canonical or not actual:
-        raise argparse.ArgumentTypeError(f"cannot parse {text!r}; use canonical=actual")
-    if canonical not in COLUMNS:
-        raise argparse.ArgumentTypeError(
-            f"unknown column {canonical!r}; expected one of {', '.join(COLUMNS)}"
-        )
-    return canonical, actual
+class _Schema(argparse.Action):
+    """argparse action: gathers ``canonical=actual`` pairs, each canonical name once."""
+
+    def __call__(self, parser, namespace, text, option_string=None) -> None:
+        canonical, _, actual = (part.strip() for part in text.partition("="))
+        if not canonical or not actual:
+            raise argparse.ArgumentError(self, f"cannot parse {text!r}; use canonical=actual")
+        if canonical not in COLUMNS:
+            raise argparse.ArgumentError(
+                self, f"unknown column {canonical!r}; expected one of {', '.join(COLUMNS)}"
+            )
+        schema = getattr(namespace, self.dest)
+        if canonical in schema:
+            raise argparse.ArgumentError(self, f"column {canonical} is mapped twice")
+        setattr(namespace, self.dest, {**schema, canonical: actual})
 
 
 def _profile_model(args: argparse.Namespace) -> tuple[ProfileKey, KdeModel]:
@@ -132,7 +138,7 @@ def _print_report(report, backend) -> None:
 
 def _cmd_build_models(args: argparse.Namespace) -> int:
     with open(args.input, encoding="utf-8-sig", newline="") as handle:
-        tests, rejects = parse_speedtests(handle, schema=dict(args.column or ()))
+        tests, rejects = parse_speedtests(handle, schema=args.column)
     if rejects:
         total = len(tests) + len(rejects)
         print(f"rejected {len(rejects)} of {total} rows", file=sys.stderr)
@@ -268,16 +274,9 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 def _cmd_subsample(args: argparse.Namespace) -> int:
     seed, rng = _seeded(args)
-    if args.models is not None:
-        key, model = _profile_model(args)
-        profile = Profile(key, model.points)
-    else:
-        key = ProfileKey.from_string(args.profile)
-        with open(args.input, encoding="utf-8-sig", newline="") as handle:
-            tests, _ = parse_speedtests(handle)
-        profile = lookup(build_profiles(tests), key, "not present in input")
+    key, model = _profile_model(args)
     report = subsample_experiment(
-        profile, args.sizes, repetitions=args.reps, cap=args.cap, rng=rng
+        Profile(key, model.points), args.sizes, repetitions=args.reps, cap=args.cap, rng=rng
     )
     csv_text = report.to_csv(comment=f"seed={seed} version={__version__}")
     if args.output:
@@ -299,8 +298,8 @@ def build_parser() -> argparse.ArgumentParser:
     build.add_argument("--min-samples", type=_at_least(1), default=100)
     build.add_argument(
         "--column",
-        action="append",
-        type=_column_mapping,
+        action=_Schema,
+        default={},
         metavar="CANONICAL=ACTUAL",
         help="map a canonical column name to the file's name (repeatable)",
     )
@@ -349,9 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     subsample = subparsers.add_parser(
         "subsample", help="KS distance of random subsets against a reference set"
     )
-    source = subsample.add_mutually_exclusive_group(required=True)
-    source.add_argument("--models")
-    source.add_argument("--input", help="speed-test CSV instead of a model file")
+    subsample.add_argument("--models", required=True)
     subsample.add_argument("--profile", required=True)
     subsample.add_argument("--sizes", type=_sizes, default="10,100,1000")
     subsample.add_argument("--reps", type=_at_least(1), default=100)
@@ -370,8 +367,9 @@ def _exit_on_signal(signum: int, frame: object) -> None:
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     # the signals a teardown holds end a run quietly with 128 + signum, after its clear;
-    # one started ignored (a background job's SIGINT, nohup's SIGHUP) stays ignored
-    caught = [s for s in _HELD_SIGNALS if signal.getsignal(s) is not signal.SIG_IGN]
+    # one started ignored (`cmd &`, nohup) stays ignored; only the main thread may set one
+    on_main = threading.current_thread() is threading.main_thread()
+    caught = [s for s in _HELD_SIGNALS if on_main and signal.getsignal(s) is not signal.SIG_IGN]
     previous = {signum: signal.signal(signum, _exit_on_signal) for signum in caught}
     try:
         code = args.func(args)

@@ -14,9 +14,9 @@ from typing import Dict, Union
 
 import numpy as np
 
-from .errors import CorruptModelError, FitError, ModelFileError, VersionError
+from .errors import CorruptModelError, FitError, FormatError, ModelFileError, VersionError
 from .kde import KdeModel
-from .profiles import ProfileKey, lookup
+from .profiles import ProfileKey
 
 FORMAT_VERSION = 1
 
@@ -143,7 +143,11 @@ def load_model(path: Union[str, Path], key: ProfileKey) -> KdeModel:
             created = None  # _bundle reports it, naming the file
         if isinstance(created, str) and text.startswith(_AFTER_CREATED + "\n", end):
             return _model_from_doc(key.as_string(), body)
-    return lookup(_bundle(text, path).models, key, "not in model file")
+    models = _bundle(text, path).models
+    if key not in models:
+        available = ", ".join(sorted(k.as_string() for k in models)) or "none"
+        raise FormatError(f"profile {key.as_string()} not in model file; available: {available}")
+    return models[key]
 
 
 def _object_without_repeats(pairs: list) -> dict:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, Iterable, Mapping, Optional
+from typing import Dict, Iterable, Optional
 
 import numpy as np
 
@@ -143,14 +143,6 @@ def filter_profiles(
     if min_samples < 1:
         raise ValueError("min_samples must be at least 1")
     return {key: prof for key, prof in profiles.items() if prof.n >= min_samples}
-
-
-def lookup(found: Mapping, key: ProfileKey, missing: str):
-    """``found[key]``; a missing key names the keys that are available."""
-    if key not in found:
-        available = ", ".join(sorted(k.as_string() for k in found)) or "none"
-        raise FormatError(f"profile {key.as_string()} {missing}; available: {available}")
-    return found[key]
 
 
 @dataclass(frozen=True)

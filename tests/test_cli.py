@@ -6,6 +6,7 @@ import re
 import signal
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -143,9 +144,7 @@ def test_csv_with_utf8_bom_reads_like_without(tmp_path, capsys):
         built = capsys.readouterr().out
         model = [line for line in out.read_text().splitlines() if '"created"' not in line]
         rejects = (tmp_path / f"{name}.rejects.csv").read_text()
-        subsample = ["subsample", "--input", str(path), "--profile", KEY_TEXT, "--seed", "1"]
-        assert run_cli(subsample + ["--sizes", "10", "--reps", "3", "--cap", "100"]) == 0
-        results.append((built, model, rejects, capsys.readouterr().out))
+        results.append((built, model, rejects))
     assert results[0] == results[1]
     assert results[0][2].startswith("timestamp,")
 
@@ -790,40 +789,8 @@ def test_subsample_deterministic(tmp_path, small_bundle_path):
     assert text.startswith("# seed=11 version=0.1.0\ndimension,n,repetition,D\n")
 
 
-def test_subsample_from_raw_csv(tmp_path, capsys):
-    path = tmp_path / "tests.csv"
-    write_csv(path, profile_rows(250, seed=12))
-    code = run_cli(
-        [
-            "subsample",
-            "--input",
-            str(path),
-            "--profile",
-            "specific/norway/telia/4G/good",
-            "--sizes",
-            "10",
-            "--reps",
-            "3",
-            "--cap",
-            "200",
-            "--seed",
-            "13",
-        ]
-    )
-    assert code == 0
-    assert "dimension,n,repetition,D" in capsys.readouterr().out
-
-
-def test_subsample_malformed_csv_is_data_error(tmp_path, capsys):
-    path = tmp_path / "huge.csv"
-    write_csv(path, profile_rows(250, seed=12) + ['1,norway,telia,4G,-70,1,1,"' + "9" * 200_000])
-    argv = ["subsample", "--input", str(path), "--profile", KEY_TEXT, "--sizes", "10"]
-    assert run_cli(argv + ["--reps", "3", "--cap", "200", "--seed", "13"]) == 2
-    assert "line 252" in capsys.readouterr().err
-
-
 def test_subsample_sizes_checked_before_input(tmp_path, capsys):
-    argv = ["subsample", "--input", str(tmp_path / "missing.csv"), "--profile", KEY_TEXT]
+    argv = ["subsample", "--models", str(tmp_path / "missing.json"), "--profile", KEY_TEXT]
     assert run_cli(argv + ["--sizes", "10,x"]) == 1
     assert "--sizes" in capsys.readouterr().err
     assert run_cli(argv + ["--sizes", "10,50,10"]) == 1
@@ -837,41 +804,15 @@ def test_subsample_seeded_matches_golden(small_bundle_path, capsys):
     assert capsys.readouterr().out == (GOLDEN / "subsample_seeded.txt").read_text()
 
 
-def test_subsample_same_from_raw_csv_and_built_models(tmp_path, capsys):
-    # build-models keeps each profile's samples in input order, so both
-    # sources hand subsample_experiment the same points
-    path = tmp_path / "tests.csv"
-    rows = profile_rows(150, seed=14, operator="telia") + profile_rows(
-        130, seed=15, operator="ice"
-    )
-    write_csv(path, rows[::2] + rows[1::2])
-    models = tmp_path / "m.json"
-    assert run_cli(["build-models", "--input", str(path), "--output", str(models)]) == 0
-    capsys.readouterr()
-    for profile in ("universal/any/any/4G/good", "specific/norway/ice/4G/good"):
-        outputs = []
-        for source in (["--input", str(path)], ["--models", str(models)]):
-            argv = ["subsample", *source, "--profile", profile, "--sizes", "10,50"]
-            assert run_cli(argv + ["--reps", "4", "--cap", "100", "--seed", "16"]) == 0
-            outputs.append(capsys.readouterr().out)
-        assert outputs[0] == outputs[1]
-        assert outputs[0].startswith("# seed=16 version=0.1.0\n")
-
-
-def test_subsample_requires_one_source(small_bundle_path, tmp_path, capsys):
-    assert run_cli(["subsample", "--profile", "universal/any/any/4G/good"]) == 1
-    both = run_cli(
-        [
-            "subsample",
-            "--models",
-            str(small_bundle_path),
-            "--input",
-            str(tmp_path / "x.csv"),
-            "--profile",
-            "universal/any/any/4G/good",
-        ]
-    )
-    assert both == 1
+def test_subsample_requires_one_source(tmp_path, capsys):
+    # build-models is the one reader of speed-test CSVs; subsample reads a model file
+    csv_source = ["--input", str(tmp_path / "x.csv"), "--profile", KEY_TEXT]
+    assert run_cli(["subsample", "--profile", KEY_TEXT]) == 1
+    assert "required: --models" in capsys.readouterr().err
+    assert run_cli(["subsample", *csv_source]) == 1
+    assert "required: --models" in capsys.readouterr().err
+    assert run_cli(["subsample", "--models", str(tmp_path / "m.json"), *csv_source]) == 1
+    assert "unrecognized arguments: --input" in capsys.readouterr().err
 
 
 def test_usage_errors_exit_one():
@@ -883,6 +824,33 @@ def test_usage_errors_exit_one():
 def test_version_exits_zero(capsys):
     assert run_cli(["--version"]) == 0
     assert "errant" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "command", ["build-models", "list-profiles", "run", "trace-run", "validate", "subsample"]
+)
+def test_help_renders_and_exits_zero(capsys, command):
+    assert run_cli([command, "--help"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"usage: errant {command} ")
+    # build-models alone reads a speed-test CSV
+    assert ("--input" in out) == (command == "build-models")
+
+
+def test_main_on_worker_thread_runs_and_keeps_signal_handlers(capsys):
+    # only the main thread may set a signal handler; a run on another thread
+    # leaves the process's handlers as they are
+    held = (signal.SIGINT, signal.SIGTERM, signal.SIGHUP)
+    before = [signal.getsignal(signum) for signum in held]
+    codes = []
+    argv = ["run", "--preset", "chrome:3G", "--duration", "2"]
+    worker = threading.Thread(target=lambda: codes.append(main(argv)))
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive()
+    assert codes == [0]
+    assert "# preset=chrome:3G" in capsys.readouterr().out
+    assert [signal.getsignal(signum) for signum in held] == before
 
 
 # The exit-code contract for data errors: each case is bad input, so it exits 2
@@ -1011,6 +979,9 @@ def test_bug_is_not_reported_as_data_error(tmp_path, two_profile_csv, monkeypatc
          "--backend"),
         (["trace-run", "--models", "{missing}", "--scenario", "{missing}", "--backend", "dry-run"],
          "--backend"),
+        (["build-models", "--input", "{missing}", "--output", "{missing}",
+          "--column", "download_kbps=a", "--column", "download_kbps=b"],
+         "--column: column download_kbps is mapped twice"),
     ],
 )
 def test_flag_values_checked_before_input(tmp_path, capsys, argv, expected):
@@ -1107,7 +1078,7 @@ def test_single_profile_commands_skip_whole_bundle_load(small_bundle_path, monke
         assert run_cli([argv[0], "--models", str(small_bundle_path), *argv[1:]]) == 0
 
 
-@pytest.mark.parametrize("source", ["--models", "--input"])
+@pytest.mark.parametrize("source", ["--models"])
 def test_subsample_empty_source_path_is_data_error(capsys, source):
     assert run_cli(["subsample", source, "", "--profile", KEY_TEXT]) == 2
     assert "error:" in capsys.readouterr().err
