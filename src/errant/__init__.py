@@ -87,7 +87,6 @@ from .profiles import (
     DimensionStats,
     Profile,
     ProfileKey,
-    ProfileKind,
     build_profiles,
     dimension_stats,
     filter_profiles,

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import contextlib
 import os
-import shlex
 import signal
 import subprocess
 import threading
@@ -43,8 +42,10 @@ def _kbit(value: float) -> int:
 
 
 def _check_ifaces(egress_iface: str, ifb_iface: str) -> None:
-    if not egress_iface or not ifb_iface:
-        raise FormatError("interface names must be non-empty")
+    # a command line is split on whitespace, so a name must be one word (as Linux requires)
+    for name in (egress_iface, ifb_iface):
+        if name.split() != [name]:
+            raise FormatError(f"interface names must be non-empty, without whitespace: {name!r}")
 
 
 def render_commands(params: EmulationParams, egress_iface: str, ifb_iface: str) -> list[str]:
@@ -195,7 +196,7 @@ class DryRunBackend(_CommandBackend):
 
 def _shell_runner(command: str) -> tuple[int, str]:
     try:
-        completed = subprocess.run(shlex.split(command), capture_output=True, text=True, check=False)
+        completed = subprocess.run(command.split(), capture_output=True, text=True, check=False)
     except OSError as exc:  # e.g. no tc on PATH: the shell's "command not found" status
         return 127, str(exc)
     return completed.returncode, completed.stderr.strip()

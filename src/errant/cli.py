@@ -113,7 +113,7 @@ class _Schema(argparse.Action):
 
 def _profile_model(args: argparse.Namespace) -> tuple[ProfileKey, KdeModel]:
     """(key, model) named by --profile; the key is parsed before --models is read."""
-    key = ProfileKey.from_string(args.profile)
+    key = ProfileKey(args.profile)
     return key, load_model(args.models, key)
 
 
@@ -150,11 +150,11 @@ def _cmd_build_models(args: argparse.Namespace) -> int:
             print(f"wrote {rejects_path}", file=sys.stderr)
     profiles = filter_profiles(build_profiles(tests), args.min_samples)
     models = {}
-    for key in sorted(profiles, key=ProfileKey.as_string):
+    for key in sorted(profiles):
         try:
             models[key] = fit(profiles[key].samples)
         except FitError as exc:
-            print(f"skipping {key.as_string()}: {exc}", file=sys.stderr)
+            print(f"skipping {key}: {exc}", file=sys.stderr)
     if not models:
         raise FormatError(f"no profiles survive filter (min_samples={args.min_samples})")
     bundle = ModelBundle(
@@ -162,7 +162,7 @@ def _cmd_build_models(args: argparse.Namespace) -> int:
     )
     save(bundle, args.output)
     for key, model in models.items():
-        print(f"{key.as_string()}: n={model.n} bandwidth_factor={model.bandwidth_factor:.5f}")
+        print(f"{key}: n={model.n} bandwidth_factor={model.bandwidth_factor:.5f}")
     print(f"saved {len(models)} models to {args.output}")
     return 0
 
@@ -170,11 +170,11 @@ def _cmd_build_models(args: argparse.Namespace) -> int:
 def _cmd_list_profiles(args: argparse.Namespace) -> int:
     bundle = load(args.models)
     print("profile,n,median_download_kbps,median_upload_kbps,median_latency_ms")
-    for key in sorted(bundle.models, key=ProfileKey.as_string):
+    for key in sorted(bundle.models):
         model = bundle.models[key]
         medians = np.median(model.points, axis=0)
         print(
-            f"{key.as_string()},{model.n},"
+            f"{key},{model.n},"
             f"{float(medians[0])!r},{float(medians[1])!r},{float(medians[2])!r}"
         )
     return 0
@@ -204,7 +204,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         draw = lambda: params
     else:
         key, model = _profile_model(args)
-        notes["profile"] = key.as_string()
+        notes["profile"] = key
         if args.simple:
             params = simple_params(model.points)
             notes["mode"] = "simple"
@@ -245,7 +245,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     if args.simple:
         # the fluid model is deterministic, so the baseline's Gaussian latency
         # collapses to its mean and every download sees the per-dimension means
-        draws = np.tile(model.points.mean(axis=0), (args.downloads, 1))
+        base = simple_params(model.points)
+        draws = np.tile([base.download_kbps, base.upload_kbps, base.latency_ms], (args.downloads, 1))
     else:
         draws = sample_points(model, rng, args.downloads)
     durations, speeds = simulate_download(SimulatedLink(*draws.T, args.setup_rtts), args.size)

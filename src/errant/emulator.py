@@ -178,7 +178,7 @@ def parse_scenario(text: str) -> Tuple[ScenarioStep, ...]:
         except ValueError:
             raise ScenarioError(f"line {lineno}: bad duration {parts[0]!r}") from None
         try:
-            key = ProfileKey.from_string(parts[1])
+            key = ProfileKey(parts[1])
         except ValueError as exc:
             raise ScenarioError(f"line {lineno}: {exc}") from None
         mode = parts[2]
@@ -287,13 +287,7 @@ def run_trace(
     Profile resolution happens up front: a scenario naming a profile missing
     from the bundle fails before the backend sees a single command.
     """
-    missing = sorted(
-        {
-            step.profile.as_string()
-            for step in scenario
-            if step.profile not in bundle.models
-        }
-    )
+    missing = sorted({step.profile for step in scenario if step.profile not in bundle.models})
     if missing:
         raise ScenarioError(
             "scenario references profiles missing from the models: " + ", ".join(missing)

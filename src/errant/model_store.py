@@ -39,14 +39,16 @@ def _floats(values: np.ndarray) -> list[str]:
 
 
 def _key_line(key: ProfileKey) -> str:
-    return f"    {json.dumps(key.as_string())}: {{"
+    return f"    {json.dumps(key)}: {{"
 
 
 def dumps(bundle: ModelBundle) -> str:
     """Serialize a bundle to its canonical text form."""
     lines = [_HEAD + json.dumps(bundle.created) + _AFTER_CREATED]
-    keys = sorted(bundle.models, key=ProfileKey.as_string)
+    keys = sorted(bundle.models)
     for position, key in enumerate(keys):
+        if ProfileKey(key) != key:  # so every saved key reads back as written
+            raise FormatError(f"profile key {key!r} would read back as {ProfileKey(key)!r}")
         model = bundle.models[key]
         covariance = ", ".join(_floats(model.covariance))
         lines.append(_key_line(key))
@@ -110,12 +112,12 @@ def _bundle(text: str, path: Union[str, Path]) -> ModelBundle:
     key_texts: Dict[ProfileKey, str] = {}
     for key_text, body in models_doc.items():
         try:
-            key = ProfileKey.from_string(key_text)
+            key = ProfileKey(key_text)
         except ValueError as exc:
             raise CorruptModelError(f"bad profile key {key_text!r}: {exc}") from None
         if key in key_texts:
             raise CorruptModelError(
-                f"model file {path} names profile {key.as_string()} twice: "
+                f"model file {path} names profile {key} twice: "
                 f"{key_texts[key]!r} and {key_text!r}"
             )
         key_texts[key] = key_text
@@ -142,11 +144,11 @@ def load_model(path: Union[str, Path], key: ProfileKey) -> KdeModel:
         except (json.JSONDecodeError, CorruptModelError):
             created = None  # _bundle reports it, naming the file
         if isinstance(created, str) and text.startswith(_AFTER_CREATED + "\n", end):
-            return _model_from_doc(key.as_string(), body)
+            return _model_from_doc(key, body)
     models = _bundle(text, path).models
     if key not in models:
-        available = ", ".join(sorted(k.as_string() for k in models)) or "none"
-        raise FormatError(f"profile {key.as_string()} not in model file; available: {available}")
+        available = ", ".join(sorted(models)) or "none"
+        raise FormatError(f"profile {key} not in model file; available: {available}")
     return models[key]
 
 

@@ -2,14 +2,15 @@
 
 Every measurement belongs to exactly one specific profile (country, operator,
 RAT, signal quality) and exactly one universal profile (RAT, signal quality),
-the latter pooling all countries and operators.
+the latter pooling all countries and operators. A profile's key is its text,
+e.g. ``specific/norway/telia/4G/good`` or ``universal/any/any/3G/bad``;
+``ProfileKey(text)`` checks and normalizes it.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional
+from typing import Dict, Iterable
 
 import numpy as np
 
@@ -20,14 +21,6 @@ from .ingest import _BIN_EDGES, Rat, SignalQuality, SpeedTests
 DIMENSIONS = ("download", "upload", "latency")
 
 
-class ProfileKind(str, enum.Enum):
-    SPECIFIC = "specific"
-    UNIVERSAL = "universal"
-
-    def __str__(self) -> str:
-        return self.value
-
-
 def _member(kinds: type, value: str, refusal: str):
     try:
         return kinds(value)
@@ -35,37 +28,17 @@ def _member(kinds: type, value: str, refusal: str):
         raise FormatError(refusal) from None
 
 
-@dataclass(frozen=True)
-class ProfileKey:
-    """Identity of a profile; country/operator are None for universal profiles."""
+class ProfileKey(str):
+    """A profile's canonical text, e.g. ``specific/norway/telia/4G/good``.
 
-    kind: ProfileKind
-    country: Optional[str]
-    operator: Optional[str]
-    rat: Rat
-    quality: SignalQuality
+    The constructor is the one key parser: it checks the five parts and
+    normalizes their case, and a universal key's country and operator read
+    ``any``. A canonical plain ``str`` equals, and indexes like, its key.
+    """
 
-    def __post_init__(self) -> None:
-        if self.kind is ProfileKind.SPECIFIC:
-            if not self.country or not self.operator:
-                raise FormatError("specific profiles need a country and an operator")
-            # the key must read back as written: from_string splits on "/" and lower-cases
-            for part in (self.country, self.operator):
-                if "/" in part or part != part.lower():
-                    raise FormatError(
-                        f"country and operator must be lower-case without '/': {part!r}"
-                    )
-        elif self.country is not None or self.operator is not None:
-            raise FormatError("universal profiles must not carry country/operator")
+    __slots__ = ()
 
-    def as_string(self) -> str:
-        """Stable text form, e.g. ``specific/norway/telia/4G/good``."""
-        country = self.country if self.kind is ProfileKind.SPECIFIC else "any"
-        operator = self.operator if self.kind is ProfileKind.SPECIFIC else "any"
-        return f"{self.kind}/{country}/{operator}/{self.rat}/{self.quality}"
-
-    @classmethod
-    def from_string(cls, text: str) -> "ProfileKey":
+    def __new__(cls, text: str) -> "ProfileKey":
         parts = text.strip().split("/")
         if len(parts) != 5:
             raise FormatError(
@@ -73,12 +46,18 @@ class ProfileKey:
                 "<specific|universal>/<country>/<operator>/<rat>/<quality>"
             )
         kind_text, country, operator, rat_text, quality_text = parts
-        kind = _member(ProfileKind, kind_text.lower(), f"bad profile kind {kind_text!r}")
+        kind = kind_text.lower()
+        if kind not in ("specific", "universal"):
+            raise FormatError(f"bad profile kind {kind_text!r}")
         rat = _member(Rat, rat_text.upper(), f"unknown rat {rat_text!r}")
         quality = _member(SignalQuality, quality_text.lower(), f"unknown quality {quality_text!r}")
-        if kind is ProfileKind.UNIVERSAL:
-            return cls(kind, None, None, rat, quality)
-        return cls(kind, country.lower(), operator.lower(), rat, quality)
+        if kind == "universal":
+            country = operator = "any"
+        elif not country or not operator:
+            raise FormatError("specific profiles need a country and an operator")
+        return super().__new__(cls, f"{kind}/{country.lower()}/{operator.lower()}/{rat}/{quality}")
+
+    from_string = classmethod(__new__)  # the older spelling of ProfileKey(text)
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,9 +107,12 @@ def build_profiles(tests: SpeedTests) -> Dict[ProfileKey, Profile]:
     profiles: Dict[ProfileKey, Profile] = {}
     for (country, operator, index), rows in zip(numbers, members):
         rat, level = cell_keys[index]
-        key = ProfileKey(ProfileKind.SPECIFIC, country, operator, rat, level)
+        text = f"specific/{country}/{operator}/{rat}/{level}"
+        key = ProfileKey(text)
+        if key != text:  # two spellings of one name would share, and overwrite, a key
+            raise FormatError(f"country and operator must be lower-case: {text!r}")
         profiles[key] = Profile(key, tests.samples[rows])
-        universal = ProfileKey(ProfileKind.UNIVERSAL, None, None, rat, level)
+        universal = ProfileKey(f"universal/any/any/{rat}/{level}")
         if universal not in profiles:  # this group holds the cell's first row
             profiles[universal] = Profile(universal, tests.samples[np.flatnonzero(cell == index)])
     return profiles

@@ -94,7 +94,7 @@ def subsample_experiment(
         raise FormatError("repetitions must be positive")
     if profile.n < cap:
         raise FormatError(
-            f"profile {profile.key.as_string()} has {profile.n} samples; "
+            f"profile {profile.key} has {profile.n} samples; "
             f"need at least cap={cap}"
         )
     rng = rng or np.random.default_rng()

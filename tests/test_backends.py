@@ -16,6 +16,7 @@ from errant import (
     BackendError,
     DryRunBackend,
     EmulationParams,
+    FormatError,
     Segment,
     SimulatedLink,
     TcBackend,
@@ -502,6 +503,39 @@ def test_shell_runner_drives_stub_binaries(tmp_path, monkeypatch):
     with pytest.raises(BackendError) as denied:
         tc.clear()
     assert str(denied.value) == f"command failed with status 2: {CLEAR_LINES[0]} ({DENIED[1]})"
+
+
+def test_shell_runner_passes_each_interface_name_as_one_argument(tmp_path, monkeypatch):
+    # stub ip and tc log their name and each argument on a line, then a blank line;
+    # the stubs are all of PATH, so no real tc can run
+    log = tmp_path / "argv.log"
+    for name in ("ip", "tc"):
+        stub = tmp_path / name
+        stub.write_text(f'#!/bin/sh\nprintf "%s\\n" {name} "$@" "" >> "{log}"\n')
+        stub.chmod(0o755)
+    monkeypatch.setenv("PATH", str(tmp_path))
+    egress, ifb = "eth0'x", 'ifb"0'  # Linux allows quotes in a name
+    tc, dry = TcBackend(egress, ifb), DryRunBackend(egress, ifb)
+    for backend in (tc, dry):
+        backend.apply(PARAMS_BASIC)
+        backend.clear()
+    argvs = [call.splitlines() for call in log.read_text().split("\n\n")[:-1]]
+    assert argvs == [command.split() for command in dry.log]
+    assert ["tc", "qdisc", "del", "dev", egress, "root"] in argvs
+    assert ["ip", "link", "set", "dev", ifb, "up"] in argvs
+
+
+@pytest.mark.parametrize("name", ["eth0 ingress", "eth0\t", "\u00a0eth0", " "])
+def test_interface_name_with_whitespace_refused(name):
+    # a command line is split on whitespace, so such a name would render other commands
+    for build in (
+        lambda: DryRunBackend(name),
+        lambda: TcBackend("eth0", name),
+        lambda: render_commands(PARAMS_BASIC, "eth0", name),
+        lambda: render_clear_commands(name, "ifb0"),
+    ):
+        with pytest.raises(FormatError, match="interface names must be non-empty, without"):
+            build()
 
 
 def test_render_rejects_empty_iface():

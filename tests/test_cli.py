@@ -47,13 +47,13 @@ def test_build_models_pipeline(tmp_path, two_profile_csv, capsys):
     code = run_cli(["build-models", "--input", str(two_profile_csv), "--output", str(out)])
     assert code == 0
     bundle = load(out)
-    keys = sorted(k.as_string() for k in bundle.models)
+    keys = sorted(bundle.models)
     assert keys == [
         "specific/norway/ice/4G/good",
         "specific/norway/telia/4G/good",
         "universal/any/any/4G/good",
     ]
-    assert bundle.models[sorted(bundle.models, key=lambda k: k.as_string())[2]].n == 270
+    assert bundle.models[keys[2]].n == 270
     stdout = capsys.readouterr().out
     assert "specific/norway/telia/4G/good: n=150" in stdout
     assert "saved 3 models" in stdout
@@ -128,7 +128,7 @@ def test_build_models_skips_zero_variance_profile(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "skipping specific/norway/ice/4G/good: zero variance in latency; cannot fit a density\n"
     )
-    keys = sorted(key.as_string() for key in load(out).models)
+    keys = sorted(load(out).models)
     assert keys == ["specific/norway/telia/4G/good", "universal/any/any/4G/good"]
 
 
@@ -880,6 +880,11 @@ SUBSAMPLE = ["subsample", "--models", "{models}", "--profile", KEY_TEXT]
         pytest.param(RUN_PRESET + ["nan"], None, "duration must be", id="nan-duration"),
         pytest.param(RUN_PRESET + ["2", "--iface", ""], None, "interface", id="empty-iface"),
         pytest.param(RUN_PRESET + ["2", "--iface", "eth0"], "", "interface", id="empty-ifb"),
+        pytest.param(
+            RUN_PRESET + ["1", "--iface", "eth0 ingress"], None, "whitespace: 'eth0 ingress'",
+            id="space-in-iface",
+        ),
+        pytest.param(RUN_PRESET + ["1", "--iface", "eth0"], "ifb 0", "whitespace", id="space-in-ifb"),
         pytest.param(
             SUBSAMPLE + ["--sizes", "10", "--cap", "500"], None, "cap=500", id="cap-above-profile"
         ),

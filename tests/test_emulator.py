@@ -504,7 +504,7 @@ def test_run_trace_missing_profile_preflight():
 def test_single_step_trace_equals_run_fixed():
     bundle = trace_bundle()
     key = ProfileKey.from_string("specific/norway/telia/4G/good")
-    scenario = parse_scenario(f"10,{key.as_string()},fixed")
+    scenario = parse_scenario(f"10,{key},fixed")
     backend_a = RecordingBackend()
     trace_report = run_trace(scenario, bundle, backend_a, np.random.default_rng(15), VirtualClock())
     backend_b = RecordingBackend()

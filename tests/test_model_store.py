@@ -75,9 +75,9 @@ def test_file_is_plain_json_with_one_point_per_line(tmp_path):
     # independent reader: stdlib json sees the same structure
     doc = json.loads(text)
     assert doc["format_version"] == 1
-    assert doc["models"][KEY_A.as_string()]["n"] == 100
-    assert len(doc["models"][KEY_A.as_string()]["points"]) == 100
-    assert len(doc["models"][KEY_A.as_string()]["covariance"]) == 9
+    assert doc["models"][KEY_A]["n"] == 100
+    assert len(doc["models"][KEY_A]["points"]) == 100
+    assert len(doc["models"][KEY_A]["covariance"]) == 9
     # layout: exactly 100 single-line point rows
     point_lines = [line for line in text.splitlines() if re.fullmatch(r"\s+\[[-0-9005.e+, ]+\],?", line)]
     assert len(point_lines) == 100
@@ -86,8 +86,8 @@ def test_file_is_plain_json_with_one_point_per_line(tmp_path):
 def test_model_keys_sorted_in_file():
     bundle = two_model_bundle()
     text = dumps(bundle)
-    position_a = text.index(KEY_A.as_string())
-    position_b = text.index(KEY_B.as_string())
+    position_a = text.index(KEY_A)
+    position_b = text.index(KEY_B)
     assert position_a < position_b  # "specific/..." sorts before "universal/..."
 
 
@@ -107,7 +107,7 @@ def test_negative_factor_rejected_with_profile_name(tmp_path):
     text = path.read_text()
     factor = re.search(r'"bandwidth_factor": ([0-9.e+-]+)', text).group(1)
     path.write_text(text.replace(f'"bandwidth_factor": {factor}', '"bandwidth_factor": -0.5'))
-    with pytest.raises(CorruptModelError, match=re.escape(KEY_A.as_string())):
+    with pytest.raises(CorruptModelError, match=re.escape(KEY_A)):
         load(path)
 
 
@@ -115,20 +115,20 @@ def test_negative_factor_rejected_with_profile_name(tmp_path):
 @pytest.mark.parametrize("factor", [float("inf"), 1e308])
 def test_nonfinite_kernel_covariance_rejected_with_profile_name(tmp_path, factor):
     doc = json.loads(dumps(two_model_bundle()))
-    doc["models"][KEY_B.as_string()]["bandwidth_factor"] = factor
+    doc["models"][KEY_B]["bandwidth_factor"] = factor
     path = tmp_path / "m.json"
     path.write_text(json.dumps(doc))  # json writes inf as Infinity, which json reads back
-    with pytest.raises(CorruptModelError, match=re.escape(f"model {KEY_B.as_string()}: ")):
+    with pytest.raises(CorruptModelError, match=re.escape(f"model {KEY_B}: ")):
         load(path)
 
 
 @pytest.mark.parametrize("value", [0.0, -1.0])
 def test_nonpositive_point_rejected_with_profile_name(tmp_path, value):
     doc = json.loads(dumps(two_model_bundle()))
-    doc["models"][KEY_B.as_string()]["points"][3][1] = value
+    doc["models"][KEY_B]["points"][3][1] = value
     path = tmp_path / "m.json"
     path.write_text(json.dumps(doc))
-    with pytest.raises(CorruptModelError, match=re.escape(f"model {KEY_B.as_string()}: stored")):
+    with pytest.raises(CorruptModelError, match=re.escape(f"model {KEY_B}: stored")):
         load(path)
 
 def test_unsupported_version_rejected(tmp_path):
@@ -172,14 +172,14 @@ def test_malformed_model_object_rejected_with_profile_name(tmp_path, field, valu
     doc = json.loads(dumps(two_model_bundle()))
     models = doc["models"]
     if field is None:  # the whole model object
-        models[KEY_B.as_string()] = value
+        models[KEY_B] = value
     elif value is None:
-        del models[KEY_B.as_string()][field]
+        del models[KEY_B][field]
     else:
-        models[KEY_B.as_string()][field] = value
+        models[KEY_B][field] = value
     path = tmp_path / "m.json"
     path.write_text(json.dumps(doc))
-    expected = f"model {KEY_B.as_string()}{message}"
+    expected = f"model {KEY_B}{message}"
     with pytest.raises(CorruptModelError, match=f"^{re.escape(expected)}$"):
         load(path)
 
@@ -198,7 +198,7 @@ def test_non_psd_covariance_rejected(tmp_path):
         "format_version": 1,
         "created": "",
         "models": {
-            KEY_A.as_string(): {
+            KEY_A: {
                 "n": 2,
                 "bandwidth_factor": 0.5,
                 "covariance": [1.0, 0, 0, 0, -1.0, 0, 0, 0, 1.0],
@@ -269,7 +269,7 @@ def test_dumps_awkward_floats_matches_golden(tmp_path):
     ],
 )
 def test_two_texts_naming_one_profile_rejected(tmp_path, first, second):
-    body = json.dumps(json.loads(dumps(two_model_bundle()))["models"][KEY_A.as_string()])
+    body = json.dumps(json.loads(dumps(two_model_bundle()))["models"][KEY_A])
     path = tmp_path / "m.json"
     models = f"{json.dumps(first)}: {body}, {json.dumps(second)}: {body}"
     path.write_text(f'{{"format_version": 1, "created": "", "models": {{{models}}}}}')
@@ -330,7 +330,7 @@ def test_load_model_refuses_key_written_twice(tmp_path):
     path = tmp_path / "m.json"
     save(two_model_bundle(), path)
     text = path.read_text()
-    body = text[text.index(f'    "{KEY_A.as_string()}"') : text.index(f'    "{KEY_B.as_string()}"')]
+    body = text[text.index(f'    "{KEY_A}"') : text.index(f'    "{KEY_B}"')]
     path.write_text(text.replace(body, body + body))
     with pytest.raises(CorruptModelError, match="appears twice"):
         load_model(path, KEY_A)
@@ -341,8 +341,8 @@ def test_load_model_names_available_profiles(tmp_path):
     save(two_model_bundle(), path)
     missing = ProfileKey.from_string("universal/any/any/4G/good")
     expected = (
-        f"profile {missing.as_string()} not in model file; "
-        f"available: {KEY_A.as_string()}, {KEY_B.as_string()}"
+        f"profile {missing} not in model file; "
+        f"available: {KEY_A}, {KEY_B}"
     )
     with pytest.raises(FormatError, match=f"^{re.escape(expected)}$"):
         load_model(path, missing)

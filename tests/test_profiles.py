@@ -5,16 +5,19 @@ import pytest
 from conftest import make_lognormal
 
 from errant import (
+    FormatError,
+    ModelBundle,
     Profile,
     ProfileKey,
-    ProfileKind,
     Rat,
-    SignalQuality,
     SpeedTests,
     bin_signal,
     build_profiles,
     dimension_stats,
     filter_profiles,
+    fit,
+    load,
+    save,
 )
 
 
@@ -73,12 +76,8 @@ def test_partition_property():
             )
         )
     profiles = build_profiles(speed_tests(records))
-    specific_total = sum(
-        p.n for p in profiles.values() if p.key.kind is ProfileKind.SPECIFIC
-    )
-    universal_total = sum(
-        p.n for p in profiles.values() if p.key.kind is ProfileKind.UNIVERSAL
-    )
+    specific_total = sum(p.n for p in profiles.values() if p.key.startswith("specific/"))
+    universal_total = sum(p.n for p in profiles.values() if p.key.startswith("universal/"))
     assert specific_total == 500
     assert universal_total == 500
 
@@ -88,8 +87,8 @@ def per_row_profiles(records):
     buckets = {}
     for country, operator, rat, rssi, values in records:
         quality = bin_signal(rat, rssi)
-        specific = ProfileKey(ProfileKind.SPECIFIC, country, operator, rat, quality)
-        universal = ProfileKey(ProfileKind.UNIVERSAL, None, None, rat, quality)
+        specific = ProfileKey(f"specific/{country}/{operator}/{rat}/{quality}")
+        universal = ProfileKey(f"universal/any/any/{rat}/{quality}")
         for key in (specific, universal):
             buckets.setdefault(key, []).append(values)
     return buckets
@@ -195,20 +194,66 @@ def test_profile_key_round_trip():
         "universal/any/any/3G/bad",
         "specific/italy/vodafone/3G/ordinary",
     ):
-        assert ProfileKey.from_string(text).as_string() == text
+        assert ProfileKey(text) == ProfileKey.from_string(text) == text
 
 
 def test_profile_key_validation():
-    with pytest.raises(ValueError):
-        ProfileKey(ProfileKind.SPECIFIC, None, "telia", Rat.FOUR_G, SignalQuality.GOOD)
-    with pytest.raises(ValueError):
-        ProfileKey(ProfileKind.UNIVERSAL, "norway", None, Rat.FOUR_G, SignalQuality.GOOD)
-    # keys that would not read back: "/" splits a key, and parts are read lower-cased
-    with pytest.raises(ValueError, match="'t/mobile'"):
-        ProfileKey(ProfileKind.SPECIFIC, "norway", "t/mobile", Rat.FOUR_G, SignalQuality.GOOD)
-    with pytest.raises(ValueError, match="'Norway'"):
-        ProfileKey(ProfileKind.SPECIFIC, "Norway", "telia", Rat.FOUR_G, SignalQuality.GOOD)
+    with pytest.raises(ValueError, match="need a country and an operator"):
+        ProfileKey("specific//telia/4G/good")
     with pytest.raises(ValueError, match="quality"):
-        ProfileKey.from_string("specific/norway/telia/4G/excellent")
+        ProfileKey("specific/norway/telia/4G/excellent")
     with pytest.raises(ValueError):
-        ProfileKey.from_string("not-a-key")
+        ProfileKey("not-a-key")
+
+
+def test_build_profiles_refuses_a_name_that_is_not_lower_case():
+    # "Norway" and "norway" would share one key, and the later group would overwrite the earlier
+    tests = speed_tests([record(country="norway"), record(country="Norway")])
+    with pytest.raises(FormatError, match="lower-case: 'specific/Norway/telia/4G/good'"):
+        build_profiles(tests)
+
+
+BAD_KEY = "expected <specific|universal>/<country>/<operator>/<rat>/<quality>"
+
+
+# (text, its canonical key, or None and the refusal's message)
+@pytest.mark.parametrize(
+    "text,canonical,refusal",
+    [
+        ("specific/norway/telia/4G/good", "specific/norway/telia/4G/good", None),
+        ("  Specific/NORWAY/Telia/4g/GOOD\n", "specific/norway/telia/4G/good", None),
+        ("universal/norway/telia/3G/bad", "universal/any/any/3G/bad", None),
+        ("UNIVERSAL//x/3g/Ordinary", "universal/any/any/3G/ordinary", None),
+        ("specific/Curaçao/Digicel/3G/ordinary", "specific/curaçao/digicel/3G/ordinary", None),
+        ("specific/italy, north/a:b/4G/bad", "specific/italy, north/a:b/4G/bad", None),
+        ("not-a-key", None, f"bad profile key 'not-a-key'; {BAD_KEY}"),
+        ("specific/norway/t/mobile/4G/good", None, "bad profile key 'specific/norway/t/mobile/"),
+        ("specific/norway/telia/4G", None, "bad profile key 'specific/norway/telia/4G'"),
+        ("regional/norway/telia/4G/good", None, "bad profile kind 'regional'"),
+        ("specific/norway/telia/5g/good", None, "unknown rat '5g'"),
+        ("specific/norway/telia/4G/excellent", None, "unknown quality 'excellent'"),
+        ("specific//telia/4G/good", None, "specific profiles need a country and an operator"),
+        ("specific/norway//4G/good", None, "specific profiles need a country and an operator"),
+    ],
+)
+def test_profile_key_table(tmp_path, text, canonical, refusal):
+    model = fit(make_lognormal(50, seed=3))
+    plain = ModelBundle(models={text: model})  # a hand-built bundle with a plain text key
+    if refusal is not None:
+        for refuse in (lambda: ProfileKey(text), lambda: save(plain, tmp_path / "models.json")):
+            with pytest.raises(FormatError) as refused:
+                refuse()
+            assert str(refused.value).startswith(refusal)
+        assert not (tmp_path / "models.json").exists()
+        return
+    key = ProfileKey(text)
+    assert type(key) is ProfileKey and key == canonical
+    assert ProfileKey(key) == key == ProfileKey(canonical) == ProfileKey.from_string(text)
+    save(ModelBundle(models={key: model}), tmp_path / "models.json")
+    assert load(tmp_path / "models.json").models[canonical].n == 50  # a plain str indexes
+    if text != canonical:
+        with pytest.raises(FormatError, match="would read back as"):
+            save(plain, tmp_path / "models.json")
+    else:
+        save(plain, tmp_path / "plain.json")  # a canonical plain key saves as its key does
+        assert (tmp_path / "plain.json").read_text() == (tmp_path / "models.json").read_text()
