@@ -26,7 +26,6 @@ if hasattr(_signal, "pthread_sigmask"):
 
 from .backends import (
     DryRunBackend,
-    ShapingBackend,
     SimulatedLink,
     TcBackend,
     default_ifb,

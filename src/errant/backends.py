@@ -6,6 +6,7 @@ traffic is redirected to an ifb device where download is limited the same
 way, and the round-trip latency is split half on each side so a full RTT is
 experienced end to end. A netem qdisc under each HTB class adds the delay.
 A resample rebuilds each direction's root in turn and keeps the ifb redirect.
+``DryRunBackend`` and ``TcBackend`` meet the run loop's ``emulator.Backend`` protocol.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import contextlib
 import os
 import signal
 import subprocess
+import sys
 import threading
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
@@ -46,6 +48,8 @@ def _check_ifaces(egress_iface: str, ifb_iface: str) -> None:
     for name in (egress_iface, ifb_iface):
         if name.split() != [name]:
             raise FormatError(f"interface names must be non-empty, without whitespace: {name!r}")
+    if egress_iface == ifb_iface:  # the redirect would send ingress straight back out
+        raise FormatError(f"the ifb device must differ from the egress interface: {ifb_iface!r}")
 
 
 def render_commands(params: EmulationParams, egress_iface: str, ifb_iface: str) -> list[str]:
@@ -128,29 +132,15 @@ def _signals_held() -> Iterator[None]:
             signal.raise_signal(signum)
 
 
-class ShapingBackend:
-    """Base contract: apply rebuilds any configured state in place; clear is idempotent."""
-
-    def __init__(self) -> None:
-        self.configured: Optional[EmulationParams] = None
-
-    def apply(self, params: EmulationParams) -> None:
-        raise NotImplementedError
-
-    def clear(self) -> None:
-        raise NotImplementedError
-
-
-class _CommandBackend(ShapingBackend):
-    """Shared flow for backends that speak rendered command lines."""
+class _CommandBackend:
+    """Shared flow for backends that speak rendered command lines; a subclass adds ``_execute``."""
 
     def __init__(self, egress_iface: str, ifb_iface: Optional[str] = None) -> None:
-        super().__init__()
+        self.configured: Optional[EmulationParams] = None
         # names are settled once, so an empty one never reaches a command, teardown included
-        ifb_iface = default_ifb() if ifb_iface is None else ifb_iface
         self.egress_iface = egress_iface
-        self.ifb_iface = ifb_iface
-        self._clear_commands = render_clear_commands(egress_iface, ifb_iface)
+        self.ifb_iface = default_ifb() if ifb_iface is None else ifb_iface
+        self._clear_commands = render_clear_commands(egress_iface, self.ifb_iface)
 
     def apply(self, params: EmulationParams) -> None:
         commands = render_commands(params, self.egress_iface, self.ifb_iface)
@@ -178,9 +168,6 @@ class _CommandBackend(ShapingBackend):
             self.configured = None
             if failure is not None:
                 raise failure
-
-    def _execute(self, commands: list[str]) -> None:
-        raise NotImplementedError
 
 
 class DryRunBackend(_CommandBackend):
@@ -254,8 +241,9 @@ class SimulatedLink:
             raise ValueError("link rates must be positive and finite")
         if not np.all((0 <= self.rtt_ms) & (self.rtt_ms < np.inf)):
             raise ValueError("rtt must be nonnegative and finite")
-        if not 0 <= self.setup_rtts < np.inf:
-            raise ValueError("setup_rtts must be nonnegative and finite")
+        # an int beyond the largest float compares below inf, yet overflows when multiplied
+        if not 0 <= self.setup_rtts <= sys.float_info.max:
+            raise ValueError("setup_rtts must be nonnegative and finite as a float")
 
 
 def simulate_download(link: SimulatedLink, size_bytes: float) -> tuple[float, float]:

@@ -78,6 +78,8 @@ def _at_least(low: int):
             raise argparse.ArgumentTypeError(f"{text.strip()!r} is not an integer") from None
         if value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        if value > sys.float_info.max:  # e.g. --setup-rtts would overflow the fluid model
+            raise argparse.ArgumentTypeError("too large for a float")
         return value
 
     return parse
@@ -182,18 +184,9 @@ def _cmd_list_profiles(args: argparse.Namespace) -> int:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     if args.preset and (args.models or args.profile or args.simple or args.period is not None):
-        print(
-            "error: --preset replaces --models/--profile and takes no "
-            "--simple or --period",
-            file=sys.stderr,
-        )
-        return 1
+        args.usage_error("--preset replaces --models/--profile and takes no --simple or --period")
     if not args.preset and (not args.models or not args.profile):
-        print("error: either --preset or both --models and --profile", file=sys.stderr)
-        return 1
-    if args.simple and args.period is not None:
-        print("error: --simple holds constant parameters; --period does not apply", file=sys.stderr)
-        return 1
+        args.usage_error("either --preset or both --models and --profile")
     seed, rng = _seeded(args)
     backend, clock, label = _make_backend(args)
     notes = {"version": __version__, "seed": str(seed), "backend": label}
@@ -320,11 +313,12 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--profile", help="profile key, e.g. specific/norway/telia/4G/good")
     run.add_argument("--preset", metavar="TOOL:NAME", help="static preset instead of a model")
     run.add_argument("--duration", type=float, required=True, help="run length in seconds")
-    run.add_argument("--period", type=float, help="resample every PERIOD seconds")
-    run.add_argument("--simple", action="store_true", help="average-value baseline mode")
+    mode = run.add_mutually_exclusive_group()
+    mode.add_argument("--period", type=float, help="resample every PERIOD seconds")
+    mode.add_argument("--simple", action="store_true", help="average-value baseline mode")
     run.add_argument("--seed", type=_at_least(0))
     run.add_argument("--iface", help="real interface to shape, as root (default: dry run)")
-    run.set_defaults(func=_cmd_run)
+    run.set_defaults(func=_cmd_run, usage_error=run.error)  # no flag sets usage_error
 
     trace = subparsers.add_parser("trace-run", help="run a multi-step scenario file")
     trace.add_argument("--models", required=True)

@@ -17,7 +17,6 @@ from typing import Callable, Dict, Iterable, NamedTuple, Optional, Protocol, Seq
 import numpy as np
 
 from . import kde
-from .backends import ShapingBackend
 from .errors import FormatError, PresetError, ScenarioError
 from .kde import EmulationParams, KdeModel
 from .model_store import ModelBundle
@@ -28,6 +27,14 @@ class Clock(Protocol):
     def now(self) -> float: ...
 
     def sleep(self, seconds: float) -> None: ...
+
+
+class Backend(Protocol):
+    """What a run drives: apply rebuilds any configured state in place; clear is idempotent."""
+
+    def apply(self, params: EmulationParams) -> None: ...
+
+    def clear(self) -> None: ...
 
 
 class MonotonicClock:
@@ -214,7 +221,7 @@ def _sampler(model: KdeModel, rng: np.random.Generator) -> Callable[[], Emulatio
 
 
 def run(
-    segments: Iterable[Segment], backend: ShapingBackend, clock: Optional[Clock] = None
+    segments: Iterable[Segment], backend: Backend, clock: Optional[Clock] = None
 ) -> RunReport:
     """Run the segments back to back; event times count from the first one.
 
@@ -254,7 +261,7 @@ def run(
 
 def run_fixed(
     model: KdeModel,
-    backend: ShapingBackend,
+    backend: Backend,
     duration_s: float,
     rng: np.random.Generator,
     clock: Optional[Clock] = None,
@@ -265,7 +272,7 @@ def run_fixed(
 
 def run_periodic(
     model: KdeModel,
-    backend: ShapingBackend,
+    backend: Backend,
     duration_s: float,
     period_s: float,
     rng: np.random.Generator,
@@ -278,7 +285,7 @@ def run_periodic(
 def run_trace(
     scenario: Sequence[ScenarioStep],
     bundle: ModelBundle,
-    backend: ShapingBackend,
+    backend: Backend,
     rng: np.random.Generator,
     clock: Optional[Clock] = None,
 ) -> RunReport:

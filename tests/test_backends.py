@@ -551,3 +551,17 @@ def test_render_rejects_empty_iface():
         TcBackend("eth0", "")
     with pytest.raises(ValueError):
         DryRunBackend(ifb_iface="")
+
+
+def test_ifb_equal_to_egress_refused_before_any_command():
+    # the ingress redirect would send the interface's traffic straight back out of it
+    executed = []
+    for build in (
+        lambda: TcBackend("eth0", "eth0", runner=executed.append),
+        lambda: DryRunBackend("eth0", "eth0"),
+        lambda: render_commands(PARAMS_BASIC, "eth0", "eth0"),
+        lambda: render_clear_commands("eth0", "eth0"),
+    ):
+        with pytest.raises(FormatError, match="must differ from the egress interface: 'eth0'"):
+            build()
+    assert executed == []

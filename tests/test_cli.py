@@ -334,43 +334,26 @@ def test_run_unknown_preset(capsys):
     assert "available" in capsys.readouterr().err
 
 
-def test_run_flag_conflicts(small_bundle_path, capsys):
-    assert (
-        run_cli(
-            [
-                "run",
-                "--preset",
-                "chrome:3G",
-                "--models",
-                str(small_bundle_path),
-                "--duration",
-                "5",
-            ]
-        )
-        == 1
-    )
-    assert run_cli(["run", "--duration", "5"]) == 1
-    assert (
-        run_cli(
-            [
-                "run",
-                "--models",
-                str(small_bundle_path),
-                "--profile",
-                "specific/norway/telia/4G/good",
-                "--duration",
-                "5",
-                "--simple",
-                "--period",
-                "2",
-            ]
-        )
-        == 1
-    )
-    # a zero period is still a period: it conflicts rather than being ignored
-    simple_zero = ["--models", str(small_bundle_path), "--profile", KEY_TEXT, "--simple"]
-    for flags in (simple_zero, ["--preset", "chrome:3G"]):
-        assert run_cli(["run", *flags, "--duration", "5", "--period", "0"]) == 1
+def test_run_flag_conflicts(tmp_path, capsys):
+    # every conflict is a parser error: the usage line, then the reason, before --models is read
+    models = ["--models", str(tmp_path / "missing")]
+    preset = ["--preset", "chrome:3G"]
+    simple = [*models, "--profile", KEY_TEXT, "--simple"]
+    for flags, reason in [
+        ([*preset, *models], "--preset replaces --models/--profile"),
+        ([*preset, "--period", "2"], "--preset replaces --models/--profile"),
+        ([*preset, "--simple"], "--preset replaces --models/--profile"),
+        (models, "either --preset or both --models and --profile"),
+        ([], "either --preset or both --models and --profile"),
+        ([*simple, "--period", "2"], "argument --period: not allowed with argument --simple"),
+        # a zero period is still a period: it conflicts rather than being ignored
+        ([*simple, "--period", "0"], "argument --period: not allowed with argument --simple"),
+        ([*preset, "--period", "0"], "--preset replaces --models/--profile"),
+    ]:
+        assert run_cli(["run", *flags, "--duration", "5"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: errant run"), flags
+        assert f"errant run: error: {reason}" in err, flags
 
 
 @pytest.mark.parametrize("name", ["SIGINT", "SIGTERM", "SIGHUP"])
@@ -885,6 +868,9 @@ SUBSAMPLE = ["subsample", "--models", "{models}", "--profile", KEY_TEXT]
             id="space-in-iface",
         ),
         pytest.param(RUN_PRESET + ["1", "--iface", "eth0"], "ifb 0", "whitespace", id="space-in-ifb"),
+        # the ingress redirect would send eth0's traffic straight back out of it
+        pytest.param(RUN_PRESET + ["1"], "eth0", "must differ", id="dry-run-ifb-is-egress"),
+        pytest.param(RUN_PRESET + ["1", "--iface", "eth0"], "eth0", "must differ", id="ifb-is-egress"),
         pytest.param(
             SUBSAMPLE + ["--sizes", "10", "--cap", "500"], None, "cap=500", id="cap-above-profile"
         ),
@@ -987,6 +973,9 @@ def test_bug_is_not_reported_as_data_error(tmp_path, two_profile_csv, monkeypatc
         (["build-models", "--input", "{missing}", "--output", "{missing}",
           "--column", "download_kbps=a", "--column", "download_kbps=b"],
          "--column: column download_kbps is mapped twice"),
+        # a float cannot hold it, so the fluid model would overflow
+        (["validate", "--models", "{missing}", "--profile", KEY_TEXT, "--setup-rtts", "1" + "0" * 400],
+         "--setup-rtts: too large for a float"),
     ],
 )
 def test_flag_values_checked_before_input(tmp_path, capsys, argv, expected):

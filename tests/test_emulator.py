@@ -18,7 +18,6 @@ from errant import (
     ProfileKey,
     ScenarioError,
     Segment,
-    ShapingBackend,
     TcBackend,
     VirtualClock,
     fit,
@@ -38,11 +37,10 @@ GOLDEN = Path(__file__).parent / "golden"
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
-class RecordingBackend(ShapingBackend):
+class RecordingBackend:
     """Counts actions; optionally fails on the nth apply or on clear."""
 
     def __init__(self, fail_on_apply=None, fail_on_clear=False):
-        super().__init__()
         self.actions = []
         self.fail_on_apply = fail_on_apply
         self.fail_on_clear = fail_on_clear
@@ -52,13 +50,11 @@ class RecordingBackend(ShapingBackend):
         applies = sum(1 for action, _ in self.actions if action == "apply")
         if self.fail_on_apply is not None and applies >= self.fail_on_apply:
             raise BackendError("injected apply failure")
-        self.configured = params
 
     def clear(self):
         self.actions.append(("clear", None))
         if self.fail_on_clear:
             raise BackendError("injected clear failure")
-        self.configured = None
 
     def count(self, action):
         return sum(1 for name, _ in self.actions if name == action)
