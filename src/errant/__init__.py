@@ -84,7 +84,6 @@ from .model_store import FORMAT_VERSION, ModelBundle, dumps, load, save
 from .profiles import (
     DIMENSIONS,
     DimensionStats,
-    Profile,
     ProfileKey,
     build_profiles,
     dimension_stats,

@@ -38,7 +38,7 @@ from .errors import BackendError, ErrantError, FitError, FormatError, ScenarioEr
 from .ingest import COLUMNS, parse_speedtests, write_rejects
 from .kde import KdeModel, fit, sample_points
 from .model_store import ModelBundle, load, load_model, save
-from .profiles import Profile, ProfileKey, build_profiles, filter_profiles
+from .profiles import ProfileKey, build_profiles, filter_profiles
 from .validation import compare_distributions, subsample_experiment
 
 
@@ -68,8 +68,8 @@ def _parse_size(text: str) -> int:
     return int(size)
 
 
-def _at_least(low: int):
-    """argparse type: an integer no smaller than ``low``."""
+def _at_least(low: int, high: float = float("inf")):
+    """argparse type: an integer no smaller than ``low`` and no larger than ``high``."""
 
     def parse(text: str) -> int:
         try:
@@ -78,6 +78,8 @@ def _at_least(low: int):
             raise argparse.ArgumentTypeError(f"{text.strip()!r} is not an integer") from None
         if value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        if value > high:
+            raise argparse.ArgumentTypeError(f"must be at most {high}, got {value}")
         if value > sys.float_info.max:  # e.g. --setup-rtts would overflow the fluid model
             raise argparse.ArgumentTypeError("too large for a float")
         return value
@@ -154,7 +156,7 @@ def _cmd_build_models(args: argparse.Namespace) -> int:
     models = {}
     for key in sorted(profiles):
         try:
-            models[key] = fit(profiles[key].samples)
+            models[key] = fit(profiles[key])
         except FitError as exc:
             print(f"skipping {key}: {exc}", file=sys.stderr)
     if not models:
@@ -268,9 +270,9 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 def _cmd_subsample(args: argparse.Namespace) -> int:
     seed, rng = _seeded(args)
-    key, model = _profile_model(args)
+    _, model = _profile_model(args)
     report = subsample_experiment(
-        Profile(key, model.points), args.sizes, repetitions=args.reps, cap=args.cap, rng=rng
+        model.points, args.sizes, repetitions=args.reps, cap=args.cap, rng=rng
     )
     csv_text = report.to_csv(comment=f"seed={seed} version={__version__}")
     if args.output:
@@ -285,6 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="errant", description=__doc__)
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     subparsers = parser.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
+    count = _at_least(1, sys.maxsize // 24)  # the most rows numpy shapes as (rows, 3) floats
 
     build = subparsers.add_parser("build-models", help="fit models from a speed-test CSV")
     build.add_argument("--input", required=True, help="speed-test CSV file")
@@ -332,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     validate.add_argument("--models", required=True)
     validate.add_argument("--profile", required=True)
-    validate.add_argument("--downloads", type=_at_least(1), default=1000)
+    validate.add_argument("--downloads", type=count, default=1000)
     validate.add_argument("--object-size", dest="size", type=_parse_size, default="10MB")
     validate.add_argument("--simple", action="store_true")
     validate.add_argument("--setup-rtts", type=_at_least(0), default=2)
@@ -346,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     subsample.add_argument("--models", required=True)
     subsample.add_argument("--profile", required=True)
     subsample.add_argument("--sizes", type=_sizes, default="10,100,1000")
-    subsample.add_argument("--reps", type=_at_least(1), default=100)
+    subsample.add_argument("--reps", type=count, default=100)
     subsample.add_argument("--cap", type=_at_least(1), default=10000)
     subsample.add_argument("--seed", type=_at_least(0))
     subsample.add_argument("--output", help="write the CSV here instead of stdout")

@@ -76,7 +76,8 @@ class SpeedTests:
 
     ``country`` and ``operator`` are lower-cased text, ``rat`` holds the
     :class:`Rat` values ("3G", "4G"), ``rssi`` is in dB and ``samples`` is
-    the (n, 3) float array of (download kbit/s, upload kbit/s, latency ms).
+    the (n, 3) float array of (download kbit/s, upload kbit/s, latency ms),
+    every one finite and strictly positive; construction refuses any other.
     """
 
     country: np.ndarray
@@ -92,6 +93,8 @@ class SpeedTests:
             raise ValueError("every SpeedTests column needs one entry per row")
         if not np.isin(self.rat, [rat.value for rat in Rat]).all():
             raise ValueError("SpeedTests.rat must hold Rat values")
+        if not ((self.samples > 0) & (self.samples < math.inf)).all():  # NaN fails both
+            raise ValueError("SpeedTests.samples must be finite and strictly positive")
 
     def __len__(self) -> int:
         return len(self.samples)

@@ -42,6 +42,14 @@ def _key_line(key: ProfileKey) -> str:
     return f"    {json.dumps(key)}: {{"
 
 
+def _check_points(key_text: str, points: np.ndarray, error: type) -> None:
+    """Raise ``error`` for stored points that ``load`` refuses: one rule for both ways."""
+    if points.ndim != 2 or points.shape[1] != 3 or len(points) < 2:
+        raise error(f"model {key_text}: points must be an (n, 3) array with n >= 2")
+    if not (points > 0).all():
+        raise error(f"model {key_text}: stored points must be positive")
+
+
 def dumps(bundle: ModelBundle) -> str:
     """Serialize a bundle to its canonical text form."""
     lines = [_HEAD + json.dumps(bundle.created) + _AFTER_CREATED]
@@ -50,6 +58,7 @@ def dumps(bundle: ModelBundle) -> str:
         if ProfileKey(key) != key:  # so every saved key reads back as written
             raise FormatError(f"profile key {key!r} would read back as {ProfileKey(key)!r}")
         model = bundle.models[key]
+        _check_points(key, model.points, FormatError)  # so every saved model reads back
         covariance = ", ".join(_floats(model.covariance))
         lines.append(_key_line(key))
         lines.append(f'      "n": {model.n},')
@@ -183,10 +192,7 @@ def _model_from_doc(key_text: str, body: object) -> KdeModel:
     if covariance.shape != (9,):
         raise bad("covariance must hold exactly 9 numbers")
     covariance = covariance.reshape(3, 3)
-    if points.ndim != 2 or points.shape[1] != 3 or len(points) < 2:
-        raise bad("points must be an (n, 3) array with n >= 2")
-    if not (points > 0).all():
-        raise bad("stored points must be positive")
+    _check_points(key_text, points, CorruptModelError)
     if body["n"] != len(points):
         raise bad(f"n={body['n']!r} does not match {len(points)} stored points")
     try:

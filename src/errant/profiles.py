@@ -60,37 +60,14 @@ class ProfileKey(str):
     from_string = classmethod(__new__)  # the older spelling of ProfileKey(text)
 
 
-@dataclass(frozen=True, eq=False)
-class Profile:
-    """A profile key plus its (download, upload, latency) samples.
-
-    ``samples`` is an (n, 3) float array in kbit/s, kbit/s, ms; all values
-    strictly positive.
-    """
-
-    key: ProfileKey
-    samples: np.ndarray
-
-    def __post_init__(self) -> None:
-        samples = np.asarray(self.samples, dtype=float)
-        if samples.ndim != 2 or samples.shape[1] != 3 or samples.shape[0] == 0:
-            raise ValueError("samples must be a non-empty (n, 3) array")
-        if not np.isfinite(samples).all() or not (samples > 0).all():
-            raise ValueError("samples must be finite and strictly positive")
-        object.__setattr__(self, "samples", samples)
-
-    @property
-    def n(self) -> int:
-        return len(self.samples)
-
-
-def build_profiles(tests: SpeedTests) -> Dict[ProfileKey, Profile]:
+def build_profiles(tests: SpeedTests) -> Dict[ProfileKey, np.ndarray]:
     """Group measurements into specific and universal profiles.
 
-    Each measurement contributes its (download, upload, latency) sample to
-    its specific profile and to the matching universal profile. Samples keep
-    their input order, and profiles come in the order their first
-    measurement appears, each specific profile before its universal one.
+    A profile is its key mapped to its rows of ``tests.samples``, an (n, 3)
+    array. Each measurement contributes its sample to its specific profile
+    and to the matching universal profile. Samples keep their input order,
+    and profiles come in the order their first measurement appears, each
+    specific profile before its universal one.
     """
     # a cell is one (rat, quality) pair, numbered rat * 3 + quality; searchsorted
     # puts a value on an edge in the weaker bin, as bin_signal does
@@ -104,27 +81,27 @@ def build_profiles(tests: SpeedTests) -> Dict[ProfileKey, Profile]:
     triples = zip(tests.country.tolist(), tests.operator.tolist(), cell.tolist())
     group = np.array([numbers.setdefault(key, len(numbers)) for key in triples], dtype=np.intp)
     members = np.split(np.argsort(group, kind="stable"), np.cumsum(np.bincount(group))[:-1])
-    profiles: Dict[ProfileKey, Profile] = {}
+    profiles: Dict[ProfileKey, np.ndarray] = {}
     for (country, operator, index), rows in zip(numbers, members):
         rat, level = cell_keys[index]
         text = f"specific/{country}/{operator}/{rat}/{level}"
         key = ProfileKey(text)
         if key != text:  # two spellings of one name would share, and overwrite, a key
             raise FormatError(f"country and operator must be lower-case: {text!r}")
-        profiles[key] = Profile(key, tests.samples[rows])
+        profiles[key] = tests.samples[rows]
         universal = ProfileKey(f"universal/any/any/{rat}/{level}")
         if universal not in profiles:  # this group holds the cell's first row
-            profiles[universal] = Profile(universal, tests.samples[np.flatnonzero(cell == index)])
+            profiles[universal] = tests.samples[np.flatnonzero(cell == index)]
     return profiles
 
 
 def filter_profiles(
-    profiles: Dict[ProfileKey, Profile], min_samples: int = 100
-) -> Dict[ProfileKey, Profile]:
+    profiles: Dict[ProfileKey, np.ndarray], min_samples: int = 100
+) -> Dict[ProfileKey, np.ndarray]:
     """Drop profiles with fewer than ``min_samples`` measurements."""
     if min_samples < 1:
         raise ValueError("min_samples must be at least 1")
-    return {key: prof for key, prof in profiles.items() if prof.n >= min_samples}
+    return {key: samples for key, samples in profiles.items() if len(samples) >= min_samples}
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ from typing import Dict, Iterable, Optional, Tuple
 import numpy as np
 
 from .errors import FormatError
-from .profiles import DIMENSIONS, DimensionStats, Profile, dimension_stats
+from .profiles import DIMENSIONS, DimensionStats, dimension_stats
 
 
 @dataclass(frozen=True)
@@ -67,7 +67,7 @@ class SubsampleReport:
 
 
 def subsample_experiment(
-    profile: Profile,
+    samples: np.ndarray,
     sizes: Iterable[int],
     repetitions: int = 100,
     cap: int = 10000,
@@ -75,11 +75,13 @@ def subsample_experiment(
 ) -> SubsampleReport:
     """Measure how subset size drives the KS distance to a reference set.
 
-    The reference is ``cap`` samples drawn from the profile without
-    replacement; every subset is drawn from the reference, again without
-    replacement, so a subset of size ``cap`` reproduces it exactly (D = 0).
-    D is computed per dimension.
+    ``samples`` is one profile's (n, 3) array, n at least ``cap``. The
+    reference is ``cap`` of its rows drawn without replacement; every subset
+    is drawn from the reference, again without replacement, so a subset of
+    size ``cap`` reproduces it exactly (D = 0). D is computed per dimension.
     """
+    if np.shape(samples)[1:] != (3,):
+        raise FormatError("samples must be an (n, 3) array")
     sizes = sorted(int(size) for size in sizes)
     if not sizes:
         raise FormatError("need at least one subset size")
@@ -92,13 +94,10 @@ def subsample_experiment(
         raise FormatError(f"subset size {sizes[-1]} exceeds cap {cap}")
     if repetitions < 1:
         raise FormatError("repetitions must be positive")
-    if profile.n < cap:
-        raise FormatError(
-            f"profile {profile.key} has {profile.n} samples; "
-            f"need at least cap={cap}"
-        )
+    if len(samples) < cap:
+        raise FormatError(f"the profile has {len(samples)} samples; need at least cap={cap}")
     rng = rng or np.random.default_rng()
-    reference = profile.samples[rng.choice(profile.n, size=cap, replace=False)]
+    reference = samples[rng.choice(len(samples), size=cap, replace=False)]
     # Every subset row is a reference row, so both ECDFs step only at the
     # reference's distinct values. Each row's dense rank among them is enough
     # to count the rows at or below each value: the same counts a

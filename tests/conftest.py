@@ -5,7 +5,7 @@ import io
 import numpy as np
 import pytest
 
-from errant import ModelBundle, Profile, ProfileKey, fit, save
+from errant import ModelBundle, ProfileKey, fit, save
 
 # Synthetic population: lognormal marginals with realistic scales
 # (download ~20 Mbit/s, upload ~8 Mbit/s, latency ~40 ms) and mild
@@ -65,11 +65,3 @@ def profile_rows(n, seed, country="norway", operator="telia", rat="4G", rssi=-70
         f"{row[0]:.3f},{row[1]:.3f},{row[2]:.3f}"
         for i, row in enumerate(data)
     ]
-
-
-@pytest.fixture
-def make_profile():
-    def build(n, seed, key="specific/norway/telia/4G/good"):
-        return Profile(ProfileKey.from_string(key), make_lognormal(n, seed))
-
-    return build

@@ -21,7 +21,6 @@ from errant import (
     DryRunBackend,
     EmulationParams,
     ModelBundle,
-    Profile,
     ProfileKey,
     Rat,
     SignalQuality,
@@ -191,9 +190,8 @@ def test_c03_kde_sampling_fidelity(big_points, big_model):
 
 def test_c04_subsample_shape(big_points):
     start = time.perf_counter()
-    profile = Profile(ProfileKey.from_string(KEY_TEXT), big_points)
     report = subsample_experiment(
-        profile,
+        big_points,
         sizes=(10, 100, 1000, 10000),
         repetitions=100,
         cap=10000,

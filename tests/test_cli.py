@@ -976,6 +976,13 @@ def test_bug_is_not_reported_as_data_error(tmp_path, two_profile_csv, monkeypatc
         # a float cannot hold it, so the fluid model would overflow
         (["validate", "--models", "{missing}", "--profile", KEY_TEXT, "--setup-rtts", "1" + "0" * 400],
          "--setup-rtts: too large for a float"),
+        # counts whose arrays numpy cannot shape
+        (["validate", "--models", "{missing}", "--profile", KEY_TEXT, "--downloads", "1" + "0" * 20],
+         f"--downloads: must be at most {sys.maxsize // 24}, got 1{'0' * 20}"),
+        (["subsample", "--models", "{missing}", "--profile", KEY_TEXT, "--reps", "1" + "0" * 20],
+         "--reps: must be at most"),
+        (["subsample", "--models", "{missing}", "--profile", KEY_TEXT, "--reps", str(sys.maxsize)],
+         "--reps: must be at most"),
     ],
 )
 def test_flag_values_checked_before_input(tmp_path, capsys, argv, expected):
@@ -984,18 +991,33 @@ def test_flag_values_checked_before_input(tmp_path, capsys, argv, expected):
     assert expected in capsys.readouterr().err
 
 
+def _close_after_first_line(argv):
+    """Run errant, read its first stdout line and close the pipe: (line, exit code, stderr)."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parent.parent))
+    with subprocess.Popen([sys.executable, "-m", "errant.cli", *argv], env=env,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as child:
+        line = child.stdout.readline()
+        child.stdout.close()  # the reader goes away, as `| head -1` does
+        stderr = child.stderr.read()
+        return line, child.wait(timeout=60), stderr
+
+
 def test_reader_closing_stdout_ends_quietly(small_bundle_path):
     # 20k lines are far more than a pipe holds, so the write meets the closed end
     argv = ["validate", "--models", str(small_bundle_path), "--profile", KEY_TEXT,
             "--downloads", "20000", "--seed", "1"]
-    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parent.parent))
-    with subprocess.Popen([sys.executable, "-m", "errant.cli", *argv], env=env,
-                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as child:
-        assert child.stdout.readline().startswith(b"# seed=1 ")
-        child.stdout.close()  # the reader goes away, as `| head -1` does
-        stderr = child.stderr.read()
-        assert child.wait(timeout=60) == 0
-    assert stderr == b""
+    line, code, stderr = _close_after_first_line(argv)
+    assert line.startswith(b"# seed=1 ")
+    assert (code, stderr) == (0, b"")
+
+
+def test_run_reader_closing_stdout_ends_quietly(small_bundle_path):
+    # a dry run of 20k applies prints about 10 MB: its report and command log meet the closed end
+    argv = ["run", "--models", str(small_bundle_path), "--profile", KEY_TEXT,
+            "--duration", "20000", "--period", "1", "--seed", "1"]
+    line, code, stderr = _close_after_first_line(argv)
+    assert line.startswith(b"# version=")
+    assert (code, stderr) == (0, b"")
 
 
 @pytest.mark.parametrize("command", [["run", "--duration", "5"], ["validate"], ["subsample"]])

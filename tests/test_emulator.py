@@ -14,7 +14,6 @@ from errant import (
     KdeModel,
     ModelBundle,
     PresetError,
-    Profile,
     ProfileKey,
     ScenarioError,
     Segment,
@@ -133,9 +132,8 @@ def test_unknown_preset_lists_available():
 # --- parameter derivation ---------------------------------------------------
 
 
-def test_simple_params_means_and_latency_std(good_4g_key):
-    profile = Profile(good_4g_key, np.array([[100.0, 50.0, 10.0], [200.0, 150.0, 30.0]]))
-    baseline = simple_params(profile.samples)
+def test_simple_params_means_and_latency_std():
+    baseline = simple_params(np.array([[100.0, 50.0, 10.0], [200.0, 150.0, 30.0]]))
     assert baseline.download_kbps == 150.0
     assert baseline.upload_kbps == 100.0
     assert baseline.latency_ms == 20.0
@@ -283,7 +281,7 @@ def test_same_seed_same_parameter_sequence():
     assert first == second
 
 
-def test_run_holds_preset_and_baseline_params(good_4g_key):
+def test_run_holds_preset_and_baseline_params():
     backend = RecordingBackend()
     params = EmulationParams(750.0, 250.0, 100.0)
     report = run([Segment(5.0, 5.0, lambda: params)], backend, VirtualClock())
@@ -291,13 +289,13 @@ def test_run_holds_preset_and_baseline_params(good_4g_key):
     assert report.applies()[0].params == params
 
     backend = RecordingBackend()
-    profile = Profile(good_4g_key, make_lognormal(50, seed=9))
-    baseline = simple_params(profile.samples)
+    samples = make_lognormal(50, seed=9)
+    baseline = simple_params(samples)
     run([Segment(5.0, 5.0, lambda: baseline)], backend, VirtualClock())
     action, payload = backend.actions[0]
     assert action == "apply"
-    assert payload.latency_ms == profile.samples[:, 2].mean()
-    assert payload.latency_std_ms == profile.samples[:, 2].std()
+    assert payload.latency_ms == samples[:, 2].mean()
+    assert payload.latency_std_ms == samples[:, 2].std()
 
 
 def test_run_chains_segments_on_one_timeline():

@@ -122,13 +122,26 @@ def test_nonfinite_kernel_covariance_rejected_with_profile_name(tmp_path, factor
         load(path)
 
 
-@pytest.mark.parametrize("value", [0.0, -1.0])
+@pytest.mark.parametrize("value", [0.0, -1.0, pytest.param(None, id="one-point")])
 def test_nonpositive_point_rejected_with_profile_name(tmp_path, value):
-    doc = json.loads(dumps(two_model_bundle()))
-    doc["models"][KEY_B]["points"][3][1] = value
+    # save refuses to write a model that load would refuse, with the same words
+    bundle = two_model_bundle()
+    model = bundle.models[KEY_B]
+    points = model.points.copy()
+    if value is None:
+        points, reason = points[:1], "points must be an (n, 3) array with n >= 2"
+    else:
+        points[3, 1], reason = value, "stored points must be positive"
+    bundle.models[KEY_B] = KdeModel(points, model.covariance, model.bandwidth_factor)
+    message = re.escape(f"model {KEY_B}: {reason}")
     path = tmp_path / "m.json"
+    with pytest.raises(FormatError, match=message):
+        save(bundle, path)
+    assert not path.exists()
+    doc = json.loads(dumps(two_model_bundle()))
+    doc["models"][KEY_B].update(n=len(points), points=points.tolist())
     path.write_text(json.dumps(doc))
-    with pytest.raises(CorruptModelError, match=re.escape(f"model {KEY_B}: stored")):
+    with pytest.raises(CorruptModelError, match=message):
         load(path)
 
 def test_unsupported_version_rejected(tmp_path):

@@ -7,7 +7,6 @@ from conftest import make_lognormal
 from errant import (
     FormatError,
     ModelBundle,
-    Profile,
     ProfileKey,
     Rat,
     SpeedTests,
@@ -47,16 +46,16 @@ def test_every_record_in_one_specific_and_one_universal():
     telia = ProfileKey.from_string("specific/norway/telia/4G/good")
     ice = ProfileKey.from_string("specific/norway/ice/4G/good")
     universal = ProfileKey.from_string("universal/any/any/4G/good")
-    assert profiles[telia].n == 2
-    assert profiles[ice].n == 1
-    assert profiles[universal].n == 3
+    assert len(profiles[telia]) == 2
+    assert len(profiles[ice]) == 1
+    assert len(profiles[universal]) == 3
 
 
 def test_universal_pools_across_operators_only_same_rat_quality():
     records = [record(), record(rat=Rat.THREE_G, rssi=-90.0)]
     profiles = build_profiles(speed_tests(records))
-    assert profiles[ProfileKey.from_string("universal/any/any/4G/good")].n == 1
-    assert profiles[ProfileKey.from_string("universal/any/any/3G/ordinary")].n == 1
+    assert len(profiles[ProfileKey.from_string("universal/any/any/4G/good")]) == 1
+    assert len(profiles[ProfileKey.from_string("universal/any/any/3G/ordinary")]) == 1
 
 
 def test_partition_property():
@@ -76,8 +75,8 @@ def test_partition_property():
             )
         )
     profiles = build_profiles(speed_tests(records))
-    specific_total = sum(p.n for p in profiles.values() if p.key.startswith("specific/"))
-    universal_total = sum(p.n for p in profiles.values() if p.key.startswith("universal/"))
+    specific_total = sum(len(p) for key, p in profiles.items() if key.startswith("specific/"))
+    universal_total = sum(len(p) for key, p in profiles.items() if key.startswith("universal/"))
     assert specific_total == 500
     assert universal_total == 500
 
@@ -110,8 +109,7 @@ def test_grouping_matches_per_row_reference():
     profiles = build_profiles(speed_tests(records))
     assert list(profiles) == list(expected)  # first-appearance order
     for key, rows in expected.items():
-        assert profiles[key].key == key
-        assert np.array_equal(profiles[key].samples, np.array(rows))
+        assert np.array_equal(profiles[key], np.array(rows))
     on_edges = {(rat, rssi) for _, _, rat, rssi, _ in records if rssi in edges}
     assert len(on_edges) == 6  # every edge is hit under both RATs
 
@@ -127,22 +125,22 @@ def test_no_rows_give_no_profiles():
     assert build_profiles(empty) == {}
 
 
-def test_filter_boundary_inclusive(make_profile):
-    at_99 = {"k99": make_profile(99, seed=1)}
-    at_100 = {"k100": make_profile(100, seed=2)}
+def test_filter_boundary_inclusive():
+    at_99 = {"k99": make_lognormal(99, seed=1)}
+    at_100 = {"k100": make_lognormal(100, seed=2)}
     assert filter_profiles(at_99) == {}
     assert filter_profiles(at_100) == at_100
 
 
-def test_filter_min_one_keeps_everything(make_profile):
-    profiles = {"a": make_profile(3, seed=1), "b": make_profile(7, seed=2)}
+def test_filter_min_one_keeps_everything():
+    profiles = {"a": make_lognormal(3, seed=1), "b": make_lognormal(7, seed=2)}
     assert filter_profiles(profiles, min_samples=1) == profiles
     with pytest.raises(ValueError, match="at least 1"):
         filter_profiles(profiles, min_samples=0)
 
 
-def test_filter_idempotent(make_profile):
-    profiles = {"a": make_profile(150, seed=1), "b": make_profile(50, seed=2)}
+def test_filter_idempotent():
+    profiles = {"a": make_lognormal(150, seed=1), "b": make_lognormal(50, seed=2)}
     once = filter_profiles(profiles)
     assert filter_profiles(once) == once
 
@@ -181,11 +179,11 @@ def test_quantile_ordering_invariant():
         assert stats.iqr >= 0
 
 
-def test_profile_requires_positive_samples(good_4g_key):
-    with pytest.raises(ValueError):
-        Profile(good_4g_key, np.array([[1.0, 2.0, 0.0]]))
-    with pytest.raises(ValueError):
-        Profile(good_4g_key, np.empty((0, 3)))
+def test_profile_requires_positive_samples():
+    # a profile's samples are rows of SpeedTests.samples, which refuses any other
+    for value in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="finite and strictly positive"):
+            speed_tests([record(), record(values=(1000, 500, value))])
 
 
 def test_profile_key_round_trip():

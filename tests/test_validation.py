@@ -9,7 +9,6 @@ from scipy import stats as scipy_stats
 
 from errant import (
     DIMENSIONS,
-    Profile,
     compare_distributions,
     ks_two_sample,
     subsample_experiment,
@@ -66,20 +65,20 @@ def test_ks_rejects_empty():
         ks_two_sample([], [1.0])
 
 
-def test_subsample_full_size_gives_zero(make_profile):
-    profile = make_profile(600, seed=2)
+def test_subsample_full_size_gives_zero():
+    samples = make_lognormal(600, seed=2)
     report = subsample_experiment(
-        profile, sizes=[500], repetitions=5, cap=500, rng=np.random.default_rng(1)
+        samples, sizes=[500], repetitions=5, cap=500, rng=np.random.default_rng(1)
     )
     for dimension in DIMENSIONS:
         assert report.d_values[(dimension, 500)].max() == 0.0
 
 
-def test_subsample_reproducible(make_profile):
-    profile = make_profile(800, seed=3)
+def test_subsample_reproducible():
+    samples = make_lognormal(800, seed=3)
     reports = [
         subsample_experiment(
-            profile, sizes=[10, 50], repetitions=20, cap=700, rng=np.random.default_rng(9)
+            samples, sizes=[10, 50], repetitions=20, cap=700, rng=np.random.default_rng(9)
         )
         for _ in range(2)
     ]
@@ -87,53 +86,55 @@ def test_subsample_reproducible(make_profile):
         np.testing.assert_array_equal(reports[0].d_values[key], reports[1].d_values[key])
 
 
-def test_subsample_medians_decrease(make_profile):
-    profile = make_profile(3000, seed=4)
+def test_subsample_medians_decrease():
+    samples = make_lognormal(3000, seed=4)
     report = subsample_experiment(
-        profile, sizes=[10, 100, 1000], repetitions=50, cap=2000, rng=np.random.default_rng(5)
+        samples, sizes=[10, 100, 1000], repetitions=50, cap=2000, rng=np.random.default_rng(5)
     )
     for dimension in DIMENSIONS:
         medians = [report.median(dimension, size) for size in (10, 100, 1000)]
         assert medians[0] > medians[1] > medians[2]
 
 
-def test_subsample_validation(make_profile):
-    profile = make_profile(300, seed=6)
+def test_subsample_validation():
+    samples = make_lognormal(300, seed=6)
     rng = np.random.default_rng(7)
-    with pytest.raises(ValueError, match="cap"):
-        subsample_experiment(profile, sizes=[10], cap=500, rng=rng)  # profile too small
+    with pytest.raises(ValueError, match="the profile has 300 samples; need at least cap=500"):
+        subsample_experiment(samples, sizes=[10], cap=500, rng=rng)
     with pytest.raises(ValueError, match="exceeds cap"):
-        subsample_experiment(profile, sizes=[250], cap=200, rng=rng)
+        subsample_experiment(samples, sizes=[250], cap=200, rng=rng)
     with pytest.raises(ValueError):
-        subsample_experiment(profile, sizes=[], cap=200, rng=rng)
+        subsample_experiment(samples, sizes=[], cap=200, rng=rng)
     with pytest.raises(ValueError):
-        subsample_experiment(profile, sizes=[0], cap=200, rng=rng)
+        subsample_experiment(samples, sizes=[0], cap=200, rng=rng)
     with pytest.raises(ValueError, match="subset size 10 is repeated"):
-        subsample_experiment(profile, sizes=[10, 50, 10], cap=200, rng=rng)
+        subsample_experiment(samples, sizes=[10, 50, 10], cap=200, rng=rng)
     with pytest.raises(ValueError, match="repetitions must be positive"):
-        subsample_experiment(profile, sizes=[10], repetitions=0, cap=200, rng=rng)
+        subsample_experiment(samples, sizes=[10], repetitions=0, cap=200, rng=rng)
+    with pytest.raises(ValueError, match=r"samples must be an \(n, 3\) array"):
+        subsample_experiment(samples[:, 0], sizes=[10], cap=200, rng=rng)
 
 
-def _quantized(profile):
-    """The same profile with each dimension rounded up to a few distinct values."""
+def _quantized(samples):
+    """The same samples with each dimension rounded up to a few distinct values."""
     steps = np.array([10000.0, 4000.0, 20.0])
-    return Profile(profile.key, np.ceil(profile.samples / steps) * steps)
+    return np.ceil(samples / steps) * steps
 
 
 @pytest.mark.parametrize("ties", [False, True], ids=["tie-free", "tie-heavy"])
 @pytest.mark.parametrize("n, cap", [(500, 300), (300, 300)])
-def test_subsample_d_equals_plain_ks(make_profile, ties, n, cap):
-    profile = make_profile(n, seed=21)
+def test_subsample_d_equals_plain_ks(ties, n, cap):
+    samples = make_lognormal(n, seed=21)
     if ties:
-        profile = _quantized(profile)
+        samples = _quantized(samples)
     sizes, repetitions = [1, 7, 150, cap], 4
     report = subsample_experiment(
-        profile, sizes, repetitions=repetitions, cap=cap, rng=np.random.default_rng(22)
+        samples, sizes, repetitions=repetitions, cap=cap, rng=np.random.default_rng(22)
     )
     # replay the experiment's draws: the reference first, then one set of
     # picks per repetition, smallest size first
     rng = np.random.default_rng(22)
-    reference = profile.samples[rng.choice(profile.n, size=cap, replace=False)]
+    reference = samples[rng.choice(len(samples), size=cap, replace=False)]
     for size in sizes:
         for repetition in range(repetitions):
             picks = rng.choice(cap, size=size, replace=False)
@@ -142,13 +143,13 @@ def test_subsample_d_equals_plain_ks(make_profile, ties, n, cap):
                 assert report.d_values[(dimension, size)][repetition] == plain.d_statistic
 
 
-def test_subsample_memory_stays_per_repetition(make_profile):
+def test_subsample_memory_stays_per_repetition():
     # one (repetitions, cap) float array alone would take 8 MiB
-    profile = make_profile(10000, seed=23)
+    samples = make_lognormal(10000, seed=23)
     tracemalloc.start()
     try:
         subsample_experiment(
-            profile, [1, 100, 1000], repetitions=100, cap=10000, rng=np.random.default_rng(24)
+            samples, [1, 100, 1000], repetitions=100, cap=10000, rng=np.random.default_rng(24)
         )
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -156,10 +157,10 @@ def test_subsample_memory_stays_per_repetition(make_profile):
     assert peak < 4 * 2**20
 
 
-def test_subsample_csv_layout(make_profile):
-    profile = make_profile(300, seed=8)
+def test_subsample_csv_layout():
+    samples = make_lognormal(300, seed=8)
     report = subsample_experiment(
-        profile, sizes=[10], repetitions=3, cap=200, rng=np.random.default_rng(11)
+        samples, sizes=[10], repetitions=3, cap=200, rng=np.random.default_rng(11)
     )
     lines = report.to_csv(comment="seed=11").splitlines()
     assert lines[0] == "# seed=11"
