@@ -174,13 +174,10 @@ def _cmd_build_models(args: argparse.Namespace) -> int:
 def _cmd_list_profiles(args: argparse.Namespace) -> int:
     bundle = load(args.models)
     print("profile,n,median_download_kbps,median_upload_kbps,median_latency_ms")
+    rows = csv.writer(sys.stdout, lineterminator="\n")  # quotes a key that holds a comma
     for key in sorted(bundle.models):
         model = bundle.models[key]
-        medians = np.median(model.points, axis=0)
-        print(
-            f"{key},{model.n},"
-            f"{float(medians[0])!r},{float(medians[1])!r},{float(medians[2])!r}"
-        )
+        rows.writerow([key, model.n, *np.median(model.points, axis=0).tolist()])
     return 0
 
 

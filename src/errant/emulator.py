@@ -167,7 +167,8 @@ class ScenarioStep:
 def parse_scenario(text: str) -> Tuple[ScenarioStep, ...]:
     """Parse the step-per-line format ``<duration_s>,<profile_key>,<mode>``.
 
-    Mode is ``fixed`` or ``periodic:<seconds>``; ``#`` starts a comment and
+    The key is all between the first and last comma, so a name in it may hold
+    one. Mode is ``fixed`` or ``periodic:<seconds>``; ``#`` starts a comment and
     blank lines are skipped. Errors name the offending line.
     """
     steps = []
@@ -175,11 +176,12 @@ def parse_scenario(text: str) -> Tuple[ScenarioStep, ...]:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        parts = [part.strip() for part in line.split(",")]
-        if len(parts) != 3:
+        parts = line.split(",")
+        if len(parts) < 3:
             raise ScenarioError(
                 f"line {lineno}: expected <duration_s>,<profile_key>,<mode>"
             )
+        parts = [part.strip() for part in (parts[0], ",".join(parts[1:-1]), parts[-1])]
         try:
             duration = float(parts[0])
         except ValueError:

@@ -56,12 +56,25 @@ def silverman_factor(n: int, d: int) -> float:
     return float((n * (d + 2) / 4.0) ** (-1.0 / (d + 4)))
 
 
+def _stored_points(points: np.ndarray) -> np.ndarray:
+    """``points`` as the float array a model stores, or :class:`FitError`: the one rule."""
+    points = np.asarray(points, dtype=float)
+    if points.ndim != 2 or points.shape[1] != 3 or len(points) < 2:
+        raise FitError("points must be an (n, 3) array with n >= 2")
+    if not np.isfinite(points).all():
+        raise FitError("stored points must be finite")
+    if not (points > 0).all():
+        raise FitError("stored points must be positive")
+    return points
+
+
 @dataclass(frozen=True, eq=False)
 class KdeModel:
     """Gaussian-kernel density over stored (download, upload, latency) points.
 
-    Construction factors the kernel covariance ``bandwidth_factor**2 * covariance``
-    once and raises :class:`FitError` if it does not factor: a model that exists can sample.
+    Construction is the one check of what a model may hold: two or more finite, positive
+    points and a kernel covariance ``bandwidth_factor**2 * covariance`` that it factors
+    once. Else it raises :class:`FitError`: a model that exists can be saved and sampled.
     """
 
     points: np.ndarray
@@ -69,14 +82,11 @@ class KdeModel:
     bandwidth_factor: float
 
     def __post_init__(self) -> None:
-        points = np.asarray(self.points, dtype=float)
+        points = _stored_points(self.points)
         covariance = np.asarray(self.covariance, dtype=float)
-        if points.ndim != 2 or points.shape[1] != 3 or points.shape[0] == 0:
-            raise FitError("points must be a non-empty (n, 3) array")
-        if covariance.shape != (3, 3) or not np.allclose(covariance, covariance.T):
-            raise FitError("covariance must be a symmetric 3x3 matrix")
-        if not np.isfinite(points).all() or not np.isfinite(covariance).all():
-            raise FitError("points and covariance must be finite")
+        if not (covariance.shape == (3, 3) and np.isfinite(covariance).all()
+                and np.allclose(covariance, covariance.T)):
+            raise FitError("covariance must be a finite symmetric 3x3 matrix")
         with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN is refused below
             try:  # ``**2``, not np.square: the two round some factors apart, and draws follow it
                 kernel = self.bandwidth_factor**2 * covariance
@@ -100,14 +110,10 @@ class KdeModel:
 def fit(samples: np.ndarray) -> KdeModel:
     """Fit a kernel density model with the rule-of-thumb bandwidth.
 
-    ``samples`` is an (n, 3) array with n >= 2. A dimension with zero variance
-    makes the density degenerate and raises :class:`FitError` naming it.
+    ``samples`` must be points a :class:`KdeModel` may store. A dimension with zero
+    variance makes the density degenerate and raises :class:`FitError` naming it.
     """
-    points = np.asarray(samples, dtype=float)
-    if points.ndim != 2 or points.shape[1] != 3:
-        raise FitError("expected samples with shape (n, 3)")
-    if len(points) < 2:
-        raise FitError("need at least 2 samples to fit a model")
+    points = _stored_points(samples)
     for dimension, variance in zip(DIMENSIONS, points.var(axis=0, ddof=1)):
         if variance == 0.0:
             raise FitError(f"zero variance in {dimension}; cannot fit a density")

@@ -8,6 +8,9 @@ models sorted by profile key, one point per line, and floats written via
 from __future__ import annotations
 
 import json
+import os
+import threading
+from contextlib import suppress
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Union
@@ -42,14 +45,6 @@ def _key_line(key: ProfileKey) -> str:
     return f"    {json.dumps(key)}: {{"
 
 
-def _check_points(key_text: str, points: np.ndarray, error: type) -> None:
-    """Raise ``error`` for stored points that ``load`` refuses: one rule for both ways."""
-    if points.ndim != 2 or points.shape[1] != 3 or len(points) < 2:
-        raise error(f"model {key_text}: points must be an (n, 3) array with n >= 2")
-    if not (points > 0).all():
-        raise error(f"model {key_text}: stored points must be positive")
-
-
 def dumps(bundle: ModelBundle) -> str:
     """Serialize a bundle to its canonical text form."""
     lines = [_HEAD + json.dumps(bundle.created) + _AFTER_CREATED]
@@ -58,7 +53,6 @@ def dumps(bundle: ModelBundle) -> str:
         if ProfileKey(key) != key:  # so every saved key reads back as written
             raise FormatError(f"profile key {key!r} would read back as {ProfileKey(key)!r}")
         model = bundle.models[key]
-        _check_points(key, model.points, FormatError)  # so every saved model reads back
         covariance = ", ".join(_floats(model.covariance))
         lines.append(_key_line(key))
         lines.append(f'      "n": {model.n},')
@@ -76,12 +70,18 @@ def dumps(bundle: ModelBundle) -> str:
 
 
 def save(bundle: ModelBundle, path: Union[str, Path]) -> None:
-    """Write a bundle to ``path`` in the canonical form."""
+    """Write a bundle to ``path`` in the canonical form; a failed save keeps the old file."""
     text = dumps(bundle)
+    # named for this thread, not for the target, whose name may be at the length limit
+    temporary = Path(path).parent / f".errant-{os.getpid()}-{threading.get_ident()}.tmp"
     try:
-        Path(path).write_text(text, encoding="utf-8")
+        temporary.write_text(text, encoding="utf-8")
+        os.replace(temporary, path)
     except OSError as exc:
         raise ModelFileError(f"cannot write model file {path}: {exc}") from exc
+    finally:
+        with suppress(OSError):  # so the error above is the one reported
+            temporary.unlink()
 
 
 def _read_text(path: Union[str, Path]) -> str:
@@ -191,11 +191,10 @@ def _model_from_doc(key_text: str, body: object) -> KdeModel:
         raise bad("covariance and points must be numeric arrays") from None
     if covariance.shape != (9,):
         raise bad("covariance must hold exactly 9 numbers")
-    covariance = covariance.reshape(3, 3)
-    _check_points(key_text, points, CorruptModelError)
-    if body["n"] != len(points):
-        raise bad(f"n={body['n']!r} does not match {len(points)} stored points")
     try:
-        return KdeModel(points=points, covariance=covariance, bandwidth_factor=float(factor))
+        model = KdeModel(points, covariance.reshape(3, 3), float(factor))
     except FitError as exc:
         raise bad(str(exc)) from None
+    if body["n"] != model.n:
+        raise bad(f"n={body['n']!r} does not match {model.n} stored points")
+    return model

@@ -1,5 +1,7 @@
 """Command-line behavior: pipelines, reports, exit codes, determinism."""
 
+import csv
+import io
 import json
 import os
 import re
@@ -204,6 +206,25 @@ def test_list_profiles(small_bundle_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "profile,n,median_download_kbps,median_upload_kbps,median_latency_ms"
     assert lines[1].startswith("specific/norway/telia/4G/good,400,")
+
+
+def test_key_with_a_comma_lists_and_replays(tmp_path, capsys):
+    # a name may hold a comma: the listing quotes such a key, and a scenario step reads it
+    path = tmp_path / "comma.csv"
+    write_csv(path, profile_rows(300, seed=1, operator='"telia, inc"'))
+    models = tmp_path / "m.json"
+    assert run_cli(["build-models", "--input", str(path), "--output", str(models)]) == 0
+    capsys.readouterr()
+    assert run_cli(["list-profiles", "--models", str(models)]) == 0
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    assert {len(row) for row in rows} == {5}
+    key = "specific/norway/telia, inc/4G/good"
+    assert [row[0] for row in rows[1:]] == [key, "universal/any/any/4G/good"]
+    scenario = tmp_path / "route.scenario"
+    scenario.write_text(f"10,{key},fixed\n5, {key} ,periodic:5\n")
+    argv = ["trace-run", "--models", str(models), "--scenario", str(scenario), "--seed", "3"]
+    assert run_cli(argv) == 0
+    assert capsys.readouterr().out.count(",apply,") == 2
 
 
 def test_list_profiles_empty_bundle(tmp_path, capsys):

@@ -180,6 +180,7 @@ def test_parse_scenario_with_comments():
         ("10,specific/a/b/4G/good,periodic:x", "line 1: bad period in 'periodic:x'"),
         ("inf,specific/a/b/4G/good,periodic:1", "line 1: duration"),
         ("", "no steps"),
+        ("10,fixed", "line 1: expected <duration_s>,<profile_key>,<mode>"),
     ],
 )
 def test_parse_scenario_errors(text, fragment):

@@ -53,7 +53,7 @@ def test_fit_needs_two_samples():
 
 @pytest.mark.parametrize("shape", [(10,), (10, 2), (10, 4), (2, 10, 3)])
 def test_fit_and_density_refuse_other_shapes(shape):
-    with pytest.raises(FitError, match=r"shape \(n, 3\)"):
+    with pytest.raises(FitError, match=r"points must be an \(n, 3\) array with n >= 2"):
         fit(np.ones(shape))
     with pytest.raises(ValueError, match=r"batch \(m, 3\)"):
         density(fit(make_lognormal(20, seed=3)), np.ones(shape))
@@ -72,9 +72,10 @@ def test_fit_identical_points_degenerate():
 
 
 def test_density_single_kernel_closed_form():
-    # one kernel evaluated at its own center: (2 pi)^(-3/2) / sqrt(det H)
+    # two kernels on one center, evaluated there: (2 pi)^(-3/2) / sqrt(det H)
     cov = np.diag([4.0, 9.0, 16.0])
-    model = KdeModel(points=np.array([[10.0, 20.0, 30.0]]), covariance=cov, bandwidth_factor=1.0)
+    points = np.array([[10.0, 20.0, 30.0]] * 2)
+    model = KdeModel(points=points, covariance=cov, bandwidth_factor=1.0)
     expected = (2 * np.pi) ** -1.5 / np.sqrt(np.linalg.det(cov))
     assert density(model, np.array([10.0, 20.0, 30.0])) == pytest.approx(expected, rel=1e-12)
 
@@ -156,17 +157,20 @@ def test_sample_returns_params_objects():
     assert all(p.download_kbps > 0 and p.latency_ms > 0 for p in draws)
 
 
-def _pathological_model():
-    # kernels centered deep in the negative orthant never yield positive draws
-    points = np.array(
-        [
-            [-1000.0, -1000.0, -1000.0],
-            [-1001.0, -1000.0, -1000.0],
-            [-1000.0, -1001.0, -1000.0],
-            [-1000.0, -1000.0, -1001.0],
-        ]
+def _correlated_model(correlation):
+    # tiny positive points under unit-variance kernels whose components are
+    # pairwise negatively correlated: a draw is rarely positive in all three
+    points = 1e-3 * np.array(
+        [[1.0, 1.0, 1.0], [1.01, 1.0, 1.0], [1.0, 1.01, 1.0], [1.0, 1.0, 1.01]]
     )
-    return KdeModel(points=points, covariance=np.eye(3), bandwidth_factor=1.0)
+    covariance = np.full((3, 3), correlation)
+    np.fill_diagonal(covariance, 1.0)
+    return KdeModel(points=points, covariance=covariance, bandwidth_factor=1.0)
+
+
+def _pathological_model():
+    # about 0.03% of draws are positive, far below the guard's 1%
+    return _correlated_model(-0.499)
 
 
 def test_pathological_model_raises():
@@ -214,15 +218,7 @@ def test_sample_guard_counts_whole_last_batch():
     # about 1% of proposals survive; with seed 6 the last batch holds more
     # positive rows than the scan keeps, and only counting all of them keeps
     # the acceptance rate above the guard's 1%, as it is for sample_points
-    points = np.array(
-        [
-            [-0.79, -0.79, -0.79],
-            [-0.8, -0.79, -0.79],
-            [-0.79, -0.8, -0.79],
-            [-0.79, -0.79, -0.8],
-        ]
-    )
-    model = KdeModel(points=points, covariance=np.eye(3), bandwidth_factor=1.0)
+    model = _correlated_model(-0.46)
     scan_rng, bulk_rng = np.random.default_rng(6), np.random.default_rng(6)
     scanned = _as_points(sample(model, scan_rng, 10))
     np.testing.assert_array_equal(scanned, sample_points(model, bulk_rng, 10))

@@ -1,15 +1,20 @@
 """Model persistence: canonical layout, round-trips, corruption handling."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 from conftest import make_lognormal
 
+import errant
 from errant import (
     CorruptModelError,
+    FitError,
     FormatError,
     KdeModel,
     ModelBundle,
@@ -122,27 +127,50 @@ def test_nonfinite_kernel_covariance_rejected_with_profile_name(tmp_path, factor
         load(path)
 
 
+def _with_point(points, value):
+    """``points`` with one entry set to ``value``, or only its first point for None."""
+    if value is None:
+        return points[:1]
+    points = points.copy()
+    points[3, 1] = value
+    return points
+
+
 @pytest.mark.parametrize("value", [0.0, -1.0, pytest.param(None, id="one-point")])
 def test_nonpositive_point_rejected_with_profile_name(tmp_path, value):
-    # save refuses to write a model that load would refuse, with the same words
-    bundle = two_model_bundle()
-    model = bundle.models[KEY_B]
-    points = model.points.copy()
+    # a model cannot hold what load refuses, and both refuse it in the same words
+    model = two_model_bundle().models[KEY_B]
+    points = _with_point(model.points, value)
     if value is None:
-        points, reason = points[:1], "points must be an (n, 3) array with n >= 2"
+        reason = "points must be an (n, 3) array with n >= 2"
     else:
-        points[3, 1], reason = value, "stored points must be positive"
-    bundle.models[KEY_B] = KdeModel(points, model.covariance, model.bandwidth_factor)
-    message = re.escape(f"model {KEY_B}: {reason}")
-    path = tmp_path / "m.json"
-    with pytest.raises(FormatError, match=message):
-        save(bundle, path)
-    assert not path.exists()
+        reason = "stored points must be positive"
+    with pytest.raises(FitError, match=f"^{re.escape(reason)}$"):
+        KdeModel(points, model.covariance, model.bandwidth_factor)
     doc = json.loads(dumps(two_model_bundle()))
     doc["models"][KEY_B].update(n=len(points), points=points.tolist())
+    path = tmp_path / "m.json"
     path.write_text(json.dumps(doc))
-    with pytest.raises(CorruptModelError, match=message):
+    with pytest.raises(CorruptModelError, match=re.escape(f"model {KEY_B}: {reason}")):
         load(path)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [0.0, -1.0, pytest.param(None, id="one-point"), np.nan, np.inf, 5.0],
+)
+def test_a_model_that_exists_saves_and_reads_back(tmp_path, value):
+    # KdeModel refuses the points, or the model it builds reads back as saved
+    model = two_model_bundle().models[KEY_B]
+    try:
+        built = KdeModel(_with_point(model.points, value), model.covariance, model.bandwidth_factor)
+    except FitError:
+        return
+    text = dumps(ModelBundle(models={KEY_B: built}))
+    path = tmp_path / "m.json"
+    path.write_text(text)
+    assert dumps(load(path)) == text
+
 
 def test_unsupported_version_rejected(tmp_path):
     path = tmp_path / "m.json"
@@ -162,6 +190,43 @@ def test_garbage_file_rejected(tmp_path):
 def test_missing_file_rejected(tmp_path):
     with pytest.raises(ModelFileError, match="nope.json"):
         load(tmp_path / "nope.json")
+
+
+SAVE_OVER_THE_SIZE_LIMIT = """
+import resource, signal, sys
+from errant import ModelFileError, load, save
+bundle = load(sys.argv[1])
+bundle.created = "later"  # a save that went through would change the file
+signal.signal(signal.SIGXFSZ, signal.SIG_IGN)  # so a write past the limit fails with EFBIG
+resource.setrlimit(resource.RLIMIT_FSIZE, (100_000, resource.getrlimit(resource.RLIMIT_FSIZE)[1]))
+try:
+    save(bundle, sys.argv[1])
+except ModelFileError as exc:
+    print(exc)
+"""
+
+
+def test_failed_save_keeps_the_previous_file(tmp_path):
+    # the child alone runs under the file size limit, which cuts its save short
+    path = tmp_path / "m.json"
+    save(ModelBundle(models={KEY_A: fit(make_lognormal(3000, seed=8))}), path)
+    before = path.read_bytes()
+    assert len(before) > 100_000
+    env = dict(os.environ, PYTHONPATH=str(Path(errant.__file__).parent.parent))
+    child = subprocess.run([sys.executable, "-c", SAVE_OVER_THE_SIZE_LIMIT, str(path)], env=env,
+                           capture_output=True, text=True, timeout=60, check=True)
+    assert child.stdout.startswith(f"cannot write model file {path}: ")
+    assert "File too large" in child.stdout
+    assert path.read_bytes() == before
+    assert [entry.name for entry in tmp_path.iterdir()] == ["m.json"]
+
+
+def test_save_to_a_name_at_the_length_limit(tmp_path):
+    # the temporary file's name does not grow with the target's
+    path = tmp_path / ("m" * 250 + ".json")
+    save(two_model_bundle(), path)
+    assert dumps(load(path)) == dumps(two_model_bundle())
+    assert [entry.name for entry in tmp_path.iterdir()] == [path.name]
 
 
 def test_unwritable_path_rejected(tmp_path):

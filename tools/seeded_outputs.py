@@ -8,14 +8,20 @@ and ``--seed 3``, on the profile ``universal/any/any/4G/good`` where one is
 named. Running it on two checkouts tells whether a change kept the bytes the
 README promises: the stdout of every command, and a model file that
 save -> load -> save reproduces. ``trace-run``'s ``# scenario=`` line names a
-temporary path, so it is left out of that output's md5. Stdlib only; the
-checkout's own code needs numpy.
+temporary path, so it is left out of that output's md5.
+
+It also runs ingest -> fit -> save through the CLI: ``build-models
+--write-rejects`` on the rows of ``bench/datagen.py csv --seed 1 --rows 50000``,
+in the temporary directory, and prints the md5 of its stdout, of its rejects
+file and of the model file it writes, with the file's ``created`` value
+replaced by ``""``. Stdlib only; the checkout's own code needs numpy.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -56,9 +62,10 @@ def main(argv: list[str]) -> int:
     checkout = Path(argv[0]).resolve()
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
 
-    def python(*args: object) -> bytes:
+    def python(*args: object, cwd: object = None) -> bytes:
         command = [sys.executable, *map(str, args)]
-        return subprocess.run(command, env=env, stdout=subprocess.PIPE, check=True).stdout
+        return subprocess.run(command, env=env, cwd=cwd, stdout=subprocess.PIPE,
+                              check=True).stdout
 
     with tempfile.TemporaryDirectory() as scratch:
         bundle = Path(scratch, "bundle.json")
@@ -77,6 +84,14 @@ def main(argv: list[str]) -> int:
         resaved = Path(scratch, "resaved.json")
         python("-c", SAVE_LOAD_SAVE, bundle, resaved)
         print("save-load-save", _md5(resaved.read_bytes()))
+        python(checkout / "bench" / "datagen.py", "csv", "--seed", 1, "--rows", 50000,
+               "--out", "speedtests.csv", cwd=scratch)
+        out = python("-m", "errant.cli", "build-models", "--input", "speedtests.csv",
+                     "--output", "built.json", "--write-rejects", cwd=scratch)
+        print("build-models", _md5(out))
+        print("build-rejects", _md5(Path(scratch, "speedtests.csv.rejects.csv").read_bytes()))
+        built = Path(scratch, "built.json").read_bytes()
+        print("build-model-file", _md5(re.sub(rb'"created": "[^"]*"', b'"created": ""', built, 1)))
     return 0
 
 
