@@ -46,6 +46,7 @@ from .emulator import (
     run_periodic,
     run_trace,
     sample_params,
+    sampler,
     simple_params,
     static_preset,
 )

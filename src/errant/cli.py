@@ -30,7 +30,7 @@ from .emulator import (
     parse_scenario,
     run,
     run_trace,
-    sample_params,
+    sampler,
     simple_params,
     static_preset,
 )
@@ -136,8 +136,7 @@ def _make_backend(args: argparse.Namespace) -> tuple:
 def _print_report(report, backend) -> None:
     sys.stdout.write(report.to_text())
     if isinstance(backend, DryRunBackend):
-        for command in backend.log:
-            print(f"# $ {command}")
+        sys.stdout.write("".join(f"# $ {command}\n" for command in backend.log))
 
 
 def _cmd_build_models(args: argparse.Namespace) -> int:
@@ -203,7 +202,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             draw = lambda: params
         else:
             notes["mode"] = "fixed" if args.period is None else f"periodic:{args.period:g}"
-            draw = lambda: sample_params(model, rng)
+            draw = sampler(model, rng)
     period = args.duration if args.period is None else args.period
     report = run([Segment(args.duration, period, draw)], backend, clock)
     report.notes = notes

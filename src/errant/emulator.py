@@ -12,7 +12,9 @@ import contextlib
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, NamedTuple, Optional, Protocol, Sequence, Tuple
+from typing import (
+    Callable, Dict, Iterable, Iterator, NamedTuple, Optional, Protocol, Sequence, Tuple
+)
 
 import numpy as np
 
@@ -218,8 +220,18 @@ class Segment(NamedTuple):
     draw: Callable[[], EmulationParams]
 
 
-def _sampler(model: KdeModel, rng: np.random.Generator) -> Callable[[], EmulationParams]:
-    return lambda: sample_params(model, rng)
+def sampler(model: KdeModel, rng: np.random.Generator) -> Callable[[], EmulationParams]:
+    """A segment's draw: rows in order from blocks of ``kde.BATCH`` draws.
+
+    A block is drawn only when the previous one runs out. Each segment takes
+    its own draw, so the rest of a block is dropped when the segment ends.
+    """
+
+    def blocks() -> Iterator[EmulationParams]:
+        while True:
+            yield from kde.sample(model, rng, kde.BATCH)
+
+    return blocks().__next__
 
 
 def run(
@@ -281,7 +293,7 @@ def run_periodic(
     clock: Optional[Clock] = None,
 ) -> RunReport:
     """Resample and re-apply every ``period_s`` seconds for ``duration_s`` seconds."""
-    return run([Segment(duration_s, period_s, _sampler(model, rng))], backend, clock)
+    return run([Segment(duration_s, period_s, sampler(model, rng))], backend, clock)
 
 
 def run_trace(
@@ -302,7 +314,7 @@ def run_trace(
             "scenario references profiles missing from the models: " + ", ".join(missing)
         )
     segments = [
-        Segment(step.duration_s, step.period_s, _sampler(bundle.models[step.profile], rng))
+        Segment(step.duration_s, step.period_s, sampler(bundle.models[step.profile], rng))
         for step in scenario
     ]
     return run(segments, backend, clock)

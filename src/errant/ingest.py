@@ -181,7 +181,9 @@ def parse_speedtests(
                 and country != ""
                 and operator != ""
                 and "/" not in country
+                and "#" not in country
                 and "/" not in operator
+                and "#" not in operator
             )
         if valid:
             countries.append(country)
@@ -223,10 +225,12 @@ def _parse_row(row: list[str], positions: dict[str, int], width: int) -> Optiona
     for column in COLUMNS:
         if not raw[column]:
             return f"missing {column}"
-    # "/" separates the parts of a profile key, which must read back as written
+    # "/" separates the parts of a profile key, which must read back as written,
+    # and "#" starts a comment in a trace-run scenario, which must name the key
     for column in ("country", "operator"):
-        if "/" in raw[column]:
-            return f"'/' in {column}"
+        for char in "/#":
+            if char in raw[column]:
+                return f"'{char}' in {column}"
     try:
         Rat(raw["rat"].upper())
     except ValueError:

@@ -19,6 +19,9 @@ from .errors import FitError, PathologicalModelError
 from .profiles import DIMENSIONS
 
 _TWO_PI = 2.0 * np.pi
+# The fewest proposals a draw makes at once, and the rows of one block that a
+# run segment takes its draws from.
+BATCH = 256
 # Acceptance-rate guard: after this many proposals, sampling gives up when
 # fewer than 1% of draws come out strictly positive.
 _REJECTION_WINDOW = 1000
@@ -154,10 +157,10 @@ def density(model: KdeModel, point: np.ndarray) -> Union[float, np.ndarray]:
 def sample_points(model: KdeModel, rng: np.random.Generator, count: int) -> np.ndarray:
     """Draw ``count`` strictly positive points as a (count, 3) array.
 
-    Each draw is a uniformly chosen stored point plus zero-mean kernel noise;
-    draws with any nonpositive component are rejected and redrawn. If fewer
-    than 1% of proposals survive after ``_REJECTION_WINDOW`` of them, the
-    model is declared pathological.
+    Each draw is a uniformly chosen stored point plus zero-mean kernel noise,
+    proposed in batches of at least ``BATCH``; draws with any nonpositive
+    component are rejected and redrawn. If fewer than 1% of proposals survive
+    after ``_REJECTION_WINDOW`` of them, the model is declared pathological.
     """
     if count < 0:
         raise ValueError("count must be nonnegative")
@@ -165,59 +168,25 @@ def sample_points(model: KdeModel, rng: np.random.Generator, count: int) -> np.n
     accepted = 0
     proposed = 0
     while accepted < count:
-        indexes, noise = _proposals(model, rng, count - accepted)
+        batch = max(count - accepted, BATCH)
+        indexes = rng.integers(0, model.n, size=batch)
+        # one batched product, as row by row the sums would round apart; the noise
+        # first, so its temporary is freed before the points are gathered (peak RSS)
+        noise = rng.standard_normal((batch, 3)) @ model._kernel_cholesky.T
         draws = model.points[indexes] + noise
         good = draws[(draws > 0.0).all(axis=1)]
         kept.append(good)
         accepted += len(good)
-        proposed += len(indexes)
-        _check_acceptance(accepted, proposed)
+        proposed += batch
+        if proposed >= _REJECTION_WINDOW and accepted < 0.01 * proposed:
+            rate = 100.0 * (1.0 - accepted / proposed)
+            raise PathologicalModelError(
+                f"{rate:.1f}% of draws rejected after {proposed} proposals; "
+                "model cannot produce strictly positive parameters"
+            )
     return np.concatenate(kept)[:count]
 
 
 def sample(model: KdeModel, rng: np.random.Generator, count: int) -> list[EmulationParams]:
-    """Draw ``count`` strictly positive parameter tuples from the model.
-
-    Makes the same random draws as :func:`sample_points` and returns the same
-    values, leaving ``rng`` in the same state, but scans the proposals in
-    order and stops at the last one it keeps, so a few draws cost far less.
-    """
-    if count < 0:
-        raise ValueError("count must be nonnegative")
-    points = model.points
-    kept: list[EmulationParams] = []
-    proposed = 0
-    while len(kept) < count:
-        indexes, noise = _proposals(model, rng, count - len(kept))
-        accepted = len(kept)  # every earlier batch was scanned in full
-        for index, offset in zip(indexes, noise):
-            down, up, lat = (points[index] + offset).tolist()
-            if down > 0.0 and up > 0.0 and lat > 0.0:
-                kept.append(EmulationParams(down, up, lat))
-                if len(kept) == count:
-                    break
-        proposed += len(indexes)
-        if proposed >= _REJECTION_WINDOW:  # only then can the guard fire
-            # it counts every positive row of the batch, as sample_points does
-            accepted += int(((points[indexes] + noise) > 0.0).all(axis=1).sum())
-            _check_acceptance(accepted, proposed)
-    return kept
-
-
-def _proposals(
-    model: KdeModel, rng: np.random.Generator, missing: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Both samplers' stream: ``max(missing, 256)`` stored-point indexes and their kernel noise."""
-    batch = max(missing, 256)
-    indexes = rng.integers(0, model.n, size=batch)
-    # one batched product: row by row the sums come out in another order
-    return indexes, rng.standard_normal((batch, 3)) @ model._kernel_cholesky.T
-
-
-def _check_acceptance(accepted: int, proposed: int) -> None:
-    if proposed >= _REJECTION_WINDOW and accepted < 0.01 * proposed:
-        rate = 100.0 * (1.0 - accepted / proposed)
-        raise PathologicalModelError(
-            f"{rate:.1f}% of draws rejected after {proposed} proposals; "
-            "model cannot produce strictly positive parameters"
-        )
+    """The rows of :func:`sample_points` as parameter tuples: the same draws and ``rng`` state."""
+    return [EmulationParams(*row) for row in sample_points(model, rng, count).tolist()]

@@ -121,6 +121,33 @@ def test_build_models_rejects_slash_in_names(tmp_path, capsys):
     assert "t/mobile" not in capsys.readouterr().out
 
 
+def test_build_models_rejects_hash_in_names(tmp_path, capsys):
+    # "#" starts a comment in a trace-run scenario, so no scenario could name such a profile
+    path = tmp_path / "hash.csv"
+    rows = profile_rows(30, seed=5)
+    rows += profile_rows(30, seed=6, operator="telia#2")
+    rows += profile_rows(2, seed=7, country="norway#")
+    others = {
+        "9,norway,telia,4G,-70,1000,500,-1": "nonpositive latency",
+        "9,nor/way,telia#2,4G,-70,1000,500,40": "'/' in country",
+        "9,norway,t/mobile,4G,-70,1000,500,40": "'/' in operator",
+        "9,norway,,4G,-70,1000,500,40": "missing operator",
+        "9,norway,telia,5G,-70,1000,500,40": "unknown rat '5G'",
+    }
+    write_csv(path, rows + list(others))
+    out = tmp_path / "m.json"
+    argv = ["build-models", "--input", str(path), "--output", str(out), "--min-samples", "10"]
+    assert run_cli(argv + ["--write-rejects"]) == 0
+    rejects = (tmp_path / "hash.csv.rejects.csv").read_text().splitlines()
+    assert rejects[1:] == (
+        [f"{row},'#' in operator" for row in rows[30:60]]
+        + [f"{row},'#' in country" for row in rows[60:]]
+        + [f"{row},{reason}" for row, reason in others.items()]
+    )
+    assert run_cli(["list-profiles", "--models", str(out)]) == 0
+    assert "#" not in capsys.readouterr().out
+
+
 def test_build_models_skips_zero_variance_profile(tmp_path, capsys):
     path = tmp_path / "flat.csv"
     flat = [re.sub(r",[^,]*$", ",40.000", row) for row in profile_rows(120, seed=9, operator="ice")]
@@ -675,6 +702,8 @@ def _data_rows(stdout, header):
 
 
 def test_run_periodic_draws_one_point_per_apply(small_bundle_path, capsys):
+    # a 600-apply segment takes the first 600 rows of three consecutive
+    # 256-point blocks, in order, from the run's seed
     code = run_cli(
         [
             "run",
@@ -683,7 +712,7 @@ def test_run_periodic_draws_one_point_per_apply(small_bundle_path, capsys):
             "--profile",
             KEY_TEXT,
             "--duration",
-            "30",
+            "1800",
             "--period",
             "3",
             "--seed",
@@ -695,12 +724,11 @@ def test_run_periodic_draws_one_point_per_apply(small_bundle_path, capsys):
         capsys.readouterr().out, "time_s,action,download_kbps,upload_kbps,latency_ms"
     )
     applies = [row for row in rows if row[1] == "apply"]
-    assert len(applies) == 10
+    assert len(applies) == 600
     model = next(iter(load(small_bundle_path).models.values()))
     rng = np.random.default_rng(21)
-    for row in applies:
-        expected = sample_points(model, rng, 1)[0]
-        assert row[2:] == [repr(float(value)) for value in expected]
+    expected = np.concatenate([sample_points(model, rng, 256) for _ in range(3)])[:600]
+    assert [row[2:] for row in applies] == [list(map(repr, point)) for point in expected.tolist()]
 
 
 def test_run_periodic_dry_run_matches_golden(small_bundle_path, capsys):

@@ -13,6 +13,7 @@ from errant import (
     DryRunBackend,
     KdeModel,
     ModelBundle,
+    PathologicalModelError,
     PresetError,
     ProfileKey,
     ScenarioError,
@@ -26,9 +27,12 @@ from errant import (
     run_periodic,
     run_trace,
     sample_params,
+    sample_points,
+    sampler,
     simple_params,
     static_preset,
 )
+from errant import kde
 from errant.emulator import _PRESETS
 from errant.kde import EmulationParams
 
@@ -145,6 +149,21 @@ def test_sample_params_deterministic():
     a = sample_params(model, np.random.default_rng(42))
     b = sample_params(model, np.random.default_rng(42))
     assert a == b
+
+
+def test_sampler_draws_a_block_only_when_one_runs_out(monkeypatch):
+    blocks, original = [], kde.sample
+
+    def counted(model, rng, count):
+        blocks.append(count)
+        return original(model, rng, count)
+
+    monkeypatch.setattr(kde, "sample", counted)
+    draw = sampler(small_model(), np.random.default_rng(8))
+    assert blocks == []  # nothing is drawn before the first apply
+    for _ in range(300):
+        draw()
+    assert blocks == [256, 256]
 
 
 # --- scenario parsing --------------------------------------------------------
@@ -386,6 +405,41 @@ def test_run_trace_timeline():
         ("apply", 20.0),
         ("clear", 25.0),
     ]
+
+
+def test_run_refuses_a_model_below_the_acceptance_guard():
+    # about 0.6% of proposals are positive: one draw often comes from the first
+    # 256, but a block of 256 passes the guard's 1,000-proposal window, so a run
+    # refuses the model at its first draw, as validate's bulk draw does
+    points = 1e-3 * np.array(
+        [[1.0, 1.0, 1.0], [1.01, 1.0, 1.0], [1.0, 1.01, 1.0], [1.0, 1.0, 1.01]]
+    )
+    covariance = np.full((3, 3), -0.48)
+    np.fill_diagonal(covariance, 1.0)
+    model = KdeModel(points=points, covariance=covariance, bandwidth_factor=1.0)
+    backend = RecordingBackend()
+    with pytest.raises(PathologicalModelError):
+        run_fixed(model, backend, 10.0, np.random.default_rng(0), VirtualClock())
+    assert backend.actions == [("clear", None)]
+
+
+def test_run_trace_segments_never_share_a_block():
+    # each segment starts a block of its own and drops the rest of it
+    model = small_model()
+    bundle = ModelBundle(models={ProfileKey("specific/norway/telia/4G/good"): model})
+    scenario = parse_scenario(
+        "6,specific/norway/telia/4G/good,periodic:2\n"
+        "4,specific/norway/telia/4G/good,periodic:2\n"
+    )
+    backend = RecordingBackend()
+    run_trace(scenario, bundle, backend, np.random.default_rng(14), VirtualClock())
+    applied = [params for action, params in backend.actions if action == "apply"]
+    rng = np.random.default_rng(14)
+    first, second = sample_points(model, rng, 256), sample_points(model, rng, 256)
+    expected = np.concatenate([first[:3], second[:2]])
+    np.testing.assert_array_equal(
+        [[p.download_kbps, p.upload_kbps, p.latency_ms] for p in applied], expected
+    )
 
 
 def test_run_trace_dry_run_matches_golden():

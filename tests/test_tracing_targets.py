@@ -40,21 +40,23 @@ def test_bench_tracer_counts_parsed_rows_and_rejects(monkeypatch):
 
 def test_bench_tracer_sees_one_kde_sample_per_apply(monkeypatch):
     # the benchmark's kde.sample_s is the draw's time only while every
-    # resample goes through kde.sample
+    # resample goes through kde.sample: one call per block of 256 applies
     monkeypatch.syspath_prepend(str(BENCH))
     import errant.emulator
     import tracing
 
     model = fit(make_lognormal(100, seed=3))
-    tracer = tracing.Tracer()
-    tracer.install()
-    try:
-        report = errant.emulator.run_periodic(
-            model, DryRunBackend("eth0", "ifb0"), 10.0, 2.0, np.random.default_rng(5), VirtualClock()
-        )
-    finally:
-        tracer.uninstall()
-    assert sum(event.action == "apply" for event in report.events) == 5
-    calls = tracing.SpanSummary(tracer).calls
-    assert calls["emulator.run_periodic"] == 1
-    assert calls["kde.sample"] == 5
+    for applies, blocks in ((5, 1), (300, 2)):
+        tracer = tracing.Tracer()
+        tracer.install()
+        try:
+            report = errant.emulator.run_periodic(
+                model, DryRunBackend("eth0", "ifb0"), 2.0 * applies, 2.0,
+                np.random.default_rng(5), VirtualClock(),
+            )
+        finally:
+            tracer.uninstall()
+        assert sum(event.action == "apply" for event in report.events) == applies
+        calls = tracing.SpanSummary(tracer).calls
+        assert calls["emulator.run_periodic"] == 1
+        assert calls["kde.sample"] == blocks

@@ -40,6 +40,8 @@ COMMANDS = (
     ("list-profiles", ["list-profiles", "--models", "{models}"]),
     ("run-periodic", ["run", "--models", "{models}", "--profile", PROFILE, "--seed", "3",
                       "--duration", "2000", "--period", "1"]),
+    ("run-fixed", ["run", "--models", "{models}", "--profile", PROFILE, "--seed", "3",
+                   "--duration", "20"]),
     ("run-simple", ["run", "--models", "{models}", "--profile", PROFILE, "--seed", "3",
                     "--duration", "20", "--simple"]),
     ("run-preset", ["run", "--preset", "chrome:3G", "--duration", "5", "--seed", "3"]),
