@@ -6,6 +6,8 @@ traffic is redirected to an ifb device where download is limited the same
 way, and the round-trip latency is split half on each side so a full RTT is
 experienced end to end. A netem qdisc under each HTB class adds the delay.
 A resample rebuilds each direction's root in turn and keeps the ifb redirect.
+A backend checks its interface names and renders their text once, when it is
+made; an apply formats only the two rates and the netem clause.
 ``DryRunBackend`` and ``TcBackend`` meet the run loop's ``emulator.Backend`` protocol.
 """
 
@@ -43,13 +45,48 @@ def _kbit(value: float) -> int:
     return max(1, round(value))
 
 
-def _check_ifaces(egress_iface: str, ifb_iface: str) -> None:
-    # a command line is split on whitespace, so a name must be one word (as Linux requires)
-    for name in (egress_iface, ifb_iface):
-        if name.split() != [name]:
-            raise FormatError(f"interface names must be non-empty, without whitespace: {name!r}")
-    if egress_iface == ifb_iface:  # the redirect would send ingress straight back out
-        raise FormatError(f"the ifb device must differ from the egress interface: {ifb_iface!r}")
+class _Renderer:
+    """The command lines for one interface pair, its names checked and its text built once."""
+
+    def __init__(self, egress_iface: str, ifb_iface: str) -> None:
+        names = (egress_iface, ifb_iface)
+        # a command line is split on whitespace, so a name must be one word (as Linux requires)
+        for name in names:
+            if name.split() != [name]:
+                raise FormatError(f"interface names must be non-empty, without whitespace: {name!r}")
+        if egress_iface == ifb_iface:  # the redirect would send ingress straight back out
+            raise FormatError(f"the ifb device must differ from the egress interface: {ifb_iface!r}")
+        self.teardown = [
+            f"tc qdisc del dev {egress_iface} root",
+            f"tc qdisc del dev {egress_iface} ingress",
+            f"tc qdisc del dev {ifb_iface} root",
+        ]
+        roots = [f"tc qdisc add dev {name} root handle 1: htb default 1" for name in names]
+        # what precedes each direction's rate and netem lines: in a first install, the ifb link,
+        # ingress hook and redirect, then the root; in a resample, the root's removal, then the root
+        self._heads = (
+            ([f"ip link set dev {ifb_iface} up",
+              f"tc qdisc add dev {egress_iface} handle ffff: ingress",
+              f"tc filter add dev {egress_iface} parent ffff: "
+              f"matchall action mirred egress redirect dev {ifb_iface}", roots[0]], roots[1:]),
+            ([self.teardown[0], roots[0]], [self.teardown[2], roots[1]]),
+        )
+        self._tails = [
+            (f"tc class add dev {name} parent 1: classid 1:1 htb rate ",
+             f"tc qdisc add dev {name} parent 1:1 handle 10: netem ")
+            for name in names
+        ]
+
+    def render(self, params: EmulationParams, resample: bool = False) -> list[str]:
+        netem = f"delay {_ms(params.latency_ms / 2.0)}ms"
+        if params.latency_std_ms is not None:
+            netem += f" {_ms(params.latency_std_ms / 2.0)}ms distribution normal"
+        egress_head, ifb_head = self._heads[resample]
+        (egress_rate, egress_netem), (ifb_rate, ifb_netem) = self._tails
+        return [
+            *egress_head, f"{egress_rate}{_kbit(params.upload_kbps)}kbit", egress_netem + netem,
+            *ifb_head, f"{ifb_rate}{_kbit(params.download_kbps)}kbit", ifb_netem + netem,
+        ]
 
 
 def render_commands(params: EmulationParams, egress_iface: str, ifb_iface: str) -> list[str]:
@@ -59,34 +96,12 @@ def render_commands(params: EmulationParams, egress_iface: str, ifb_iface: str) 
     it. With ``params.latency_std_ms`` the netem delay becomes normally
     distributed around the mean, its deviation split the same way.
     """
-    _check_ifaces(egress_iface, ifb_iface)
-    netem = f"delay {_ms(params.latency_ms / 2.0)}ms"
-    if params.latency_std_ms is not None:
-        netem += f" {_ms(params.latency_std_ms / 2.0)}ms distribution normal"
-    upload = _kbit(params.upload_kbps)
-    download = _kbit(params.download_kbps)
-    return [
-        f"ip link set dev {ifb_iface} up",
-        f"tc qdisc add dev {egress_iface} handle ffff: ingress",
-        f"tc filter add dev {egress_iface} parent ffff: "
-        f"matchall action mirred egress redirect dev {ifb_iface}",
-        f"tc qdisc add dev {egress_iface} root handle 1: htb default 1",
-        f"tc class add dev {egress_iface} parent 1: classid 1:1 htb rate {upload}kbit",
-        f"tc qdisc add dev {egress_iface} parent 1:1 handle 10: netem {netem}",
-        f"tc qdisc add dev {ifb_iface} root handle 1: htb default 1",
-        f"tc class add dev {ifb_iface} parent 1: classid 1:1 htb rate {download}kbit",
-        f"tc qdisc add dev {ifb_iface} parent 1:1 handle 10: netem {netem}",
-    ]
+    return _Renderer(egress_iface, ifb_iface).render(params)
 
 
 def render_clear_commands(egress_iface: str, ifb_iface: str) -> list[str]:
     """Commands removing every installed rule; failures on absent rules are benign."""
-    _check_ifaces(egress_iface, ifb_iface)
-    return [
-        f"tc qdisc del dev {egress_iface} root",
-        f"tc qdisc del dev {egress_iface} ingress",
-        f"tc qdisc del dev {ifb_iface} root",
-    ]
+    return _Renderer(egress_iface, ifb_iface).teardown
 
 
 # stderr of a removal line whose rule is absent: ENOENT (older kernels, the
@@ -140,14 +155,11 @@ class _CommandBackend:
         # names are settled once, so an empty one never reaches a command, teardown included
         self.egress_iface = egress_iface
         self.ifb_iface = default_ifb() if ifb_iface is None else ifb_iface
-        self._clear_commands = render_clear_commands(egress_iface, self.ifb_iface)
+        self._renderer = _Renderer(egress_iface, self.ifb_iface)
 
     def apply(self, params: EmulationParams) -> None:
-        commands = render_commands(params, self.egress_iface, self.ifb_iface)
-        if self.configured is not None:
-            # resample in place: one direction's root at a time, the other keeps shaping
-            egress_root, _, ifb_root = self._clear_commands
-            commands = [egress_root, *commands[3:6], ifb_root, *commands[6:]]
+        # after the first install, resample in place: one direction's root at a time
+        commands = self._renderer.render(params, resample=self.configured is not None)
         try:
             self._execute(commands)
         except BackendError:
@@ -160,7 +172,7 @@ class _CommandBackend:
             # a teardown runs every line, even past a SIGTERM's SystemExit;
             # the first exception is raised once the last line has run
             failure: Optional[BaseException] = None
-            for command in self._clear_commands:
+            for command in self._renderer.teardown:
                 try:
                     self._execute([command])
                 except BaseException as exc:
@@ -215,7 +227,7 @@ class TcBackend(_CommandBackend):
             status, stderr = self._runner(command)
             # a removal line may find its rule absent, e.g. before the first install
             if status != 0 and not (
-                command in self._clear_commands and any(text in stderr for text in _ABSENT)
+                command in self._renderer.teardown and any(text in stderr for text in _ABSENT)
             ):
                 detail = f" ({stderr})" if stderr else ""
                 raise BackendError(f"command failed with status {status}: {command}{detail}")

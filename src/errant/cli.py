@@ -136,7 +136,7 @@ def _make_backend(args: argparse.Namespace) -> tuple:
 def _print_report(report, backend) -> None:
     sys.stdout.write(report.to_text())
     if isinstance(backend, DryRunBackend):
-        sys.stdout.write("".join(f"# $ {command}\n" for command in backend.log))
+        sys.stdout.write("# $ " + "\n# $ ".join(backend.log) + "\n")
 
 
 def _cmd_build_models(args: argparse.Namespace) -> int:

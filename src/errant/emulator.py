@@ -64,8 +64,7 @@ class VirtualClock:
             self._now += seconds
 
 
-@dataclass(frozen=True)
-class RunEvent:
+class RunEvent(NamedTuple):
     """One backend action: when it happened and what was applied."""
 
     time_s: float
@@ -87,15 +86,11 @@ class RunReport:
         """Comment lines with the run metadata, then one CSV row per event."""
         lines = [f"# {key}={value}" for key, value in self.notes.items()]
         lines.append("time_s,action,download_kbps,upload_kbps,latency_ms")
-        for event in self.events:
-            if event.params is None:
-                lines.append(f"{event.time_s:.3f},{event.action},,,")
-            else:
-                p = event.params
-                lines.append(
-                    f"{event.time_s:.3f},{event.action},"
-                    f"{p.download_kbps!r},{p.upload_kbps!r},{p.latency_ms!r}"
-                )
+        lines += [
+            f"{time_s:.3f},{action},,," if p is None
+            else f"{time_s:.3f},{action},{p.download_kbps!r},{p.upload_kbps!r},{p.latency_ms!r}"
+            for time_s, action, p in self.events
+        ]
         return "\n".join(lines) + "\n"
 
 

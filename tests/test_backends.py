@@ -84,6 +84,8 @@ def test_render_rounds_rates_and_trims_delay():
     assert "rate 1501kbit" in commands[4]
     assert "rate 1kbit" in commands[7]  # rates never render as 0
     assert commands[5].endswith("delay 6.173ms")
+    trimmed = render_commands(EmulationParams(1500.6, 700.4, 40.02), "eth0", "ifb0")
+    assert trimmed[5].endswith("delay 20.01ms")  # 20.010, trailing zero trimmed
 
 
 def test_render_clear_commands():
@@ -148,6 +150,38 @@ def test_tc_backend_runs_commands_in_order():
     )
     backend.clear()
     assert executed[17:] == CLEAR_LINES
+
+
+@pytest.mark.parametrize("kind", ["dry-run", "tc"])
+@pytest.mark.parametrize(
+    "first,second,ifb",
+    [
+        (PARAMS_BASIC, EmulationParams(512.0, 256.0, 200.0), "ifb0"),
+        (EmulationParams(15000.0, 3000.0, 40.0, latency_std_ms=10.0),
+         EmulationParams(900.0, 300.0, 70.0, latency_std_ms=0.5), "ifb0"),
+        # half delays of 20.010 and 0.250 ms render trimmed: 20.01 and 0.25
+        (EmulationParams(1500.6, 700.4, 40.02), EmulationParams(2000.0, 1000.0, 0.5), "ifb0"),
+        (EmulationParams(0.4, 0.6, 1.0), EmulationParams(0.2, 1e-3, 3.0), "ifb0"),  # below 1 kbit
+        (PARAMS_BASIC, EmulationParams(512.0, 256.0, 200.0), "ifb7"),
+    ],
+)
+def test_backend_lines_match_render_commands(kind, first, second, ifb):
+    executed = []
+    if kind == "dry-run":
+        backend = DryRunBackend("eth0", ifb)
+        executed = backend.log
+    else:
+        backend = TcBackend("eth0", ifb, runner=lambda command: executed.append(command) or (0, ""))
+    backend.apply(first)
+    assert executed == render_commands(first, "eth0", ifb)
+    backend.apply(second)
+    # a resample rebuilds each direction's root in turn: egress root del, lines 4-6,
+    # ifb root del, lines 7-9
+    egress_del, _, ifb_del = render_clear_commands("eth0", ifb)
+    install = render_commands(second, "eth0", ifb)
+    assert executed[9:] == [egress_del, *install[3:6], ifb_del, *install[6:9]]
+    backend.clear()
+    assert executed[17:] == render_clear_commands("eth0", ifb)
 
 
 def test_tc_backend_raises_on_failed_install():

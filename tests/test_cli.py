@@ -985,7 +985,7 @@ def test_data_errors_exit_two(small_bundle_path, tmp_path, capsys, monkeypatch, 
     "target,argv",
     [
         ("errant.cli.fit", ["build-models", "--input", "{csv}", "--output", "{out}"]),
-        ("errant.backends.render_commands", ["run", "--preset", "chrome:3G", "--duration", "5"]),
+        ("errant.backends._kbit", ["run", "--preset", "chrome:3G", "--duration", "5"]),
     ],
 )
 def test_bug_is_not_reported_as_data_error(tmp_path, two_profile_csv, monkeypatch, target, argv):

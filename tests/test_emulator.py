@@ -16,6 +16,7 @@ from errant import (
     PathologicalModelError,
     PresetError,
     ProfileKey,
+    RunEvent,
     ScenarioError,
     Segment,
     TcBackend,
@@ -299,6 +300,25 @@ def test_same_seed_same_parameter_sequence():
     first = [event.params for event in reports[0].applies()]
     second = [event.params for event in reports[1].applies()]
     assert first == second
+
+
+def test_run_event_is_an_immutable_record():
+    model = small_model()
+    reports = [
+        run_periodic(model, DryRunBackend(), 50.0, 10.0, np.random.default_rng(8), VirtualClock())
+        for _ in range(2)
+    ]
+    assert reports[0].events == reports[1].events  # same seed, equal events
+    assert RunEvent._fields == ("time_s", "action", "params")
+    first = reports[0].events[0]
+    with pytest.raises(AttributeError):
+        first.params = None
+    time_s, action, params = first
+    assert (time_s, action) == (0.0, "apply") and params == first.params
+    assert reports[0].events[-1] == RunEvent(50.0, "clear")  # params defaults to None
+    applies = reports[0].applies()
+    assert [event.time_s for event in applies] == [0.0, 10.0, 20.0, 30.0, 40.0]
+    assert applies == [event for event in reports[0].events if event.action == "apply"]
 
 
 def test_run_holds_preset_and_baseline_params():

@@ -193,47 +193,43 @@ def _as_points(params):
     return np.array([[p.download_kbps, p.upload_kbps, p.latency_ms] for p in params]).reshape(-1, 3)
 
 
-@pytest.mark.parametrize("kind", ["lognormal", "near_zero"])
-@pytest.mark.parametrize("seed", [1, 2, 3])
-@pytest.mark.parametrize("count", [0, 1, 2, 255, 256, 257, 1000])
-def test_sample_scan_equals_sample_points(kind, seed, count):
-    model = fit(make_lognormal(300, seed=15)) if kind == "lognormal" else _near_zero_model()
-    scan_rng, bulk_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    scanned = _as_points(sample(model, scan_rng, count))
-    np.testing.assert_array_equal(scanned, sample_points(model, bulk_rng, count))
-    assert scan_rng.random() == bulk_rng.random()  # same generator state afterwards
+def _equality_cases():
+    # (count, seed, kind): the lognormal and near-zero models at block-edge counts; the
+    # correlated model, where seed 6 puts more positive rows in the last batch than
+    # count 10 keeps; the pathological model, which both refuse
+    for kind in ("lognormal", "near_zero"):
+        for seed in (1, 2, 3):
+            for count in (0, 1, 2, 255, 256, 257, 1000):
+                yield count, seed, kind
+    yield 10, 6, "correlated"
+    yield 1, 10, "pathological"
+    yield 300, 10, "pathological"
 
 
-def test_sample_single_draws_equal_sample_points_across_rejections():
-    model = _near_zero_model()
-    scan_rng, bulk_rng = np.random.default_rng(4), np.random.default_rng(4)
-    for _ in range(300):
-        np.testing.assert_array_equal(
-            _as_points(sample(model, scan_rng, 1)), sample_points(model, bulk_rng, 1)
-        )
-    assert scan_rng.random() == bulk_rng.random()
-
-
-def test_sample_guard_counts_whole_last_batch():
-    # about 1% of proposals survive; with seed 6 the last batch holds more
-    # positive rows than the scan keeps, and only counting all of them keeps
-    # the acceptance rate above the guard's 1%, as it is for sample_points
-    model = _correlated_model(-0.46)
-    scan_rng, bulk_rng = np.random.default_rng(6), np.random.default_rng(6)
-    scanned = _as_points(sample(model, scan_rng, 10))
-    np.testing.assert_array_equal(scanned, sample_points(model, bulk_rng, 10))
-    assert scan_rng.random() == bulk_rng.random()
-
-
-@pytest.mark.parametrize("count", [1, 300])
-def test_sample_and_sample_points_refuse_pathological_model_alike(count):
-    messages = []
+@pytest.mark.parametrize("count,seed,kind", list(_equality_cases()))
+def test_sample_scan_equals_sample_points(count, seed, kind):
+    # sample gives the rows of sample_points as EmulationParams, from the same generator calls
+    model = {
+        "lognormal": lambda: fit(make_lognormal(300, seed=15)),
+        "near_zero": _near_zero_model,
+        "correlated": lambda: _correlated_model(-0.46),
+        "pathological": _pathological_model,
+    }[kind]()
+    outcomes = []
     for draw in (sample, sample_points):
-        with pytest.raises(PathologicalModelError) as caught:
-            draw(_pathological_model(), np.random.default_rng(10), count)
-        messages.append(str(caught.value))
-    assert messages[0] == messages[1]
-    assert "proposals; model cannot produce strictly positive parameters" in messages[0]
+        rng = np.random.default_rng(seed)
+        try:
+            rows = draw(model, rng, count)
+        except PathologicalModelError as exc:
+            outcomes.append(str(exc))
+        else:
+            rows = _as_points(rows) if draw is sample else rows
+            outcomes.append((rows.tolist(), rng.random()))  # the rows and the state afterwards
+    assert outcomes[0] == outcomes[1]
+    if kind == "pathological":
+        assert "proposals; model cannot produce strictly positive parameters" in outcomes[0]
+    else:
+        assert isinstance(outcomes[0], tuple)  # drawn, not refused
 
 
 def test_sample_count_validation():
