@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import enum
 import math
+from array import array
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Optional
@@ -152,10 +153,11 @@ def parse_speedtests(
     pick = itemgetter(*(positions[column] for column in COLUMNS))
     rats = {rat.value for rat in Rat}
     inf = math.inf
+    shared: dict[str, str] = {}  # one object per distinct name, not one per row
     countries: list[str] = []
     operators: list[str] = []
     rat_values: list[str] = []
-    values: list[float] = []
+    values = array("d")  # compact: rssi, download, upload, latency of each row as 8-byte doubles
     rejects: list[RejectedRow] = []
     for line, row in enumerate(rows, start=2):
         if not row:
@@ -186,14 +188,14 @@ def parse_speedtests(
                 and "#" not in operator
             )
         if valid:
-            countries.append(country)
-            operators.append(operator)
-            rat_values.append(rat)
-            values += (rssi, download, upload, latency)
+            countries.append(shared.setdefault(country, country))
+            operators.append(shared.setdefault(operator, operator))
+            rat_values.append(shared.setdefault(rat, rat))
+            values.extend((rssi, download, upload, latency))
         else:
             reason = _parse_row(row, positions, width)
             rejects.append(RejectedRow(line=line, fields=tuple(row), reason=reason))
-    table = np.array(values, dtype=float).reshape(-1, 4)
+    table = np.frombuffer(values, dtype=float).reshape(-1, 4)
     tests = SpeedTests(
         country=np.array(countries, dtype=str),
         operator=np.array(operators, dtype=str),

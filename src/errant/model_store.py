@@ -3,6 +3,7 @@
 Files are JSON with a canonical layout: top-level keys in a fixed order,
 models sorted by profile key, one point per line, and floats written via
 ``repr`` so that save -> load -> save reproduces the file byte for byte.
+A save writes one model at a time; a refused key or a failed write leaves the old file.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import threading
 from contextlib import suppress
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Union
+from typing import Dict, Iterator, Union
 
 import numpy as np
 
@@ -45,37 +46,45 @@ def _key_line(key: ProfileKey) -> str:
     return f"    {json.dumps(key)}: {{"
 
 
-def dumps(bundle: ModelBundle) -> str:
-    """Serialize a bundle to its canonical text form."""
-    lines = [_HEAD + json.dumps(bundle.created) + _AFTER_CREATED]
+def _pieces(bundle: ModelBundle) -> Iterator[str]:
+    """The canonical text: the head, one piece per model, the tail; refuses a bad key first."""
     keys = sorted(bundle.models)
-    for position, key in enumerate(keys):
+    for key in keys:
         if ProfileKey(key) != key:  # so every saved key reads back as written
             raise FormatError(f"profile key {key!r} would read back as {ProfileKey(key)!r}")
+    yield _HEAD + json.dumps(bundle.created) + _AFTER_CREATED
+    for position, key in enumerate(keys):
         model = bundle.models[key]
         covariance = ", ".join(_floats(model.covariance))
-        lines.append(_key_line(key))
-        lines.append(f'      "n": {model.n},')
-        lines.append(f'      "bandwidth_factor": {float(model.bandwidth_factor)!r},')
-        lines.append(f'      "covariance": [{covariance}],')
-        lines.append('      "points": [')
-        # one "[x, y, z]" line per point, all rendered in a single format call
-        row_format = "        [%s, %s, %s]"
-        lines.append(",\n".join([row_format] * model.n) % tuple(_floats(model.points)))
-        lines.append("      ]")
-        lines.append("    }" + ("," if position < len(keys) - 1 else ""))
-    lines.append("  }")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        lines = [  # the points one "[x, y, z]" line each, rendered in a single format call
+            ("," if position else "") + "\n" + _key_line(key),
+            f'      "n": {model.n},',
+            f'      "bandwidth_factor": {float(model.bandwidth_factor)!r},',
+            f'      "covariance": [{covariance}],',
+            '      "points": [',
+            ",\n".join(["        [%s, %s, %s]"] * model.n) % tuple(_floats(model.points)),
+            "      ]",
+            "    }",
+        ]
+        yield "\n".join(lines)
+    yield "\n  }\n}\n"
+
+
+def dumps(bundle: ModelBundle) -> str:
+    """Serialize a bundle to its canonical text form."""
+    return "".join(_pieces(bundle))
 
 
 def save(bundle: ModelBundle, path: Union[str, Path]) -> None:
-    """Write a bundle to ``path`` in the canonical form; a failed save keeps the old file."""
-    text = dumps(bundle)
+    """Write to ``path`` one model at a time; a refused key or a failed write keeps the old file."""
+    pieces = _pieces(bundle)
+    head = next(pieces)  # refuses a bad key before any file exists
     # named for this thread, not for the target, whose name may be at the length limit
     temporary = Path(path).parent / f".errant-{os.getpid()}-{threading.get_ident()}.tmp"
     try:
-        temporary.write_text(text, encoding="utf-8")
+        with open(temporary, "w", encoding="utf-8") as handle:
+            handle.write(head)
+            handle.writelines(pieces)
         os.replace(temporary, path)
     except OSError as exc:
         raise ModelFileError(f"cannot write model file {path}: {exc}") from exc

@@ -69,6 +69,20 @@ def test_build_models_no_survivors(tmp_path, capsys):
     assert "no profiles survive filter" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "rows",
+    [[], ["1600000000,norway,telia,4G,-70,20000,5000,-3", "1600000001,norway,telia,5G,-70,1,1,1"]],
+    ids=["header-only", "all-rejected"],
+)
+def test_build_models_without_accepted_rows(tmp_path, capsys, rows):
+    path = tmp_path / "none.csv"
+    write_csv(path, rows)
+    code = run_cli(["build-models", "--input", str(path), "--output", str(tmp_path / "m.json")])
+    assert code == 2
+    assert "no profiles survive filter" in capsys.readouterr().err
+    assert not (tmp_path / "m.json").exists()
+
+
 def test_build_models_min_samples_one(tmp_path):
     path = tmp_path / "tiny.csv"
     write_csv(path, profile_rows(10, seed=4))

@@ -2,10 +2,11 @@
 
 import csv
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import CSV_HEADER, csv_stream
+from conftest import CSV_HEADER, csv_stream, profile_rows
 
 from errant import (
     COLUMNS,
@@ -138,6 +139,43 @@ def test_nothing_silently_dropped():
         rows.append(f"{i},no,op,3G,{rssi},1000,500,{latency}")
     tests, rejects = parse_speedtests(csv_stream(rows))
     assert len(tests) + len(rejects) == 300
+
+
+ALL_REJECTED = [
+    "1600000000,norway,telia,4G,-70,20000,5000,-3",
+    "1600000001,norway,telia,5G,-70,20000,5000,40",
+    "1600000002,norway,telia,4G,,20000,5000,40",
+]
+
+
+@pytest.mark.parametrize(
+    "rows,reasons",
+    [([], []), (ALL_REJECTED, ["nonpositive latency", "unknown rat '5G'", "missing metadata"])],
+    ids=["header-only", "all-rejected"],
+)
+def test_no_accepted_row_gives_empty_float_columns(rows, reasons):
+    tests, rejects = parse_speedtests(csv_stream(rows))
+    assert len(tests) == 0
+    assert tests.samples.shape == (0, 3) and tests.samples.dtype == float
+    assert tests.rssi.shape == (0,) and tests.rssi.dtype == float
+    assert [(reject.line, reject.reason) for reject in rejects] == list(enumerate(reasons, 2))
+
+
+def test_parse_memory_stays_compact():
+    # guards the compact storage of accepted rows: their numbers in one buffer of doubles and
+    # one string per distinct name, not three strings and four boxed floats per row
+    rows = []
+    for country in ("norway", "sweden", "denmark", "finland"):
+        rows += profile_rows(5000, seed=len(rows) + 1, country=country)
+    source = csv_stream(rows)
+    tracemalloc.start()
+    try:
+        tests, rejects = parse_speedtests(source)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (len(tests), rejects) == (20000, [])
+    assert peak / len(tests) < 250  # 124 here; three strings and four boxed floats a row read 416
 
 
 def test_write_rejects_appends_reason(tmp_path):

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -217,6 +218,71 @@ def test_failed_save_keeps_the_previous_file(tmp_path):
                            capture_output=True, text=True, timeout=60, check=True)
     assert child.stdout.startswith(f"cannot write model file {path}: ")
     assert "File too large" in child.stdout
+    assert path.read_bytes() == before
+    assert [entry.name for entry in tmp_path.iterdir()] == ["m.json"]
+
+
+def eight_model_bundle():
+    return ModelBundle(
+        models={
+            ProfileKey.from_string(f"specific/country{index}/telia/4G/good"):
+                fit(make_lognormal(2000, seed=index))
+            for index in range(8)
+        },
+        created="2026-08-14T12:00:00+00:00",
+    )
+
+
+@pytest.mark.parametrize(
+    "make_bundle",
+    [lambda: ModelBundle(created="2026-01-01T00:00:00+00:00"),
+     lambda: ModelBundle(models={KEY_A: fit(make_lognormal(120, seed=1))}),
+     eight_model_bundle],
+    ids=["empty", "one-model", "eight-models"],
+)
+def test_save_writes_exactly_dumps(tmp_path, make_bundle):
+    bundle = make_bundle()
+    save(bundle, tmp_path / "m.json")
+    assert (tmp_path / "m.json").read_bytes() == dumps(bundle).encode("utf-8")
+
+
+def test_save_memory_stays_per_model(tmp_path):
+    # guards the streamed save: it holds one model's text at a time, never the whole file's
+    bundle = eight_model_bundle()
+    path = tmp_path / "m.json"
+    tracemalloc.start()
+    try:
+        save(bundle, path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * path.stat().st_size
+
+
+def test_refused_key_keeps_the_previous_file(tmp_path):
+    path = tmp_path / "m.json"
+    save(two_model_bundle(), path)
+    before = path.read_bytes()
+    refused = ModelBundle(models={"specific/norway/telia/4g/good": two_model_bundle().models[KEY_A]})
+    with pytest.raises(FormatError, match="would read back as"):
+        save(refused, path)
+    assert path.read_bytes() == before
+    assert [entry.name for entry in tmp_path.iterdir()] == ["m.json"]
+
+
+def test_failed_replace_keeps_the_previous_file(tmp_path, monkeypatch):
+    path = tmp_path / "m.json"
+    save(two_model_bundle(), path)
+    before = path.read_bytes()
+
+    def refuse(source, target):
+        raise PermissionError(13, "Permission denied")
+
+    monkeypatch.setattr(errant.model_store.os, "replace", refuse)
+    bundle = two_model_bundle()
+    bundle.created = "later"  # a save that went through would change the file
+    with pytest.raises(ModelFileError, match=f"cannot write model file {path}: .*Permission denied"):
+        save(bundle, path)
     assert path.read_bytes() == before
     assert [entry.name for entry in tmp_path.iterdir()] == ["m.json"]
 
