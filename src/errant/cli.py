@@ -1,7 +1,8 @@
 """Command-line surface tying the pipeline together.
 
-Exit codes: 0 success, 1 usage error, 2 data/format error, 3 backend failure,
-128 + signal number (130 Ctrl-C, 143 SIGTERM, 129 SIGHUP) after the clear.
+Exit codes: 0 success, 1 usage error, 2 data/format error or too large for memory,
+3 backend failure, 128 + signal number (130 Ctrl-C, 143 SIGTERM, 129 SIGHUP) after
+the clear.
 Every report CSV starts with a comment line recording the seed and the tool
 version so any randomized run can be replayed.
 """
@@ -374,8 +375,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         # at devnull so the interpreter's exit-time flush stays quiet
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
-    except (ErrantError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ErrantError, OSError, MemoryError) as exc:
+        # a MemoryError is an argument too large for memory, e.g. --reps near its parser cap
+        print(f"error: {exc or 'out of memory'}", file=sys.stderr)
         return 3 if isinstance(exc, BackendError) else 2
     finally:
         for signum, handler in previous.items():

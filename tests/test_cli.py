@@ -1054,6 +1054,23 @@ def test_flag_values_checked_before_input(tmp_path, capsys, argv, expected):
     assert expected in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["subsample", "--reps", str(sys.maxsize // 24), "--cap", "300", "--sizes", "10"],
+        ["validate", "--downloads", str(sys.maxsize // 24)],
+    ],
+    ids=["subsample", "validate"],
+)
+def test_count_too_large_for_memory_is_data_error(small_bundle_path, capsys, argv):
+    # the parser's cap lets these counts through, but numpy refuses their arrays at once
+    argv = [*argv, "--models", str(small_bundle_path), "--profile", KEY_TEXT, "--seed", "1"]
+    assert run_cli(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: Unable to allocate")
+    assert "Traceback" not in err
+
+
 def _close_after_first_line(argv):
     """Run errant, read its first stdout line and close the pipe: (line, exit code, stderr)."""
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parent.parent))

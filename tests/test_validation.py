@@ -157,6 +157,38 @@ def test_subsample_memory_stays_per_repetition():
     assert peak < 4 * 2**20
 
 
+def test_subsample_memory_at_full_size():
+    # at size == cap the repetitions are scored a few at a time, not all 50 at once
+    samples = make_lognormal(10000, seed=23)
+    tracemalloc.start()
+    try:
+        subsample_experiment(
+            samples, [10000], repetitions=50, cap=10000, rng=np.random.default_rng(24)
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
+def test_subsample_d_is_merged_sample_ks_across_blocks():
+    # integer points with many ties; at cap 300 a block holds 109 repetitions of
+    # size 300 and 218 of size 150, so 250 repetitions span several blocks
+    cap, sizes, repetitions = 300, [1, 150, 300], 250
+    samples = np.random.default_rng(31).integers(1, 6, size=(400, 3)).astype(float)
+    report = subsample_experiment(
+        samples, sizes, repetitions=repetitions, cap=cap, rng=np.random.default_rng(32)
+    )
+    rng = np.random.default_rng(32)
+    reference = samples[rng.choice(len(samples), size=cap, replace=False)]
+    for size in sizes:
+        for repetition in range(repetitions):
+            picks = rng.choice(cap, size=size, replace=False)
+            for column, dimension in enumerate(DIMENSIONS):
+                plain = ks_two_sample(reference[picks][:, column], reference[:, column])
+                assert report.d_values[(dimension, size)][repetition] == plain.d_statistic
+
+
 def test_subsample_csv_layout():
     samples = make_lognormal(300, seed=8)
     report = subsample_experiment(

@@ -49,6 +49,9 @@ COMMANDS = (
     ("validate-simple", ["validate", "--models", "{models}", "--profile", PROFILE,
                          "--seed", "3", "--simple"]),
     ("subsample", ["subsample", "--models", "{models}", "--profile", PROFILE, "--seed", "3"]),
+    # size 1, and size == cap, where every D is 0
+    ("subsample-edges", ["subsample", "--models", "{models}", "--profile", PROFILE, "--seed", "3",
+                         "--sizes", "1,2,300", "--reps", "40", "--cap", "300"]),
     ("trace-run", ["trace-run", "--models", "{models}", "--scenario", "{scenario}",
                    "--seed", "3"]),
 )
