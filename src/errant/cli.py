@@ -16,6 +16,7 @@ import re
 import signal
 import sys
 import threading
+from contextlib import nullcontext
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Optional
@@ -231,6 +232,9 @@ def _cmd_trace_run(args: argparse.Namespace) -> int:
     return 0
 
 
+_VALIDATE_CHUNK = 4096  # rows of validate's CSV formatted per write
+
+
 def _cmd_validate(args: argparse.Namespace) -> int:
     seed, rng = _seeded(args)
     _, model = _profile_model(args)
@@ -242,24 +246,27 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     else:
         draws = sample_points(model, rng, args.downloads)
     durations, speeds = simulate_download(SimulatedLink(*draws.T, args.setup_rtts), args.size)
-
-    lines = [
-        f"# seed={seed} version={__version__}",
-        "download,download_kbps,upload_kbps,latency_ms,duration_s,avg_speed_kbps",
-    ]
-    rows = zip(draws.tolist(), durations.tolist(), speeds.tolist())
-    for number, ((down, up, latency), duration, speed) in enumerate(rows, start=1):
-        lines.append(f"{number},{down!r},{up!r},{latency!r},{duration!r},{speed!r}")
-    csv_text = "\n".join(lines) + "\n"
-
     # reference: the stored measurements pushed through the same fluid model
     observed = simulate_download(SimulatedLink(*model.points.T, args.setup_rtts), args.size)[1]
     comparison = compare_distributions(observed, speeds)
+
+    # the rows as text a chunk at a time, so the text held at once does not grow with --downloads
+    target = open(args.output, "w", encoding="utf-8") if args.output else nullcontext(sys.stdout)
+    with target as out:
+        out.write(
+            f"# seed={seed} version={__version__}\n"
+            "download,download_kbps,upload_kbps,latency_ms,duration_s,avg_speed_kbps\n"
+        )
+        for start in range(0, len(speeds), _VALIDATE_CHUNK):
+            chunk = slice(start, start + _VALIDATE_CHUNK)
+            rows = zip(draws[chunk].tolist(), durations[chunk].tolist(), speeds[chunk].tolist())
+            out.write("".join([
+                f"{number},{down!r},{up!r},{latency!r},{duration!r},{speed!r}\n"
+                for number, ((down, up, latency), duration, speed) in enumerate(rows, start + 1)
+            ]))
     if args.output:
-        Path(args.output).write_text(csv_text, encoding="utf-8")
         sys.stdout.write(comparison.to_text())
     else:
-        sys.stdout.write(csv_text)
         for line in comparison.to_text().splitlines():
             print(f"# {line}")
     return 0

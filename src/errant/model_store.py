@@ -4,6 +4,8 @@ Files are JSON with a canonical layout: top-level keys in a fixed order,
 models sorted by profile key, one point per line, and floats written via
 ``repr`` so that save -> load -> save reproduces the file byte for byte.
 A save writes one model at a time; a refused key or a failed write leaves the old file.
+A load turns each model's points into an array as soon as that model is decoded, so it
+needs about the file's text plus one model's nested lists, not every model's.
 """
 
 from __future__ import annotations
@@ -177,6 +179,12 @@ def _object_without_repeats(pairs: list) -> dict:
         names = [name for name, _ in pairs]
         repeated = next(name for name in names if names.count(name) > 1)
         raise CorruptModelError(f"key {repeated!r} appears twice in one object")
+    # a model's points become one array as soon as its object is decoded, so the nested
+    # lists of one model are freed before the next is read; _model_from_doc refuses a
+    # list that does not convert
+    if isinstance(doc.get("points"), list):
+        with suppress(TypeError, ValueError, OverflowError):
+            doc["points"] = np.array(doc["points"], dtype=float)
     return doc
 
 
@@ -195,13 +203,17 @@ def _model_from_doc(key_text: str, body: object) -> KdeModel:
         raise bad("bandwidth_factor must be a number")
     try:
         covariance = np.array(body["covariance"], dtype=float)
-        points = np.array(body["points"], dtype=float)
+        points = np.asarray(body["points"], dtype=float)  # an array already, from the hook
     except (TypeError, ValueError):
         raise bad("covariance and points must be numeric arrays") from None
+    except OverflowError:  # an integer literal beyond the range of a float
+        raise bad("covariance and points must fit in a float") from None
     if covariance.shape != (9,):
         raise bad("covariance must hold exactly 9 numbers")
     try:
         model = KdeModel(points, covariance.reshape(3, 3), float(factor))
+    except OverflowError:
+        raise bad("bandwidth_factor must fit in a float") from None
     except FitError as exc:
         raise bad(str(exc)) from None
     if body["n"] != model.n:

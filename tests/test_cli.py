@@ -9,6 +9,7 @@ import signal
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -784,6 +785,41 @@ def test_validate_rows_follow_draws_through_fluid_formula(small_bundle_path, cap
     assert _data_rows(capsys.readouterr().out, VALIDATE_HEADER) == expected
 
 
+def test_validate_chunks_join_to_the_one_pass_rows(small_bundle_path, tmp_path, capsys,
+                                                  monkeypatch):
+    # two full chunks and one row: the CSV must not lose, repeat or renumber a row at a seam
+    downloads = 2 * cli._VALIDATE_CHUNK + 1
+    argv = ["validate", "--models", str(small_bundle_path), "--profile", KEY_TEXT,
+            "--downloads", str(downloads), "--seed", "25"]
+    outputs = []
+    for chunk in (cli._VALIDATE_CHUNK, downloads):  # as shipped, then every row in one write
+        monkeypatch.setattr(cli, "_VALIDATE_CHUNK", chunk)
+        path = tmp_path / f"{chunk}.csv"
+        assert run_cli(argv) == 0
+        assert run_cli([*argv, "--output", str(path)]) == 0
+        outputs.append((capsys.readouterr().out, path.read_bytes()))
+    assert outputs[0] == outputs[1]
+    model = next(iter(load(small_bundle_path).models.values()))
+    expected = _fluid_rows(sample_points(model, np.random.default_rng(25), downloads))
+    stdout, written = outputs[0]
+    assert _data_rows(stdout, VALIDATE_HEADER) == expected
+    assert _data_rows(written.decode(), VALIDATE_HEADER) == expected
+
+
+def test_validate_memory_stays_per_chunk(small_bundle_path, tmp_path, capsys):
+    # guards the chunked CSV: it holds one chunk's rows as text, never the whole output's
+    argv = ["validate", "--models", str(small_bundle_path), "--profile", KEY_TEXT,
+            "--downloads", "40000", "--seed", "1", "--output", str(tmp_path / "v.csv")]
+    tracemalloc.start()
+    try:
+        code = run_cli(argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 8 * 2**20  # 4.5 MiB here; the whole CSV held as text read 18.4 MiB
+
+
 def test_validate_simple_rows_are_the_means(small_bundle_path, capsys):
     code = run_cli(
         [
@@ -1125,6 +1161,36 @@ def test_run_refuses_model_with_infinite_bandwidth_factor(small_bundle_path, tmp
     assert run_cli(argv) == 2
     err = capsys.readouterr().err
     assert f"model {KEY_TEXT}: bandwidth_factor must be positive" in err
+
+
+HUGE = "1" + "0" * 400  # an integer literal that no float can hold
+
+
+@pytest.mark.parametrize(
+    "pattern,reason",
+    [
+        (r"(        \[)[^,]+", "covariance and points must fit in a float"),
+        (r'("covariance": \[)[^,]+', "covariance and points must fit in a float"),
+        (r'("bandwidth_factor": )[^,]+', "bandwidth_factor must fit in a float"),
+    ],
+    ids=["points", "covariance", "bandwidth_factor"],
+)
+@pytest.mark.parametrize(
+    "command",
+    [["list-profiles"], ["run", "--profile", KEY_TEXT, "--duration", "5", "--seed", "1"]],
+    ids=["list-profiles", "run"],
+)
+def test_number_too_large_for_a_float_is_data_error(small_bundle_path, tmp_path, capsys,
+                                                   pattern, reason, command):
+    # the field's first number becomes HUGE; the layout stays canonical, so `run`
+    # reads only this model and `list-profiles` the whole file
+    text = small_bundle_path.read_text()
+    path = tmp_path / "huge.json"
+    path.write_text(re.sub(pattern, lambda match: match.group(1) + HUGE, text, count=1))
+    assert run_cli([command[0], "--models", str(path), *command[1:]]) == 2
+    err = capsys.readouterr().err
+    assert f"model {KEY_TEXT}: {reason}" in err
+    assert "Traceback" not in err
 
 
 # Each single-profile command, with the arguments that follow --models.

@@ -259,6 +259,27 @@ def test_save_memory_stays_per_model(tmp_path):
     assert peak < 1.5 * path.stat().st_size
 
 
+def test_load_memory_stays_per_model(tmp_path):
+    # guards the per-model decode: a model's points become one array as soon as its object
+    # is read, so only one model's nested lists are alive at a time, never the whole file's
+    models = {
+        ProfileKey(f"specific/{country}/telia/4G/good"):
+            fit(np.round(make_lognormal(5000, seed=index), 3))  # rounded as the bench bundle's
+        for index, country in enumerate(("denmark", "finland", "norway", "sweden"))
+    }
+    path = tmp_path / "m.json"
+    save(ModelBundle(models=models), path)
+    tracemalloc.start()
+    try:
+        bundle = load(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    points = sum(model.n for model in bundle.models.values())
+    assert points == 20000
+    assert peak / points < 130  # 113 here; every model's lists at once read 240
+
+
 def test_refused_key_keeps_the_previous_file(tmp_path):
     path = tmp_path / "m.json"
     save(two_model_bundle(), path)
@@ -310,6 +331,10 @@ def test_unwritable_path_rejected(tmp_path):
         ("covariance", ["x"] * 9, ": covariance and points must be numeric arrays"),
         ("covariance", [1.0] * 8, ": covariance must hold exactly 9 numbers"),
         ("points", [[1.0, 2.0, 3.0]], ": points must be an (n, 3) array with n >= 2"),
+        # lists the decode cannot turn into an array, kept as they are for this check
+        ("points", [[1.0, 2.0, 3.0], [1.0, 2.0]], ": covariance and points must be numeric arrays"),
+        ("points", [["x", 2.0, 3.0]] * 2, ": covariance and points must be numeric arrays"),
+        ("points", [[10**400, 2.0, 3.0]] * 2, ": covariance and points must fit in a float"),
     ],
 )
 def test_malformed_model_object_rejected_with_profile_name(tmp_path, field, value, message):

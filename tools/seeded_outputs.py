@@ -46,6 +46,9 @@ COMMANDS = (
                     "--duration", "20", "--simple"]),
     ("run-preset", ["run", "--preset", "chrome:3G", "--duration", "5", "--seed", "3"]),
     ("validate", ["validate", "--models", "{models}", "--profile", PROFILE, "--seed", "3"]),
+    # 10000 rows: two full chunks of the CSV writer and a part chunk
+    ("validate-chunks", ["validate", "--models", "{models}", "--profile", PROFILE, "--seed", "3",
+                         "--downloads", "10000"]),
     ("validate-simple", ["validate", "--models", "{models}", "--profile", PROFILE,
                          "--seed", "3", "--simple"]),
     ("subsample", ["subsample", "--models", "{models}", "--profile", PROFILE, "--seed", "3"]),
