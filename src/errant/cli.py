@@ -154,6 +154,7 @@ def _cmd_build_models(args: argparse.Namespace) -> int:
             write_rejects(rejects, rejects_path, header)
             print(f"wrote {rejects_path}", file=sys.stderr)
     profiles = filter_profiles(build_profiles(tests), args.min_samples)
+    del tests, rejects  # the profiles hold copies of their rows; fit and save need no more
     models = {}
     for key in sorted(profiles):
         try:

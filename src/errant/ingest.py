@@ -4,6 +4,10 @@ The canonical input schema is one measurement per row with the columns
 ``timestamp, country, operator, rat, rssi, download_kbps, upload_kbps,
 latency_ms``. Files using different column names can be read by passing a
 schema mapping from canonical names to the names actually present.
+
+Accepted rows are held compactly: each distinct (country, operator, rat) name
+once, checked and normalized once per distinct raw triple of cells, and per
+row only an integer code for its name and four doubles.
 """
 
 from __future__ import annotations
@@ -61,6 +65,9 @@ _BIN_EDGES = {
 }
 
 
+_RATS = frozenset(rat.value for rat in Rat)
+
+
 def bin_signal(rat: Rat, rssi: float) -> SignalQuality:
     """Map a signal strength in dB to a quality level for the given RAT."""
     bad_upper, ordinary_upper = _BIN_EDGES[rat]
@@ -73,27 +80,31 @@ def bin_signal(rat: Rat, rssi: float) -> SignalQuality:
 
 @dataclass(frozen=True, eq=False)
 class SpeedTests:
-    """Validated speed-test measurements, one entry per row in every column.
+    """Validated speed-test measurements: each distinct name once, then one entry per row.
 
-    ``country`` and ``operator`` are lower-cased text, ``rat`` holds the
-    :class:`Rat` values ("3G", "4G"), ``rssi`` is in dB and ``samples`` is
-    the (n, 3) float array of (download kbit/s, upload kbit/s, latency ms),
-    every one finite and strictly positive; construction refuses any other.
+    ``names`` lists each distinct (country, operator, rat) once: country and
+    operator lower-case text, rat a :class:`Rat` value ("3G", "4G"). Row ``i``
+    has the name ``names[name_index[i]]``, its rssi in dB ``rssi[i]`` and its
+    (download kbit/s, upload kbit/s, latency ms) ``samples[i]``, every one finite
+    and strictly positive; construction refuses any other.
     """
 
-    country: np.ndarray
-    operator: np.ndarray
-    rat: np.ndarray
+    names: tuple[tuple[str, str, str], ...]
+    name_index: np.ndarray
     rssi: np.ndarray
     samples: np.ndarray
 
     def __post_init__(self) -> None:
         n = len(self.samples)
-        columns = (self.country, self.operator, self.rat, self.rssi)
-        if np.shape(self.samples) != (n, 3) or any(len(column) != n for column in columns):
+        if np.shape(self.samples) != (n, 3) or len(self.name_index) != n or len(self.rssi) != n:
             raise ValueError("every SpeedTests column needs one entry per row")
-        if not np.isin(self.rat, [rat.value for rat in Rat]).all():
-            raise ValueError("SpeedTests.rat must hold Rat values")
+        if len(set(self.names)) != len(self.names):
+            raise ValueError("SpeedTests.names must be distinct")
+        if any(rat not in _RATS for _, _, rat in self.names):
+            raise ValueError("SpeedTests.names must hold Rat values")
+        index = np.asarray(self.name_index)
+        if index.dtype.kind not in "iu" or ((index < 0) | (index >= len(self.names))).any():
+            raise ValueError("SpeedTests.name_index must number entries of names")
         if not ((self.samples > 0) & (self.samples < math.inf)).all():  # NaN fails both
             raise ValueError("SpeedTests.samples must be finite and strictly positive")
 
@@ -151,12 +162,10 @@ def parse_speedtests(
     width = max(positions.values()) + 1
     # raises IndexError exactly when the row is shorter than ``width``
     pick = itemgetter(*(positions[column] for column in COLUMNS))
-    rats = {rat.value for rat in Rat}
     inf = math.inf
-    shared: dict[str, str] = {}  # one object per distinct name, not one per row
-    countries: list[str] = []
-    operators: list[str] = []
-    rat_values: list[str] = []
+    names: dict[tuple[str, str, str], int] = {}  # each accepted name and its code
+    codes: dict[tuple[str, str, str], int] = {}  # each raw triple of name cells: its code, or -1
+    name_index = array("i")  # compact: the code of each accepted row's name
     values = array("d")  # compact: rssi, download, upload, latency of each row as 8-byte doubles
     rejects: list[RejectedRow] = []
     for line, row in enumerate(rows, start=2):
@@ -169,41 +178,47 @@ def parse_speedtests(
             timestamp, rssi = float(timestamp), float(rssi)
             download, upload, latency = float(download), float(upload), float(latency)
         except (IndexError, ValueError):
-            valid = False
+            code = -1
         else:
-            country, operator = country.strip().lower(), operator.strip().lower()
-            rat = rat.strip().upper()
-            valid = (
+            if (
                 -inf < timestamp < inf
                 and -inf < rssi <= 0
                 and 0 < download < inf
                 and 0 < upload < inf
                 and 0 < latency < inf
-                and rat in rats
-                and country != ""
-                and operator != ""
-                and "/" not in country
-                and "#" not in country
-                and "/" not in operator
-                and "#" not in operator
-            )
-        if valid:
-            countries.append(shared.setdefault(country, country))
-            operators.append(shared.setdefault(operator, operator))
-            rat_values.append(shared.setdefault(rat, rat))
+            ):
+                code = codes.get((country, operator, rat))
+                if code is None:
+                    code = codes[country, operator, rat] = _name_code(country, operator, rat, names)
+            else:
+                code = -1
+        if code >= 0:
+            name_index.append(code)
             values.extend((rssi, download, upload, latency))
         else:
             reason = _parse_row(row, positions, width)
             rejects.append(RejectedRow(line=line, fields=tuple(row), reason=reason))
     table = np.frombuffer(values, dtype=float).reshape(-1, 4)
     tests = SpeedTests(
-        country=np.array(countries, dtype=str),
-        operator=np.array(operators, dtype=str),
-        rat=np.array(rat_values, dtype=str),
+        names=tuple(names),
+        name_index=np.frombuffer(name_index, dtype=np.intc),
         rssi=table[:, 0],
         samples=table[:, 1:],
     )
     return tests, rejects
+
+
+def _name_code(country: str, operator: str, rat: str, names: dict) -> int:
+    """The code of a row's normalized name, numbered in ``names`` on first sight, or -1."""
+    country, operator, rat = country.strip(), operator.strip(), rat.strip().upper()
+    if not (rat in _RATS and _valid_name(country) and _valid_name(operator)):
+        return -1
+    return names.setdefault((country.lower(), operator.lower(), rat), len(names))
+
+
+def _valid_name(name: str) -> bool:
+    # the fast form of _parse_row's checks of a stripped country or operator
+    return name != "" and "/" not in name and "#" not in name and name.isprintable()
 
 
 def _rows(reader) -> Iterator[list[str]]:
@@ -228,11 +243,14 @@ def _parse_row(row: list[str], positions: dict[str, int], width: int) -> Optiona
         if not raw[column]:
             return f"missing {column}"
     # "/" separates the parts of a profile key, which must read back as written,
-    # and "#" starts a comment in a trace-run scenario, which must name the key
+    # "#" starts a comment in a trace-run scenario, which must name the key, and
+    # a key must print on one line and pass as an argument
     for column in ("country", "operator"):
         for char in "/#":
             if char in raw[column]:
                 return f"'{char}' in {column}"
+        if not raw[column].isprintable():
+            return f"unprintable character in {column}"
     try:
         Rat(raw["rat"].upper())
     except ValueError:

@@ -3,7 +3,7 @@
 Files are JSON with a canonical layout: top-level keys in a fixed order,
 models sorted by profile key, one point per line, and floats written via
 ``repr`` so that save -> load -> save reproduces the file byte for byte.
-A save writes one model at a time; a refused key or a failed write leaves the old file.
+A save writes a block of points at a time; a refused key or a failed write leaves the old file.
 A load turns each model's points into an array as soon as that model is decoded, so it
 needs about the file's text plus one model's nested lists, not every model's.
 """
@@ -29,6 +29,8 @@ FORMAT_VERSION = 1
 # the canonical text up to the created value, and what follows that value
 _HEAD = f'{{\n  "format_version": {FORMAT_VERSION},\n  "created": '
 _AFTER_CREATED = ',\n  "models": {'
+_POINT = "        [%s, %s, %s]"
+_BLOCK = 2048  # points rendered at a time, so a save holds one block's text, not one model's
 
 
 @dataclass
@@ -49,7 +51,7 @@ def _key_line(key: ProfileKey) -> str:
 
 
 def _pieces(bundle: ModelBundle) -> Iterator[str]:
-    """The canonical text: the head, one piece per model, the tail; refuses a bad key first."""
+    """The canonical text in pieces of at most a block of points; refuses a bad key first."""
     keys = sorted(bundle.models)
     for key in keys:
         if ProfileKey(key) != key:  # so every saved key reads back as written
@@ -58,17 +60,18 @@ def _pieces(bundle: ModelBundle) -> Iterator[str]:
     for position, key in enumerate(keys):
         model = bundle.models[key]
         covariance = ", ".join(_floats(model.covariance))
-        lines = [  # the points one "[x, y, z]" line each, rendered in a single format call
+        yield "\n".join([
             ("," if position else "") + "\n" + _key_line(key),
             f'      "n": {model.n},',
             f'      "bandwidth_factor": {float(model.bandwidth_factor)!r},',
             f'      "covariance": [{covariance}],',
-            '      "points": [',
-            ",\n".join(["        [%s, %s, %s]"] * model.n) % tuple(_floats(model.points)),
-            "      ]",
-            "    }",
-        ]
-        yield "\n".join(lines)
+            '      "points": [\n',
+        ])
+        # the points one "[x, y, z]" line each, a block of them rendered in one format call
+        for start in range(0, model.n, _BLOCK):
+            block = _floats(model.points[start:start + _BLOCK])
+            yield (",\n" if start else "") + ",\n".join([_POINT] * (len(block) // 3)) % tuple(block)
+        yield "\n      ]\n    }"
     yield "\n  }\n}\n"
 
 
@@ -78,7 +81,7 @@ def dumps(bundle: ModelBundle) -> str:
 
 
 def save(bundle: ModelBundle, path: Union[str, Path]) -> None:
-    """Write to ``path`` one model at a time; a refused key or a failed write keeps the old file."""
+    """Write to ``path`` in blocks of points; a refused key or a failed write keeps the old file."""
     pieces = _pieces(bundle)
     head = next(pieces)  # refuses a bad key before any file exists
     # named for this thread, not for the target, whose name may be at the length limit

@@ -40,6 +40,8 @@ class ProfileKey(str):
 
     def __new__(cls, text: str) -> "ProfileKey":
         parts = text.strip().split("/")
+        if not all(map(str.isprintable, parts)):  # a key prints on one line, passes as an argument
+            raise FormatError(f"unprintable character in profile key {text!r}")
         if len(parts) != 5:
             raise FormatError(
                 f"bad profile key {text!r}; expected "
@@ -72,23 +74,31 @@ def build_profiles(tests: SpeedTests) -> Dict[ProfileKey, np.ndarray]:
     # a cell is one (rat, quality) pair, numbered rat * 3 + quality; searchsorted
     # puts a value on an edge in the weaker bin, as bin_signal does
     cell_keys = [(rat, level) for rat in _BIN_EDGES for level in SignalQuality]
-    cell = np.empty(len(tests), dtype=np.intp)
-    for index, (rat, edges) in enumerate(_BIN_EDGES.items()):
-        rows = tests.rat == rat.value
-        cell[rows] = index * len(SignalQuality) + np.searchsorted(edges, tests.rssi[rows])
-    # number each (country, operator, cell) in the order its first row appears
-    numbers: Dict[tuple[str, str, int], int] = {}
-    triples = zip(tests.country.tolist(), tests.operator.tolist(), cell.tolist())
-    group = np.array([numbers.setdefault(key, len(numbers)) for key in triples], dtype=np.intp)
-    members = np.split(np.argsort(group, kind="stable"), np.cumsum(np.bincount(group))[:-1])
+    rat_number = {rat.value: number for number, rat in enumerate(_BIN_EDGES)}
+    name_rat = np.array([rat_number[rat] for _, _, rat in tests.names], dtype=np.int8)
+    row_rat = name_rat[tests.name_index]
+    cell = row_rat * len(SignalQuality)
+    for index, edges in enumerate(_BIN_EDGES.values()):
+        rows = row_rat == index
+        cell[rows] += np.searchsorted(edges, tests.rssi[rows])
+    # a group is one (name, cell); a stable sort lists each group's rows in input order,
+    # and a group's first row places its profile
+    group = tests.name_index.astype(np.intp)  # so a narrow index type cannot overflow
+    group *= len(cell_keys)
+    group += cell
+    rows = np.argsort(group, kind="stable")
+    group = group[rows]
+    starts = np.flatnonzero(np.diff(group, prepend=-1))
+    members = np.split(rows, starts[1:])
     profiles: Dict[ProfileKey, np.ndarray] = {}
-    for (country, operator, index), rows in zip(numbers, members):
-        rat, level = cell_keys[index]
+    for position in np.argsort(rows[starts]).tolist():
+        name, index = divmod(int(group[starts[position]]), len(cell_keys))
+        (country, operator, _), (rat, level) = tests.names[name], cell_keys[index]
         text = f"specific/{country}/{operator}/{rat}/{level}"
         key = ProfileKey(text)
         if key != text:  # two spellings of one name would share, and overwrite, a key
             raise FormatError(f"country and operator must be lower-case: {text!r}")
-        profiles[key] = tests.samples[rows]
+        profiles[key] = tests.samples[members[position]]
         universal = ProfileKey(f"universal/any/any/{rat}/{level}")
         if universal not in profiles:  # this group holds the cell's first row
             profiles[universal] = tests.samples[np.flatnonzero(cell == index)]

@@ -14,6 +14,7 @@ from errant import (
     Rat,
     SignalQuality,
     bin_signal,
+    build_profiles,
     SpeedTests,
     parse_speedtests,
     write_rejects,
@@ -27,9 +28,8 @@ def test_parse_accepts_valid_row():
     tests, rejects = parse_speedtests(csv_stream([GOOD_ROW]))
     assert rejects == []
     assert len(tests) == 1
-    assert tests.country[0] == "norway"
-    assert tests.operator[0] == "telia"
-    assert tests.rat[0] == Rat.FOUR_G
+    assert tests.names == (("norway", "telia", Rat.FOUR_G),)
+    assert tests.name_index.tolist() == [0]
     assert tests.rssi[0] == -70.0
     assert tests.samples[0, 0] == 20000.0
     assert tests.samples[0, 1] == 5000.0
@@ -37,10 +37,11 @@ def test_parse_accepts_valid_row():
 
 
 def test_country_operator_normalized():
-    tests, _ = parse_speedtests(csv_stream(["1,  NORway , TELIA ,4g,-70,1,1,1"]))
-    assert tests.country[0] == "norway"
-    assert tests.operator[0] == "telia"
-    assert tests.rat[0] == Rat.FOUR_G
+    tests, _ = parse_speedtests(
+        csv_stream(["1,  NORway , TELIA ,4g,-70,1,1,1", "2,norway,telia,4G,-70,1,1,1"])
+    )
+    assert tests.names == (("norway", "telia", Rat.FOUR_G),)
+    assert tests.name_index.tolist() == [0, 0]
 
 
 def test_missing_rssi_is_missing_metadata():
@@ -91,11 +92,17 @@ def test_unparseable_and_unknown_values_rejected():
 
 
 def test_speed_tests_columns_checked():
-    text = np.array(["norway"])
+    names = (("norway", "telia", "4G"),)
+    one, rssi = np.array([0]), np.array([-70.0])
     with pytest.raises(ValueError, match="one entry per row"):
-        SpeedTests(text, text, np.array(["4G"]), np.array([-70.0]), np.ones((2, 3)))
+        SpeedTests(names, one, rssi, np.ones((2, 3)))
     with pytest.raises(ValueError, match="Rat values"):
-        SpeedTests(text, text, np.array(["5G"]), np.array([-70.0]), np.ones((1, 3)))
+        SpeedTests((("norway", "telia", "5G"),), one, rssi, np.ones((1, 3)))
+    with pytest.raises(ValueError, match="distinct"):
+        SpeedTests(names * 2, one, rssi, np.ones((1, 3)))
+    for index in (np.array([1]), np.array([-1]), np.array([0.0])):
+        with pytest.raises(ValueError, match="number entries of names"):
+            SpeedTests(names, index, rssi, np.ones((1, 3)))
 
 
 def test_no_header_is_fatal():
@@ -162,8 +169,8 @@ def test_no_accepted_row_gives_empty_float_columns(rows, reasons):
 
 
 def test_parse_memory_stays_compact():
-    # guards the compact storage of accepted rows: their numbers in one buffer of doubles and
-    # one string per distinct name, not three strings and four boxed floats per row
+    # guards the compact storage of accepted rows, a name code and four doubles each, and a
+    # grouping that builds no string per row; the numpy text columns it replaced read 239
     rows = []
     for country in ("norway", "sweden", "denmark", "finland"):
         rows += profile_rows(5000, seed=len(rows) + 1, country=country)
@@ -171,11 +178,32 @@ def test_parse_memory_stays_compact():
     tracemalloc.start()
     try:
         tests, rejects = parse_speedtests(source)
+        profiles = build_profiles(tests)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert (len(tests), rejects) == (20000, [])
-    assert peak / len(tests) < 250  # 124 here; three strings and four boxed floats a row read 416
+    assert (len(tests), rejects, len(profiles)) == (20000, [], 5)
+    assert peak / len(tests) < 130  # 99 here, most of it the profiles' copies of the samples
+
+
+@pytest.mark.parametrize(
+    "country,operator,reason",
+    [
+        ("norway\x00", "telia", "unprintable character in country"),
+        ('"nor\nway"', "telia", "unprintable character in country"),
+        ("nor\u2028way", "telia", "unprintable character in country"),
+        ("norway", "te\tlia", "unprintable character in operator"),
+        ("nor/way\x00", "telia", "'/' in country"),
+        ("nor\x00way", "te#lia", "unprintable character in country"),
+    ],
+)
+def test_unprintable_name_rejected(country, operator, reason):
+    # a name that cannot print on one line cannot be named by a profile key; numpy text
+    # arrays once dropped the trailing NUL and merged "norway\x00" into "norway"
+    rows = [f"1,{country},{operator},4G,-70,20000,5000,40", "2,norway,telia,4G,-70,20000,5000,40"]
+    tests, rejects = parse_speedtests(csv_stream(rows))
+    assert tests.names == (("norway", "telia", "4G"),)
+    assert [(reject.line, reject.reason) for reject in rejects] == [(2, reason)]
 
 
 def test_write_rejects_appends_reason(tmp_path):
@@ -188,7 +216,8 @@ def test_write_rejects_appends_reason(tmp_path):
 
 
 # Adversarial parse table. One variant per reject reason of _parse_row, in
-# the layout of bench/datagen.py, which plants all but the two "/" reasons:
+# the layout of bench/datagen.py, which plants all but the two "/" and the two
+# unprintable-character reasons:
 # (column to overwrite or None to truncate the row, value, reason).
 REJECT_VARIANTS = [
     (None, None, "short row"),
@@ -202,6 +231,8 @@ REJECT_VARIANTS = [
     ("latency_ms", "", "missing latency_ms"),
     ("country", "Nor/way", "'/' in country"),
     ("operator", "T/Mobile", "'/' in operator"),
+    ("country", "norway\x00", "unprintable character in country"),
+    ("operator", "te\u2028lia", "unprintable character in operator"),
     ("rat", "5G", "unknown rat '5G'"),
     ("timestamp", "yesterday", "unparseable timestamp"),
     ("rssi", "weak", "unparseable rssi"),
@@ -226,8 +257,10 @@ NUMBERS = [
 ]
 TRICKY = {
     "timestamp": NUMBERS,
-    "country": ["Norway", " norway ", "  ", "", "Italy, north", "\u00d6sterreich", "\t", "/"],
-    "operator": ["Telia", " ICE ", "  ", "", "a,b", "Wind Tre", " t/mobile "],
+    "country": ["Norway", " norway ", "  ", "", "Italy, north", "\u00d6sterreich", "\t", "/",
+                "norway\x00", "nor\nway", "nor\u2028way", " \u00a0norway\u2028"],
+    "operator": ["Telia", " ICE ", "  ", "", "a,b", "Wind Tre", " t/mobile ", "te\x1clia",
+                 "te lia", "te\u00a0lia", "\x00"],
     "rat": ["4G", " 4g ", "3g", "3G ", "5G", "", " ", "4 G", "lte"],
     "rssi": NUMBERS,
     "download_kbps": NUMBERS,
@@ -307,12 +340,8 @@ def per_row_reference(text, schema=None):
 
 def columnar(tests):
     values = np.column_stack([tests.rssi, tests.samples]).tolist()
-    return [
-        (country, operator, rat) + tuple(map(repr, row))
-        for country, operator, rat, row in zip(
-            tests.country.tolist(), tests.operator.tolist(), tests.rat.tolist(), values
-        )
-    ]
+    names = [tests.names[index] for index in tests.name_index.tolist()]
+    return [name + tuple(map(repr, row)) for name, row in zip(names, values)]
 
 
 def check_agreement(text, schema=None):

@@ -247,7 +247,7 @@ def test_save_writes_exactly_dumps(tmp_path, make_bundle):
 
 
 def test_save_memory_stays_per_model(tmp_path):
-    # guards the streamed save: it holds one model's text at a time, never the whole file's
+    # guards the streamed save: it holds one block's text at a time, never the whole file's
     bundle = eight_model_bundle()
     path = tmp_path / "m.json"
     tracemalloc.start()
@@ -257,6 +257,71 @@ def test_save_memory_stays_per_model(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * path.stat().st_size
+
+
+def one_piece_text(model):
+    """A model's points as one format call over all of them: the layout blocks must keep."""
+    values = tuple(map(float.__repr__, model.points.ravel().tolist()))
+    return ",\n".join(["        [%s, %s, %s]"] * model.n) % values
+
+
+def one_piece_dumps(bundle):
+    """The canonical text with each model's points rendered in one piece."""
+    text = dumps(ModelBundle(created=bundle.created))
+    head, tail = text[: -len("\n  }\n}\n")], "\n  }\n}\n"
+    models = []
+    for key in sorted(bundle.models):
+        model = bundle.models[key]
+        covariance = ", ".join(map(float.__repr__, model.covariance.ravel().tolist()))
+        models.append("\n".join([
+            f"\n    {json.dumps(key)}: {{",
+            f'      "n": {model.n},',
+            f'      "bandwidth_factor": {float(model.bandwidth_factor)!r},',
+            f'      "covariance": [{covariance}],',
+            '      "points": [',
+            one_piece_text(model),
+            "      ]",
+            "    }",
+        ]))
+    return head + ",".join(models) + tail
+
+
+BLOCK = errant.model_store._BLOCK
+
+
+@pytest.mark.parametrize(
+    "n", [2, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1], ids=["2", "B-1", "B", "B+1", "2B+1"]
+)
+def test_blocks_render_the_one_piece_bytes(tmp_path, n):
+    # point counts at the edges of a block of B points
+    points = np.exp(np.random.default_rng(n).normal(size=(n, 3))) * 1000
+    bundle = ModelBundle(
+        models={KEY_A: KdeModel(points, np.eye(3), 0.25),
+                KEY_B: fit(make_lognormal(n + 3, seed=2))},
+        created="2026-10-19T00:00:00+00:00",
+    )
+    assert dumps(bundle) == one_piece_dumps(bundle)
+    first, second = tmp_path / "a.json", tmp_path / "b.json"
+    save(bundle, first)
+    save(load(first), second)
+    assert first.read_text(encoding="utf-8") == dumps(bundle)
+    assert first.read_bytes() == second.read_bytes()
+
+
+def test_save_memory_stays_per_block(tmp_path):
+    # guards the blocked save: a 20k-point model is rendered a block of points at a time
+    model = fit(make_lognormal(20000, seed=4))
+    bundle = ModelBundle(models={KEY_A: model})
+    tracemalloc.start()
+    try:
+        one_piece_text(model)
+        _, one_piece = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        save(bundle, tmp_path / "m.json")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < one_piece / 4  # 5.8 times below here; the one-piece save read about 1
 
 
 def test_load_memory_stays_per_model(tmp_path):
@@ -386,6 +451,17 @@ def test_bad_profile_key_rejected(tmp_path):
     path = tmp_path / "m.json"
     path.write_text(json.dumps(doc))
     with pytest.raises(CorruptModelError, match="bogus"):
+        load(path)
+
+
+@pytest.mark.parametrize("name", ["norway\x00", "nor\nway", "nor\u2028way"])
+def test_unprintable_profile_key_rejected(tmp_path, name):
+    # a hand-edited key that could not print on one line or be named on a command line
+    escaped = json.dumps(name)[1:-1]
+    text = dumps(two_model_bundle()).replace("specific/norway/", f"specific/{escaped}/")
+    path = tmp_path / "m.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(CorruptModelError, match="unprintable character in profile key"):
         load(path)
 
 

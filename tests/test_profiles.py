@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from conftest import make_lognormal
+from conftest import csv_stream, make_lognormal
 
 from errant import (
     FormatError,
@@ -16,6 +16,7 @@ from errant import (
     filter_profiles,
     fit,
     load,
+    parse_speedtests,
     save,
 )
 
@@ -26,13 +27,16 @@ def record(country="norway", operator="telia", rat=Rat.FOUR_G, rssi=-70.0, value
 
 def speed_tests(records):
     """Stack ``record()`` tuples into the columnar table build_profiles takes."""
-    countries, operators, rats, rssi, values = zip(*records)
+    names = {}
+    index = [
+        names.setdefault((country, operator, rat.value), len(names))
+        for country, operator, rat, _, _ in records
+    ]
     return SpeedTests(
-        country=np.array(countries, dtype=str),
-        operator=np.array(operators, dtype=str),
-        rat=np.array([rat.value for rat in rats], dtype=str),
-        rssi=np.array(rssi, dtype=float),
-        samples=np.array(values, dtype=float),
+        names=tuple(names),
+        name_index=np.array(index, dtype=np.intp),
+        rssi=np.array([rssi for _, _, _, rssi, _ in records], dtype=float),
+        samples=np.array([values for *_, values in records], dtype=float).reshape(-1, 3),
     )
 
 
@@ -115,14 +119,49 @@ def test_grouping_matches_per_row_reference():
 
 
 def test_no_rows_give_no_profiles():
-    empty = SpeedTests(
-        country=np.array([], dtype=str),
-        operator=np.array([], dtype=str),
-        rat=np.array([], dtype=str),
-        rssi=np.array([], dtype=float),
-        samples=np.empty((0, 3)),
-    )
-    assert build_profiles(empty) == {}
+    assert build_profiles(speed_tests([])) == {}
+    tests, rejects = parse_speedtests(csv_stream([]))
+    assert (tests.names, rejects) == ((), [])
+    assert build_profiles(tests) == {}
+
+
+def test_narrow_name_index_groups_like_a_wide_one():
+    # 60 names times 6 cells pass the range of the uint8 that numbers them
+    records = [record(country=f"c{index % 60}", rssi=-60.0 - index % 50) for index in range(300)]
+    wide = speed_tests(records)
+    narrow = SpeedTests(wide.names, wide.name_index.astype(np.uint8), wide.rssi, wide.samples)
+    expected = build_profiles(wide)
+    profiles = build_profiles(narrow)
+    assert len(expected) == 183 and list(profiles) == list(expected)
+    for key, samples in expected.items():
+        assert np.array_equal(profiles[key], samples)
+
+
+def test_raw_name_variants_group_as_one_name():
+    # spellings that differ in case and surrounding spaces, interleaved across RATs, are
+    # one name: each (name, cell) is one profile, in the order its first row appears
+    spellings = [
+        ("Norway", "Telia"), (" norway", "TELIA "), ("NORWAY ", " telia"), ("norway", "telia")
+    ]
+    rows, expected = [], {}
+    for index in range(24):
+        country, operator = spellings[index % 4]
+        rat, rssi = [("4G", -70), ("3G", -90), ("4g ", -80)][index % 3]
+        rows.append(f"{index},{country},{operator},{rat},{rssi},{index + 1},1,1")
+        quality = bin_signal(Rat(rat.strip().upper()), rssi)
+        for key in (f"specific/norway/telia/{rat.strip().upper()}/{quality}",
+                    f"universal/any/any/{rat.strip().upper()}/{quality}"):
+            expected.setdefault(key, []).append(index + 1)
+    tests, rejects = parse_speedtests(csv_stream(rows))
+    assert (tests.names, rejects) == ((("norway", "telia", "4G"), ("norway", "telia", "3G")), [])
+    profiles = build_profiles(tests)
+    assert list(profiles) == list(expected) == [
+        "specific/norway/telia/4G/good", "universal/any/any/4G/good",
+        "specific/norway/telia/3G/ordinary", "universal/any/any/3G/ordinary",
+        "specific/norway/telia/4G/ordinary", "universal/any/any/4G/ordinary",
+    ]
+    for key, downloads in expected.items():
+        assert profiles[key][:, 0].tolist() == downloads
 
 
 def test_filter_boundary_inclusive():
@@ -232,6 +271,9 @@ BAD_KEY = "expected <specific|universal>/<country>/<operator>/<rat>/<quality>"
         ("specific/norway/telia/4G/excellent", None, "unknown quality 'excellent'"),
         ("specific//telia/4G/good", None, "specific profiles need a country and an operator"),
         ("specific/norway//4G/good", None, "specific profiles need a country and an operator"),
+        ("specific/norway\x00/telia/4G/good", None, "unprintable character in profile key"),
+        ("specific/nor\nway/telia/4G/good", None, "unprintable character in profile key"),
+        ("universal/any/te\u2028lia/4G/good", None, "unprintable character in profile key"),
     ],
 )
 def test_profile_key_table(tmp_path, text, canonical, refusal):

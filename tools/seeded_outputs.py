@@ -14,13 +14,17 @@ It also runs ingest -> fit -> save through the CLI: ``build-models
 --write-rejects`` on the rows of ``bench/datagen.py csv --seed 1 --rows 50000``,
 in the temporary directory, and prints the md5 of its stdout, of its rejects
 file and of the model file it writes, with the file's ``created`` value
-replaced by ``""``. Stdlib only; the checkout's own code needs numpy.
+replaced by ``""``. A second ``build-models`` runs on a CSV this tool writes,
+whose names repeat in mixed case and with surrounding spaces, and prints the
+md5 of its stdout and of its model file. Stdlib only; the checkout's own code
+needs numpy.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
+import random
 import re
 import subprocess
 import sys
@@ -60,8 +64,35 @@ COMMANDS = (
 )
 
 
+# spellings of three (country, operator) names, and of the two rats
+NAME_SPELLINGS = (
+    ("norway", "telia"), ("Norway", "TELIA"), ("  NORWAY", "Telia  "), (" norway ", "telia"),
+    ("Italy, North", "Wind Tre"), ("italy, north", " WIND TRE "), ("ITALY, NORTH ", "wind tre"),
+    ("Sverige", "Tele2"), ("sverige ", " tele2"),
+)
+RAT_SPELLINGS = ("4G", "4g", " 4G ", "3G", "3g ", " 3G")
+
+
 def _md5(data: bytes) -> str:
     return hashlib.md5(data).hexdigest()
+
+
+def _blank_created(path: Path) -> bytes:
+    return re.sub(rb'"created": "[^"]*"', b'"created": ""', path.read_bytes(), 1)
+
+
+def _write_name_variants(path: Path) -> None:
+    """A seeded speed-test CSV whose names repeat in mixed case and with surrounding spaces."""
+    rng = random.Random(7)
+    lines = ["timestamp,country,operator,rat,rssi,download_kbps,upload_kbps,latency_ms"]
+    for index in range(6000):
+        country, operator = rng.choice(NAME_SPELLINGS)
+        values = [rng.lognormvariate(mean, 0.5) for mean in (9.9, 9.0, 3.7)]
+        lines.append(
+            f'{1600000000 + index},"{country}",{operator},{rng.choice(RAT_SPELLINGS)},'
+            f"{rng.uniform(-115, -50):.1f},{values[0]:.3f},{values[1]:.3f},{values[2]:.3f}"
+        )
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def main(argv: list[str]) -> int:
@@ -98,8 +129,12 @@ def main(argv: list[str]) -> int:
                      "--output", "built.json", "--write-rejects", cwd=scratch)
         print("build-models", _md5(out))
         print("build-rejects", _md5(Path(scratch, "speedtests.csv.rejects.csv").read_bytes()))
-        built = Path(scratch, "built.json").read_bytes()
-        print("build-model-file", _md5(re.sub(rb'"created": "[^"]*"', b'"created": ""', built, 1)))
+        print("build-model-file", _md5(_blank_created(Path(scratch, "built.json"))))
+        _write_name_variants(Path(scratch, "names.csv"))
+        out = python("-m", "errant.cli", "build-models", "--input", "names.csv",
+                     "--output", "names.json", cwd=scratch)
+        print("build-name-variants", _md5(out))
+        print("build-name-variants-model-file", _md5(_blank_created(Path(scratch, "names.json"))))
     return 0
 
 
