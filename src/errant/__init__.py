@@ -28,15 +28,10 @@ from .backends import (
     DryRunBackend,
     SimulatedLink,
     TcBackend,
-    default_ifb,
-    render_clear_commands,
     render_commands,
     simulate_download,
 )
 from .emulator import (
-    MonotonicClock,
-    RunEvent,
-    RunReport,
     ScenarioStep,
     Segment,
     VirtualClock,
@@ -45,9 +40,7 @@ from .emulator import (
     run_fixed,
     run_periodic,
     run_trace,
-    sample_params,
     sampler,
-    simple_params,
     static_preset,
 )
 from .errors import (
@@ -63,14 +56,12 @@ from .errors import (
     VersionError,
 )
 from .ingest import (
-    COLUMNS,
     Rat,
     RejectedRow,
     SignalQuality,
     SpeedTests,
     bin_signal,
     parse_speedtests,
-    write_rejects,
 )
 from .kde import (
     EmulationParams,
@@ -81,20 +72,14 @@ from .kde import (
     sample_points,
     silverman_factor,
 )
-from .model_store import FORMAT_VERSION, ModelBundle, dumps, load, save
+from .model_store import ModelBundle, load, save
 from .profiles import (
     DIMENSIONS,
-    DimensionStats,
     ProfileKey,
     build_profiles,
-    dimension_stats,
     filter_profiles,
 )
 from .validation import (
-    DistributionComparison,
-    KsResult,
-    SubsampleReport,
-    compare_distributions,
     ks_two_sample,
     subsample_experiment,
 )

@@ -29,11 +29,6 @@ from .errors import BackendError, FormatError
 from .kde import EmulationParams
 
 
-def default_ifb() -> str:
-    """ifb device used when none is given; ERRANT_IFB overrides it."""
-    return os.environ.get("ERRANT_IFB", "ifb0")
-
-
 def _ms(value: float) -> str:
     # netem takes fractional milliseconds; trim trailing zeros
     text = f"{value:.3f}".rstrip("0").rstrip(".")
@@ -154,7 +149,7 @@ class _CommandBackend:
         self.configured: Optional[EmulationParams] = None
         # names are settled once, so an empty one never reaches a command, teardown included
         self.egress_iface = egress_iface
-        self.ifb_iface = default_ifb() if ifb_iface is None else ifb_iface
+        self.ifb_iface = os.environ.get("ERRANT_IFB", "ifb0") if ifb_iface is None else ifb_iface
         self._renderer = _Renderer(egress_iface, self.ifb_iface)
 
     def apply(self, params: EmulationParams) -> None:

@@ -182,13 +182,21 @@ def _object_without_repeats(pairs: list) -> dict:
         names = [name for name, _ in pairs]
         repeated = next(name for name in names if names.count(name) > 1)
         raise CorruptModelError(f"key {repeated!r} appears twice in one object")
-    # a model's points become one array as soon as its object is decoded, so the nested
-    # lists of one model are freed before the next is read; _model_from_doc refuses a
-    # list that does not convert
+    # a model's points become one array as its object is decoded, freeing its nested lists
+    # before the next model is read; _model_from_doc refuses a list that does not convert
     if isinstance(doc.get("points"), list):
-        with suppress(TypeError, ValueError, OverflowError):
-            doc["points"] = np.array(doc["points"], dtype=float)
+        with suppress(TypeError, ValueError, OverflowError, Warning):
+            doc["points"] = _numbers(doc["points"])
     return doc
+
+
+def _numbers(values: object) -> np.ndarray:
+    # text and booleans are refused, as save writes neither; among numbers numpy reads true as 1
+    array = values if isinstance(values, np.ndarray) else np.array(values)  # text stays text
+    if (array.dtype.kind not in "fiu" or ((array == 0) | (array == 1)).any()) and not all(
+            type(value) in (int, float) for value in np.array(values, dtype=object).flat):
+        raise TypeError("not a number")
+    return np.asarray(array, dtype=float)
 
 
 def _model_from_doc(key_text: str, body: object) -> KdeModel:
@@ -205,9 +213,9 @@ def _model_from_doc(key_text: str, body: object) -> KdeModel:
     if not isinstance(factor, (int, float)) or isinstance(factor, bool):
         raise bad("bandwidth_factor must be a number")
     try:
-        covariance = np.array(body["covariance"], dtype=float)
-        points = np.asarray(body["points"], dtype=float)  # an array already, from the hook
-    except (TypeError, ValueError):
+        covariance = _numbers(body["covariance"])
+        points = _numbers(body["points"])
+    except (TypeError, ValueError, Warning):  # numpy < 1.24 warns on a ragged list
         raise bad("covariance and points must be numeric arrays") from None
     except OverflowError:  # an integer literal beyond the range of a float
         raise bad("covariance and points must fit in a float") from None
@@ -219,6 +227,6 @@ def _model_from_doc(key_text: str, body: object) -> KdeModel:
         raise bad("bandwidth_factor must fit in a float") from None
     except FitError as exc:
         raise bad(str(exc)) from None
-    if body["n"] != model.n:
-        raise bad(f"n={body['n']!r} does not match {model.n} stored points")
+    if type(body["n"]) is not int or body["n"] != model.n:  # so 50.0 and true are refused
+        raise bad(f"n={body['n']!r} is not the count of {model.n} stored points")
     return model

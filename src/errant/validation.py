@@ -53,9 +53,6 @@ class SubsampleReport:
     sizes: Tuple[int, ...]
     d_values: Dict[Tuple[str, int], np.ndarray]
 
-    def median(self, dimension: str, size: int) -> float:
-        return float(np.median(self.d_values[(dimension, size)]))
-
     def to_csv(self, comment: Optional[str] = None) -> str:
         lines = []
         if comment:

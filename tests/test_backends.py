@@ -21,13 +21,11 @@ from errant import (
     SimulatedLink,
     TcBackend,
     VirtualClock,
-    default_ifb,
-    render_clear_commands,
     render_commands,
     run,
     simulate_download,
 )
-from errant.backends import _shell_runner
+from errant.backends import _shell_runner, render_clear_commands
 from errant.cli import _exit_on_signal
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -93,9 +91,10 @@ def test_render_clear_commands():
 
 
 def test_default_ifb_env_override(monkeypatch):
-    assert default_ifb() == "ifb0"
+    monkeypatch.delenv("ERRANT_IFB", raising=False)
+    assert DryRunBackend("eth0").ifb_iface == "ifb0"
     monkeypatch.setenv("ERRANT_IFB", "ifb7")
-    assert default_ifb() == "ifb7"
+    assert DryRunBackend("eth0").ifb_iface == "ifb7"
     backend = DryRunBackend("eth0")
     assert backend.ifb_iface == "ifb7"
     backend.apply(PARAMS_BASIC)

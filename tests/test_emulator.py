@@ -16,7 +16,6 @@ from errant import (
     PathologicalModelError,
     PresetError,
     ProfileKey,
-    RunEvent,
     ScenarioError,
     Segment,
     TcBackend,
@@ -27,14 +26,12 @@ from errant import (
     run_fixed,
     run_periodic,
     run_trace,
-    sample_params,
     sample_points,
     sampler,
-    simple_params,
     static_preset,
 )
 from errant import kde
-from errant.emulator import _PRESETS
+from errant.emulator import _PRESETS, RunEvent, sample_params, simple_params
 from errant.kde import EmulationParams
 
 GOLDEN = Path(__file__).parent / "golden"

@@ -6,20 +6,26 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import CSV_HEADER, csv_stream, profile_rows
+from conftest import CSV_HEADER, csv_stream, make_lognormal, profile_rows
 
 from errant import (
-    COLUMNS,
     FormatError,
+    ModelBundle,
+    ProfileKey,
     Rat,
     SignalQuality,
     bin_signal,
     build_profiles,
     SpeedTests,
+    fit,
+    load,
+    parse_scenario,
     parse_speedtests,
-    write_rejects,
+    save,
 )
-from errant.ingest import _parse_row
+from errant.cli import main
+from errant.ingest import COLUMNS, _parse_row, write_rejects
+from errant.model_store import load_model
 
 GOOD_ROW = "1600000000,Norway,Telia,4G,-70,20000,5000,40"
 
@@ -384,6 +390,43 @@ def test_columnar_parse_agrees_under_schema_mapping():
     header = ["note"] + [names[index] for index in order]
     accepted, rejects = check_agreement(csv_text(header, rows), schema)
     assert len(accepted) > 100 and len(rejects) > 100
+
+
+@pytest.fixture(scope="module")
+def adversarial_keys():
+    """The profile keys of the names that the adversarial rows get accepted."""
+    tests, _ = parse_speedtests(io.StringIO(csv_text(CSV_HEADER.split(","), adversarial_rows())))
+    keys = sorted(build_profiles(tests))
+    # names with a comma, an inner space and a non-ASCII letter, not only the plain ones
+    assert {"specific/italy, north/telia/4G/good", "specific/norway/a,b/4G/good",
+            "specific/norway/te lia/4G/good", "specific/\u00f6sterreich/telia/4G/good"} <= set(keys)
+    return keys
+
+
+def test_accepted_names_make_keys_a_scenario_can_name(adversarial_keys):
+    for key in adversarial_keys:
+        assert ProfileKey(key) == key
+        assert key.isprintable() and key.splitlines() == [key]
+        assert parse_scenario(f"1,{key},fixed")[0].profile == key
+
+
+def test_accepted_names_survive_the_model_file_and_a_dry_run(adversarial_keys, tmp_path, capsys):
+    models = {key: fit(make_lognormal(20, seed)) for seed, key in enumerate(adversarial_keys)}
+    path, again = tmp_path / "models.json", tmp_path / "again.json"
+    save(ModelBundle(models=models, created="2026-01-01T00:00:00+00:00"), path)
+    loaded = load(path)
+    save(loaded, again)
+    assert again.read_bytes() == path.read_bytes()
+    for key in adversarial_keys:
+        np.testing.assert_array_equal(load_model(path, key).points, loaded.models[key].points)
+    scenario = tmp_path / "scenario.txt"
+    scenario.write_text("".join(f"1,{key},fixed\n" for key in adversarial_keys), encoding="utf-8")
+    argv = ["trace-run", "--models", str(path), "--scenario", str(scenario), "--seed", "1"]
+    assert main(argv) == 0
+    # every line is a "# " comment or a 5-field row, and each step applied once
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines() if line[:2] != "# "]
+    assert all(len(row) == 5 for row in rows), rows
+    assert [row[1] for row in rows].count("apply") == len(models)
 
 
 # Table of rssi bin edges: six boundary and six interior points per RAT.

@@ -22,12 +22,11 @@ from errant import (
     ModelFileError,
     ProfileKey,
     VersionError,
-    dumps,
     fit,
     load,
     save,
 )
-from errant.model_store import load_model
+from errant.model_store import dumps, load_model
 
 KEY_A = ProfileKey.from_string("specific/norway/telia/4G/good")
 KEY_B = ProfileKey.from_string("universal/any/any/3G/bad")
@@ -416,6 +415,31 @@ def test_malformed_model_object_rejected_with_profile_name(tmp_path, field, valu
     expected = f"model {KEY_B}{message}"
     with pytest.raises(CorruptModelError, match=f"^{re.escape(expected)}$"):
         load(path)
+
+
+@pytest.mark.parametrize(
+    "pattern,value,reason",
+    [
+        (r"(\n        \[)[^,]+", '"1e3"', "covariance and points must be numeric arrays"),
+        (r"(\n        \[[^,]+, )[^,]+", "true", "covariance and points must be numeric arrays"),
+        (r'("covariance": \[)[^,]+', '"1e3"', "covariance and points must be numeric arrays"),
+        (r'("covariance": \[)[^,]+', "true", "covariance and points must be numeric arrays"),
+        (r'("n": )\d+', "150.0", "n=150.0 is not the count of 150 stored points"),
+    ],
+    ids=["point-text", "point-bool", "covariance-text", "covariance-bool", "n-float"],
+)
+def test_value_save_never_writes_is_refused(tmp_path, pattern, value, reason):
+    # JSON keeps text, booleans and integers apart from floats; reading one as a number
+    # would make save -> load -> save change the file
+    text = dumps(two_model_bundle())
+    start = text.index(json.dumps(KEY_B))
+    path = tmp_path / "m.json"
+    path.write_text(text[:start] + re.sub(pattern, lambda m: m.group(1) + value, text[start:], 1))
+    expected = f"^{re.escape(f'model {KEY_B}: {reason}')}$"
+    with pytest.raises(CorruptModelError, match=expected):
+        load(path)
+    with pytest.raises(CorruptModelError, match=expected):
+        load_model(path, KEY_B)  # the canonical layout, so only this model is decoded
 
 
 def test_point_count_mismatch_rejected(tmp_path):

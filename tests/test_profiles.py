@@ -12,13 +12,13 @@ from errant import (
     SpeedTests,
     bin_signal,
     build_profiles,
-    dimension_stats,
     filter_profiles,
     fit,
     load,
     parse_speedtests,
     save,
 )
+from errant.profiles import dimension_stats
 
 
 def record(country="norway", operator="telia", rat=Rat.FOUR_G, rssi=-70.0, values=(1000, 500, 40)):

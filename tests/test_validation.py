@@ -9,10 +9,10 @@ from scipy import stats as scipy_stats
 
 from errant import (
     DIMENSIONS,
-    compare_distributions,
     ks_two_sample,
     subsample_experiment,
 )
+from errant.validation import compare_distributions
 
 
 def test_ks_identical_samples_zero():
@@ -92,7 +92,7 @@ def test_subsample_medians_decrease():
         samples, sizes=[10, 100, 1000], repetitions=50, cap=2000, rng=np.random.default_rng(5)
     )
     for dimension in DIMENSIONS:
-        medians = [report.median(dimension, size) for size in (10, 100, 1000)]
+        medians = [np.median(report.d_values[(dimension, size)]) for size in (10, 100, 1000)]
         assert medians[0] > medians[1] > medians[2]
 
 
