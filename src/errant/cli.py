@@ -214,6 +214,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace_run(args: argparse.Namespace) -> int:
+    if not args.scenario.isprintable():  # the report's "# scenario=" line must stay one line
+        raise ScenarioError(f"scenario path {args.scenario!r} holds unprintable characters")
     seed, rng = _seeded(args)
     bundle = load(args.models)
     try:

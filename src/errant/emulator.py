@@ -101,13 +101,7 @@ def sample_params(model: KdeModel, rng: np.random.Generator) -> EmulationParams:
 
 def simple_params(samples: np.ndarray) -> EmulationParams:
     """Baseline parameters for (n, 3) samples: per-dimension means, latency std."""
-    means = samples.mean(axis=0)
-    return EmulationParams(
-        download_kbps=float(means[0]),
-        upload_kbps=float(means[1]),
-        latency_ms=float(means[2]),
-        latency_std_ms=float(samples[:, 2].std()),
-    )
+    return EmulationParams(*samples.mean(axis=0).tolist(), latency_std_ms=samples[:, 2].std())
 
 
 # Built-in profiles of widely used tools: download kbit/s, upload kbit/s and

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import inf
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -27,29 +27,46 @@ BATCH = 256
 _REJECTION_WINDOW = 1000
 
 
-@dataclass(frozen=True)
-class EmulationParams:
-    """One (download, upload, latency) tuple ready to hand to a backend.
-
-    ``latency_std_ms`` makes the latency normally distributed around
-    ``latency_ms``; without it the latency is constant.
-    """
-
+class _Fields(NamedTuple):
     download_kbps: float
     upload_kbps: float
     latency_ms: float
     latency_std_ms: Optional[float] = None
 
-    def __post_init__(self) -> None:
+
+class EmulationParams(_Fields):
+    """One (download, upload, latency) tuple ready to hand to a backend.
+
+    ``latency_std_ms`` makes the latency normally distributed around
+    ``latency_ms``; without it the latency is constant. A numpy scalar becomes
+    the builtin number it holds. The constructor, ``_make``, ``_replace``, pickle
+    and copy all check the values.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, download_kbps: float, upload_kbps: float, latency_ms: float,
+                latency_std_ms: Optional[float] = None) -> EmulationParams:
+        values = (download_kbps, upload_kbps, latency_ms, latency_std_ms)
+        # a draw is three builtin floats and needs no conversion; a numpy scalar
+        # would print as np.float64(...) in a report row
+        if latency_std_ms is not None or not (
+                type(download_kbps) is type(upload_kbps) is type(latency_ms) is float):
+            values = tuple([v.item() if isinstance(v, np.generic) else v for v in values])
+            if bool in map(type, values):
+                raise ValueError("bandwidths and latencies must be numbers, not booleans")
+            download_kbps, upload_kbps, latency_ms, latency_std_ms = values
         # chained comparisons are false for NaN, so NaN is refused too
-        if not (
-            0 < self.download_kbps < inf
-            and 0 < self.upload_kbps < inf
-            and 0 <= self.latency_ms < inf
-        ):
+        if not (0 < download_kbps < inf and 0 < upload_kbps < inf and 0 <= latency_ms < inf):
             raise ValueError("bandwidths must be positive and latency nonnegative, all finite")
-        if self.latency_std_ms is not None and not 0 <= self.latency_std_ms < inf:
+        if latency_std_ms is not None and not 0 <= latency_std_ms < inf:
             raise ValueError("latency std must be nonnegative and finite")
+        return tuple.__new__(cls, values)
+
+    _make = classmethod(lambda cls, iterable: cls(*iterable))  # so _replace checks too
+
+    def __reduce__(self) -> tuple:  # so pickle and copy rebuild through __new__
+        return type(self), tuple(self)
 
 
 def silverman_factor(n: int, d: int) -> float:

@@ -29,7 +29,7 @@ FORMAT_VERSION = 1
 # the canonical text up to the created value, and what follows that value
 _HEAD = f'{{\n  "format_version": {FORMAT_VERSION},\n  "created": '
 _AFTER_CREATED = ',\n  "models": {'
-_POINT = "        [%s, %s, %s]"
+_POINT = "        [%r, %r, %r]"  # repr of a builtin float round-trips and is JSON
 _BLOCK = 2048  # points rendered at a time, so a save holds one block's text, not one model's
 
 
@@ -39,11 +39,6 @@ class ModelBundle:
 
     models: Dict[ProfileKey, KdeModel] = field(default_factory=dict)
     created: str = ""
-
-
-def _floats(values: np.ndarray) -> list[str]:
-    # repr of a builtin float round-trips exactly and is valid JSON
-    return list(map(float.__repr__, values.ravel().tolist()))
 
 
 def _key_line(key: ProfileKey) -> str:
@@ -59,7 +54,7 @@ def _pieces(bundle: ModelBundle) -> Iterator[str]:
     yield _HEAD + json.dumps(bundle.created) + _AFTER_CREATED
     for position, key in enumerate(keys):
         model = bundle.models[key]
-        covariance = ", ".join(_floats(model.covariance))
+        covariance = ", ".join(map(repr, model.covariance.ravel().tolist()))
         yield "\n".join([
             ("," if position else "") + "\n" + _key_line(key),
             f'      "n": {model.n},',
@@ -69,8 +64,8 @@ def _pieces(bundle: ModelBundle) -> Iterator[str]:
         ])
         # the points one "[x, y, z]" line each, a block of them rendered in one format call
         for start in range(0, model.n, _BLOCK):
-            block = _floats(model.points[start:start + _BLOCK])
-            yield (",\n" if start else "") + ",\n".join([_POINT] * (len(block) // 3)) % tuple(block)
+            block = tuple(model.points[start:start + _BLOCK].ravel().tolist())
+            yield (",\n" if start else "") + ",\n".join([_POINT] * (len(block) // 3)) % block
         yield "\n      ]\n    }"
     yield "\n  }\n}\n"
 

@@ -608,6 +608,25 @@ def test_trace_run(small_bundle_path, tmp_path, capsys):
     assert stdout.count(",clear,") == 2
 
 
+def test_trace_run_refuses_an_unprintable_scenario_path_before_any_command(
+    small_bundle_path, tmp_path, capsys, monkeypatch
+):
+    # a newline in the path would end the report's "# scenario=" line early
+    monkeypatch.setattr("os.geteuid", lambda: 0)
+    executed = []
+    monkeypatch.setattr("errant.backends._shell_runner",
+                        lambda command: executed.append(command) or (0, ""))
+    scenario = tmp_path / "sc\nx.txt"
+    scenario.write_text("5,specific/norway/telia/4G/good,fixed\n")
+    for iface in ([], ["--iface", "eth0"]):
+        argv = ["trace-run", "--models", str(small_bundle_path), "--scenario", str(scenario)]
+        assert run_cli(argv + iface + ["--seed", "6"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert repr(str(scenario)) in captured.err
+    assert executed == []
+
+
 def test_trace_run_malformed_line(small_bundle_path, tmp_path, capsys):
     scenario = tmp_path / "bad.scenario"
     scenario.write_text("5,specific/norway/telia/4G/good,fixed\noops\n")

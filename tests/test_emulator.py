@@ -335,6 +335,26 @@ def test_run_holds_preset_and_baseline_params():
     assert payload.latency_std_ms == samples[:, 2].std()
 
 
+def test_run_event_equality_is_field_by_field():
+    params = EmulationParams(1.0, 2.0, 3.0)
+    assert RunEvent(1.0, "apply", params) == RunEvent(1.0, "apply", EmulationParams(1.0, 2.0, 3.0))
+    assert RunEvent(1.0, "apply", params) != RunEvent(1.0, "apply", EmulationParams(1.0, 2.0, 4.0))
+    assert RunEvent(1.0, "apply", params) != RunEvent(2.0, "apply", params)
+    assert RunEvent(1.0, "clear") == RunEvent(1.0, "clear", None)
+    assert RunEvent(1.0, "clear") != RunEvent(1.0, "apply", params)
+
+
+def test_report_of_numpy_scalar_params_has_plain_numeric_rows():
+    # under numpy 2 a numpy scalar's repr is np.float64(1500.0), which no CSV reader takes
+    params = EmulationParams(*np.array([1500.0, 700.0, 40.0]))
+    report = run([Segment(2.0, 1.0, lambda: params)], DryRunBackend(), VirtualClock())
+    header, *rows = report.to_text().splitlines()
+    assert header == "time_s,action,download_kbps,upload_kbps,latency_ms"
+    assert rows == [
+        "0.000,apply,1500.0,700.0,40.0", "1.000,apply,1500.0,700.0,40.0", "2.000,clear,,,"
+    ]
+
+
 def test_run_chains_segments_on_one_timeline():
     backend = RecordingBackend()
     draws = iter([EmulationParams(1.0, 2.0, 3.0), EmulationParams(4.0, 5.0, 6.0)] * 2)

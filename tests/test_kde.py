@@ -1,5 +1,8 @@
 """Model fitting, density evaluation, and sampling."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from conftest import make_lognormal
@@ -153,8 +156,10 @@ def test_sample_returns_params_objects():
     model = fit(make_lognormal(100, seed=8))
     draws = sample(model, np.random.default_rng(9), 5)
     assert len(draws) == 5
-    assert all(isinstance(p, EmulationParams) for p in draws)
+    assert all(type(p) is EmulationParams for p in draws)
     assert all(p.download_kbps > 0 and p.latency_ms > 0 for p in draws)
+    rows = sample_points(model, np.random.default_rng(9), 5).tolist()
+    assert [tuple(p) for p in draws] == [(*row, None) for row in rows]
 
 
 def _correlated_model(correlation):
@@ -271,6 +276,69 @@ def test_emulation_params_validation():
 def test_emulation_params_refuse_nan_and_infinity(args, std):
     with pytest.raises(ValueError, match="finite"):
         EmulationParams(*args, latency_std_ms=std)
+
+
+def test_emulation_params_is_a_named_tuple_with_keywords_repr_and_hash():
+    params = EmulationParams(1500.0, 700.0, 40.0, latency_std_ms=5.0)
+    assert params == (1500.0, 700.0, 40.0, 5.0)
+    download, upload, latency, std = params  # unpacks in field order
+    assert (download, upload, latency, std) == (params.download_kbps, params.upload_kbps,
+                                               params.latency_ms, params.latency_std_ms)
+    assert repr(params) == (
+        "EmulationParams(download_kbps=1500.0, upload_kbps=700.0, latency_ms=40.0, "
+        "latency_std_ms=5.0)"
+    )
+    assert hash(params) == hash(EmulationParams(1500.0, 700.0, 40.0, 5.0))
+    assert params != EmulationParams(1500.0, 700.0, 40.0)
+    assert EmulationParams._fields == (
+        "download_kbps", "upload_kbps", "latency_ms", "latency_std_ms"
+    )
+
+
+def test_emulation_params_fields_cannot_be_assigned():
+    params = EmulationParams(1.0, 2.0, 3.0)
+    for name in EmulationParams._fields:
+        with pytest.raises(AttributeError):
+            setattr(params, name, 4.0)
+    with pytest.raises(AttributeError):
+        params.extra = 4.0  # no instance dict
+    assert params == EmulationParams(1.0, 2.0, 3.0)
+
+
+def test_every_way_to_build_emulation_params_checks_the_values():
+    params = EmulationParams(1.0, 2.0, 3.0)
+    assert EmulationParams._make([1.0, 2.0, 3.0, 0.5]) == EmulationParams(1.0, 2.0, 3.0, 0.5)
+    assert params._replace(latency_ms=0.0) == EmulationParams(1.0, 2.0, 0.0)
+    with pytest.raises(ValueError, match="finite"):
+        EmulationParams._make([1.0, -2.0, 3.0])
+    with pytest.raises(ValueError, match="finite"):
+        params._replace(download_kbps=float("nan"))
+    with pytest.raises(ValueError, match="latency std"):
+        params._replace(latency_std_ms=-1.0)
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        copied = pickle.loads(pickle.dumps(params, protocol))
+        assert copied == params and type(copied) is EmulationParams
+    assert copy.copy(params) == copy.deepcopy(params) == params
+    # a value made past the constructor is refused when it is pickled back or copied
+    forged = tuple.__new__(EmulationParams, (0.0, 2.0, 3.0, None))
+    rebuilds = [copy.copy, copy.deepcopy]
+    rebuilds += [lambda value, p=p: pickle.loads(pickle.dumps(value, p))
+                 for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for rebuild in rebuilds:
+        with pytest.raises(ValueError, match="finite"):
+            rebuild(forged)
+
+
+def test_emulation_params_convert_numpy_scalars_and_refuse_booleans():
+    params = EmulationParams(*np.array([1500.0, 700.0, 40.0]), latency_std_ms=np.float32(0.5))
+    assert [type(value) for value in params] == [float] * 4
+    assert repr(params.download_kbps) == "1500.0"
+    assert EmulationParams(np.int64(750), 250, 100) == (750, 250, 100, None)
+    assert [type(value) for value in EmulationParams(np.int64(750), 250, 100)[:3]] == [int] * 3
+    for args in ((True, True, False), (1.0, True, 1.0), (1.0, 1.0, np.True_),
+                 (1.0, 1.0, 1.0, False)):
+        with pytest.raises(ValueError, match="not booleans"):
+            EmulationParams(*args)
 
 
 def test_model_rejects_bad_inputs():

@@ -49,6 +49,9 @@ COMMANDS = (
     ("run-simple", ["run", "--models", "{models}", "--profile", PROFILE, "--seed", "3",
                     "--duration", "20", "--simple"]),
     ("run-preset", ["run", "--preset", "chrome:3G", "--duration", "5", "--seed", "3"]),
+    # integer rates and a zero latency, printed as given and rendered as "delay 0ms"
+    ("run-preset-zero-latency", ["run", "--preset", "android:4G", "--duration", "5",
+                                 "--seed", "3"]),
     ("validate", ["validate", "--models", "{models}", "--profile", PROFILE, "--seed", "3"]),
     # 10000 rows: two full chunks of the CSV writer and a part chunk
     ("validate-chunks", ["validate", "--models", "{models}", "--profile", PROFILE, "--seed", "3",
