@@ -1,8 +1,11 @@
 """Versioned text persistence for fitted model bundles.
 
 Files are JSON with a canonical layout: top-level keys in a fixed order,
-models sorted by profile key, one point per line, and floats written via
-``repr`` so that save -> load -> save reproduces the file byte for byte.
+models sorted by profile key, one point per line, and floats written as
+``repr`` writes them, so that save -> load -> save reproduces the file byte for byte.
+A block of points whose every value has at most three decimals and lies in [1e-4, 1e12)
+is written with ``%.*f`` at each value's fewest decimals: the same text, without ``repr``'s
+search for the shortest digits. Any other block is written with ``repr``.
 A save writes a block of points at a time; a refused key or a failed write leaves the old file.
 A load turns each model's points into an array as soon as that model is decoded, so it
 needs about the file's text plus one model's nested lists, not every model's.
@@ -30,6 +33,11 @@ FORMAT_VERSION = 1
 _HEAD = f'{{\n  "format_version": {FORMAT_VERSION},\n  "created": '
 _AFTER_CREATED = ',\n  "models": {'
 _POINT = "        [%r, %r, %r]"  # repr of a builtin float round-trips and is JSON
+# When k, in 1..3, is the fewest decimals for which rint(x * 10**k) / 10**k == x, x is the
+# double nearest a k-decimal and no shorter decimal reads back as x, so %.*f at k writes
+# repr's text. That holds where repr writes fixed notation and x * 10**k is within 0.5 of
+# that decimal's digits: for 1e-4 <= x < 1e12.
+_SHORT_POINT = "        [%.*f, %.*f, %.*f]"
 _BLOCK = 2048  # points rendered at a time, so a save holds one block's text, not one model's
 
 
@@ -64,15 +72,26 @@ def _pieces(bundle: ModelBundle) -> Iterator[str]:
         ])
         # the points one "[x, y, z]" line each, a block of them rendered in one format call
         for start in range(0, model.n, _BLOCK):
-            block = tuple(model.points[start:start + _BLOCK].ravel().tolist())
-            yield (",\n" if start else "") + ",\n".join([_POINT] * (len(block) // 3)) % block
+            yield (",\n" if start else "") + _points_text(model.points[start:start + _BLOCK])
         yield "\n      ]\n    }"
     yield "\n  }\n}\n"
 
 
-def dumps(bundle: ModelBundle) -> str:
-    """Serialize a bundle to its canonical text form."""
-    return "".join(_pieces(bundle))
+def _points_text(points: np.ndarray) -> str:
+    """The "[x, y, z]" lines of ``points``, each value written as ``repr`` writes it."""
+    values = points.ravel()
+    lines = len(points)
+    if ((values >= 1e-4) & (values < 1e12)).all():
+        decimals = np.zeros(values.shape, dtype=np.int64)
+        for k in (3, 2, 1):  # the fewest decimals that give back the value wins
+            scale = 10.0 ** k
+            decimals[np.rint(values * scale) / scale == values] = k
+        if decimals.all():
+            arguments = [None] * (2 * values.size)  # a decimal count, then its value
+            arguments[0::2] = decimals.tolist()
+            arguments[1::2] = values.tolist()
+            return ",\n".join([_SHORT_POINT] * lines) % tuple(arguments)
+    return ",\n".join([_POINT] * lines) % tuple(values.tolist())
 
 
 def save(bundle: ModelBundle, path: Union[str, Path]) -> None:

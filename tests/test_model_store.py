@@ -26,10 +26,18 @@ from errant import (
     load,
     save,
 )
-from errant.model_store import dumps, load_model
+from errant import model_store
+from errant.model_store import load_model
 
 KEY_A = ProfileKey.from_string("specific/norway/telia/4G/good")
 KEY_B = ProfileKey.from_string("universal/any/any/3G/bad")
+
+
+def saved_text(bundle, tmp_path, name="saved.json"):
+    """The text ``save`` writes for ``bundle``."""
+    path = tmp_path / name
+    save(bundle, path)
+    return path.read_text(encoding="utf-8")
 
 
 def two_model_bundle():
@@ -88,9 +96,9 @@ def test_file_is_plain_json_with_one_point_per_line(tmp_path):
     assert len(point_lines) == 100
 
 
-def test_model_keys_sorted_in_file():
+def test_model_keys_sorted_in_file(tmp_path):
     bundle = two_model_bundle()
-    text = dumps(bundle)
+    text = saved_text(bundle, tmp_path)
     position_a = text.index(KEY_A)
     position_b = text.index(KEY_B)
     assert position_a < position_b  # "specific/..." sorts before "universal/..."
@@ -119,7 +127,7 @@ def test_negative_factor_rejected_with_profile_name(tmp_path):
 
 @pytest.mark.parametrize("factor", [float("inf"), 1e308])
 def test_nonfinite_kernel_covariance_rejected_with_profile_name(tmp_path, factor):
-    doc = json.loads(dumps(two_model_bundle()))
+    doc = json.loads(saved_text(two_model_bundle(), tmp_path))
     doc["models"][KEY_B]["bandwidth_factor"] = factor
     path = tmp_path / "m.json"
     path.write_text(json.dumps(doc))  # json writes inf as Infinity, which json reads back
@@ -147,7 +155,7 @@ def test_nonpositive_point_rejected_with_profile_name(tmp_path, value):
         reason = "stored points must be positive"
     with pytest.raises(FitError, match=f"^{re.escape(reason)}$"):
         KdeModel(points, model.covariance, model.bandwidth_factor)
-    doc = json.loads(dumps(two_model_bundle()))
+    doc = json.loads(saved_text(two_model_bundle(), tmp_path))
     doc["models"][KEY_B].update(n=len(points), points=points.tolist())
     path = tmp_path / "m.json"
     path.write_text(json.dumps(doc))
@@ -166,10 +174,9 @@ def test_a_model_that_exists_saves_and_reads_back(tmp_path, value):
         built = KdeModel(_with_point(model.points, value), model.covariance, model.bandwidth_factor)
     except FitError:
         return
-    text = dumps(ModelBundle(models={KEY_B: built}))
     path = tmp_path / "m.json"
-    path.write_text(text)
-    assert dumps(load(path)) == text
+    save(ModelBundle(models={KEY_B: built}), path)
+    assert saved_text(load(path), tmp_path) == path.read_text(encoding="utf-8")
 
 
 def test_unsupported_version_rejected(tmp_path):
@@ -239,10 +246,12 @@ def eight_model_bundle():
      eight_model_bundle],
     ids=["empty", "one-model", "eight-models"],
 )
-def test_save_writes_exactly_dumps(tmp_path, make_bundle):
+def test_save_writes_the_same_bytes_at_any_block_size(tmp_path, monkeypatch, make_bundle):
     bundle = make_bundle()
-    save(bundle, tmp_path / "m.json")
-    assert (tmp_path / "m.json").read_bytes() == dumps(bundle).encode("utf-8")
+    save(bundle, tmp_path / "default.json")
+    monkeypatch.setattr(model_store, "_BLOCK", 1)
+    save(bundle, tmp_path / "one.json")
+    assert (tmp_path / "one.json").read_bytes() == (tmp_path / "default.json").read_bytes()
 
 
 def test_save_memory_stays_per_model(tmp_path):
@@ -264,10 +273,10 @@ def one_piece_text(model):
     return ",\n".join(["        [%s, %s, %s]"] * model.n) % values
 
 
-def one_piece_dumps(bundle):
+def one_piece_file_text(bundle):
     """The canonical text with each model's points rendered in one piece."""
-    text = dumps(ModelBundle(created=bundle.created))
-    head, tail = text[: -len("\n  }\n}\n")], "\n  }\n}\n"
+    head = f'{{\n  "format_version": 1,\n  "created": {json.dumps(bundle.created)},\n  "models": {{'
+    tail = "\n  }\n}\n"
     models = []
     for key in sorted(bundle.models):
         model = bundle.models[key]
@@ -299,11 +308,10 @@ def test_blocks_render_the_one_piece_bytes(tmp_path, n):
                 KEY_B: fit(make_lognormal(n + 3, seed=2))},
         created="2026-10-19T00:00:00+00:00",
     )
-    assert dumps(bundle) == one_piece_dumps(bundle)
     first, second = tmp_path / "a.json", tmp_path / "b.json"
     save(bundle, first)
     save(load(first), second)
-    assert first.read_text(encoding="utf-8") == dumps(bundle)
+    assert first.read_text(encoding="utf-8") == one_piece_file_text(bundle)
     assert first.read_bytes() == second.read_bytes()
 
 
@@ -376,8 +384,8 @@ def test_save_to_a_name_at_the_length_limit(tmp_path):
     # the temporary file's name does not grow with the target's
     path = tmp_path / ("m" * 250 + ".json")
     save(two_model_bundle(), path)
-    assert dumps(load(path)) == dumps(two_model_bundle())
     assert [entry.name for entry in tmp_path.iterdir()] == [path.name]
+    assert saved_text(load(path), tmp_path) == path.read_text(encoding="utf-8")
 
 
 def test_unwritable_path_rejected(tmp_path):
@@ -402,7 +410,7 @@ def test_unwritable_path_rejected(tmp_path):
     ],
 )
 def test_malformed_model_object_rejected_with_profile_name(tmp_path, field, value, message):
-    doc = json.loads(dumps(two_model_bundle()))
+    doc = json.loads(saved_text(two_model_bundle(), tmp_path))
     models = doc["models"]
     if field is None:  # the whole model object
         models[KEY_B] = value
@@ -431,7 +439,7 @@ def test_malformed_model_object_rejected_with_profile_name(tmp_path, field, valu
 def test_value_save_never_writes_is_refused(tmp_path, pattern, value, reason):
     # JSON keeps text, booleans and integers apart from floats; reading one as a number
     # would make save -> load -> save change the file
-    text = dumps(two_model_bundle())
+    text = saved_text(two_model_bundle(), tmp_path)
     start = text.index(json.dumps(KEY_B))
     path = tmp_path / "m.json"
     path.write_text(text[:start] + re.sub(pattern, lambda m: m.group(1) + value, text[start:], 1))
@@ -482,7 +490,8 @@ def test_bad_profile_key_rejected(tmp_path):
 def test_unprintable_profile_key_rejected(tmp_path, name):
     # a hand-edited key that could not print on one line or be named on a command line
     escaped = json.dumps(name)[1:-1]
-    text = dumps(two_model_bundle()).replace("specific/norway/", f"specific/{escaped}/")
+    text = saved_text(two_model_bundle(), tmp_path)
+    text = text.replace("specific/norway/", f"specific/{escaped}/")
     path = tmp_path / "m.json"
     path.write_text(text, encoding="utf-8")
     with pytest.raises(CorruptModelError, match="unprintable character in profile key"):
@@ -521,12 +530,60 @@ def awkward_float_bundle():
     )
 
 
-def test_dumps_awkward_floats_matches_golden(tmp_path):
+def test_save_awkward_floats_matches_golden(tmp_path):
     expected = GOLDEN.read_text(encoding="utf-8")
-    assert dumps(awkward_float_bundle()) == expected
+    assert saved_text(awkward_float_bundle(), tmp_path, "awkward.json") == expected
     path = tmp_path / "m.json"
     save(load(GOLDEN), path)
     assert path.read_text(encoding="utf-8") == expected
+
+
+def repr_lines(points):
+    """The reference rendering of a block of points: every value through float's repr."""
+    rows = np.asarray(points, dtype=float).reshape(-1, 3).tolist()
+    return ",\n".join("        [%s, %s, %s]" % tuple(map(float.__repr__, row)) for row in rows)
+
+
+def test_block_text_is_what_repr_writes():
+    # short decimals take the fixed-point format, anything else repr; both must give repr's text
+    rng = np.random.default_rng(30)
+    blocks = [
+        np.array([[2.675, 1.005, 0.125]]),  # a two-decimal format rounds the first two down
+        np.array([[2.5, 1e16, 3.0], [0.5, 7.0, 12.25]]),  # repr writes 1e+16
+        np.array([[2.5, 0.1, 3.0], [1.2, 123456789.12345679, 7.0]]),  # one long value
+    ]
+    for decimals in range(7):
+        for exponent in range(-5, 18):
+            values = np.round(rng.uniform(1, 10, size=(64, 3)) * 10.0 ** exponent, decimals)
+            blocks += [values, np.floor(values),
+                       np.nextafter(values, np.inf), np.nextafter(values, 0)]
+    pool = np.concatenate([block.ravel() for block in blocks])
+    blocks += [rng.choice(pool, size=(64, 3)) for _ in range(200)]  # mixed blocks
+    for block in blocks:
+        assert model_store._points_text(block) == repr_lines(block)
+
+
+def test_short_decimals_skip_repr(monkeypatch):
+    # the speed-test CSV's values, kbit/s and ms with at most three decimals
+    block = np.array([[2.675, 1.005, 0.125], [16387.2, 12780.6, 44.5], [3.0, 1e11, 999.999]])
+    monkeypatch.setattr(model_store, "_POINT", None)  # so a fall back to repr would raise
+    assert model_store._points_text(block) == repr_lines(block)
+
+
+def test_short_and_long_blocks_save_load_save(tmp_path):
+    short = np.round(make_lognormal(BLOCK + 5, seed=9), 3)
+    mixed = short.copy()
+    mixed[BLOCK + 2, 1] += 1e-7  # one long value, in the second block
+    bundle = ModelBundle(
+        models={KEY_A: fit(short), KEY_B: fit(make_lognormal(40, seed=10)),
+                KEY_NON_ASCII: fit(mixed)},
+        created="2026-10-20T00:00:00+00:00",
+    )
+    first, second = tmp_path / "a.json", tmp_path / "b.json"
+    save(bundle, first)
+    save(load(first), second)
+    assert first.read_text(encoding="utf-8") == one_piece_file_text(bundle)
+    assert first.read_bytes() == second.read_bytes()
 
 
 @pytest.mark.parametrize(
@@ -538,7 +595,7 @@ def test_dumps_awkward_floats_matches_golden(tmp_path):
     ],
 )
 def test_two_texts_naming_one_profile_rejected(tmp_path, first, second):
-    body = json.dumps(json.loads(dumps(two_model_bundle()))["models"][KEY_A])
+    body = json.dumps(json.loads(saved_text(two_model_bundle(), tmp_path))["models"][KEY_A])
     path = tmp_path / "m.json"
     models = f"{json.dumps(first)}: {body}, {json.dumps(second)}: {body}"
     path.write_text(f'{{"format_version": 1, "created": "", "models": {{{models}}}}}')
@@ -568,7 +625,7 @@ def test_load_model_equals_whole_bundle_load(tmp_path, monkeypatch, indent):
     save(three_model_bundle(), path)
     if indent is not None:  # another layout: read in full through load
         path.write_text(json.dumps(json.loads(path.read_text()), indent=indent))
-    assert "\\u00e7" in path.read_text()  # the key is escaped the way dumps writes it
+    assert "\\u00e7" in path.read_text()  # the key is escaped the way save writes it
     bundle = load(path)
     assert len(bundle.models) == 3
     if indent is None:  # a canonical file is never decoded in full

@@ -8,7 +8,9 @@ and ``--seed 3``, on the profile ``universal/any/any/4G/good`` where one is
 named. Running it on two checkouts tells whether a change kept the bytes the
 README promises: the stdout of every command, and a model file that
 save -> load -> save reproduces. ``trace-run``'s ``# scenario=`` line names a
-temporary path, so it is left out of that output's md5.
+temporary path, so it is left out of that output's md5. The bundle's points
+have at most three decimals, so a second save -> load -> save runs on a
+bundle fitted on full-precision lognormal points, which ``repr`` writes.
 
 It also runs ingest -> fit -> save through the CLI: ``build-models
 --write-rejects`` on the rows of ``bench/datagen.py csv --seed 1 --rows 50000``,
@@ -38,6 +40,19 @@ SCENARIO = (
     "45,specific/norway/telia/4G/good,periodic:5\n"
 )
 SAVE_LOAD_SAVE = "import sys; from errant import load, save; save(load(sys.argv[1]), sys.argv[2])"
+# 5000 points with every digit a lognormal draw gives, written to argv[1]
+FULL_PRECISION_BUNDLE = """
+import sys
+import numpy as np
+from errant import ModelBundle, ProfileKey, fit, save
+sigmas = np.array([0.5, 0.5, 0.3])
+correlation = np.array([[1.0, 0.5, -0.3], [0.5, 1.0, -0.2], [-0.3, -0.2, 1.0]])
+rng = np.random.default_rng(5)
+logs = rng.multivariate_normal(np.log([20000.0, 8000.0, 40.0]),
+                               correlation * np.outer(sigmas, sigmas), size=5000)
+model = fit(np.exp(logs))
+save(ModelBundle(models={ProfileKey("universal/any/any/4G/good"): model}), sys.argv[1])
+"""
 
 # (name, errant arguments); {models} is the bundle, {scenario} the scenario file
 COMMANDS = (
@@ -126,6 +141,10 @@ def main(argv: list[str]) -> int:
         resaved = Path(scratch, "resaved.json")
         python("-c", SAVE_LOAD_SAVE, bundle, resaved)
         print("save-load-save", _md5(resaved.read_bytes()))
+        full, full_resaved = Path(scratch, "full.json"), Path(scratch, "full-resaved.json")
+        python("-c", FULL_PRECISION_BUNDLE, full)
+        python("-c", SAVE_LOAD_SAVE, full, full_resaved)
+        print("save-load-save-full-precision", _md5(full_resaved.read_bytes()))
         python(checkout / "bench" / "datagen.py", "csv", "--seed", 1, "--rows", 50000,
                "--out", "speedtests.csv", cwd=scratch)
         out = python("-m", "errant.cli", "build-models", "--input", "speedtests.csv",
