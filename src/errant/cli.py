@@ -19,6 +19,7 @@ import threading
 from contextlib import nullcontext
 from datetime import datetime, timezone
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Optional
 
 import numpy as np
@@ -124,7 +125,7 @@ def _profile_model(args: argparse.Namespace) -> tuple[ProfileKey, KdeModel]:
 
 
 def _make_backend(args: argparse.Namespace) -> tuple:
-    """Build (backend, clock, label): ``tc`` on --iface, else the dry run."""
+    """Build (backend, clock, label): ``tc`` on --iface, else a dry run replayed at report time."""
     if args.iface is not None:
         if hasattr(os, "geteuid") and os.geteuid() != 0:
             raise BackendError(
@@ -135,10 +136,21 @@ def _make_backend(args: argparse.Namespace) -> tuple:
     return DryRunBackend(), VirtualClock(), "dry-run"
 
 
-def _print_report(report, backend) -> None:
+_REPLAY_BLOCK = 512  # events a dry run's report replays per write of its "# $" lines
+
+
+def _report_run(backend, drive, seed: int, label: str, **notes: str) -> int:
+    """Print ``drive(backend)``'s report; a dry run drives a no-op, then replays its events."""
+    dry = type(backend) is DryRunBackend  # a subclass may act on each apply as it happens
+    report = drive(SimpleNamespace(apply=lambda _: None, clear=lambda: None) if dry else backend)
+    report.notes = {"version": __version__, "seed": str(seed), "backend": label, **notes}
     sys.stdout.write(report.to_text())
-    if isinstance(backend, DryRunBackend):
+    for start in range(0, len(report.events) if dry else 0, _REPLAY_BLOCK):
+        for _, _, params in report.events[start:start + _REPLAY_BLOCK]:
+            backend.clear() if params is None else backend.apply(params)
         sys.stdout.write("# $ " + "\n# $ ".join(backend.log) + "\n")
+        backend.log.clear()
+    return 0
 
 
 def _cmd_build_models(args: argparse.Namespace) -> int:
@@ -177,8 +189,7 @@ def _cmd_list_profiles(args: argparse.Namespace) -> int:
     bundle = load(args.models)
     print("profile,n,median_download_kbps,median_upload_kbps,median_latency_ms")
     rows = csv.writer(sys.stdout, lineterminator="\n")  # quotes a key that holds a comma
-    for key in sorted(bundle.models):
-        model = bundle.models[key]
+    for key, model in sorted(bundle.models.items()):
         rows.writerow([key, model.n, *np.median(model.points, axis=0).tolist()])
     return 0
 
@@ -190,15 +201,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
         args.usage_error("either --preset or both --models and --profile")
     seed, rng = _seeded(args)
     backend, clock, label = _make_backend(args)
-    notes = {"version": __version__, "seed": str(seed), "backend": label}
     if args.preset:
         tool, _, name = args.preset.partition(":")
         name, params = static_preset(tool, name)
-        notes.update(preset=name, mode="static")
+        notes = {"preset": name, "mode": "static"}
         draw = lambda: params
     else:
         key, model = _profile_model(args)
-        notes["profile"] = key
+        notes = {"profile": key}
         if args.simple:
             params = simple_params(model.points)
             notes["mode"] = "simple"
@@ -206,11 +216,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         else:
             notes["mode"] = "fixed" if args.period is None else f"periodic:{args.period:g}"
             draw = sampler(model, rng)
-    period = args.duration if args.period is None else args.period
-    report = run([Segment(args.duration, period, draw)], backend, clock)
-    report.notes = notes
-    _print_report(report, backend)
-    return 0
+    segment = Segment(args.duration, args.duration if args.period is None else args.period, draw)
+    return _report_run(backend, lambda shaper: run([segment], shaper, clock), seed, label, **notes)
 
 
 def _cmd_trace_run(args: argparse.Namespace) -> int:
@@ -224,15 +231,8 @@ def _cmd_trace_run(args: argparse.Namespace) -> int:
         raise ScenarioError(f"scenario is not {exc.encoding} text: {exc.reason}") from None
     scenario = parse_scenario(text)
     backend, clock, label = _make_backend(args)
-    report = run_trace(scenario, bundle, backend, rng, clock)
-    report.notes = {
-        "version": __version__,
-        "seed": str(seed),
-        "backend": label,
-        "scenario": args.scenario,
-    }
-    _print_report(report, backend)
-    return 0
+    drive = lambda shaper: run_trace(scenario, bundle, shaper, rng, clock)
+    return _report_run(backend, drive, seed, label, scenario=args.scenario)
 
 
 _VALIDATE_CHUNK = 4096  # rows of validate's CSV formatted per write

@@ -5,7 +5,7 @@ import io
 import numpy as np
 import pytest
 
-from errant import ModelBundle, ProfileKey, fit, save
+from errant import KdeModel, ModelBundle, ProfileKey, fit, save
 
 # Synthetic population: lognormal marginals with realistic scales
 # (download ~20 Mbit/s, upload ~8 Mbit/s, latency ~40 ms) and mild
@@ -33,6 +33,43 @@ def make_lognormal(n, seed):
 def csv_stream(rows):
     """In-memory speed-test CSV with the canonical header."""
     return io.StringIO("\n".join([CSV_HEADER] + list(rows)) + "\n")
+
+
+def nearly_constant_model(download, upload, latency):
+    """Model whose draws always format to the same command values."""
+    points = np.array(
+        [
+            [download, upload, latency],
+            [download + 0.2, upload, latency],
+            [download, upload + 0.2, latency],
+            [download, upload, latency + 0.0004],
+        ]
+    )
+    return KdeModel(
+        points=points, covariance=np.cov(points, rowvar=False), bandwidth_factor=1e-9
+    )
+
+
+def trace_bundle():
+    """Two nearly constant models, for the scenario ``TRACE_TEXT``."""
+    return ModelBundle(
+        models={
+            ProfileKey.from_string("specific/norway/telia/4G/good"): nearly_constant_model(
+                20000.0, 5000.0, 40.0
+            ),
+            ProfileKey.from_string("universal/any/any/3G/bad"): nearly_constant_model(
+                512.0, 256.0, 200.0
+            ),
+        }
+    )
+
+
+TRACE_TEXT = (
+    "# three-step tour\n"
+    "10,specific/norway/telia/4G/good,fixed\n"
+    "5,universal/any/any/3G/bad,fixed\n"
+    "10,specific/norway/telia/4G/good,periodic:5\n"
+)
 
 
 @pytest.fixture

@@ -1,5 +1,6 @@
 """Command rendering, backend state machines, and the fluid-model link."""
 
+import json
 import os
 import signal
 import subprocess
@@ -101,22 +102,6 @@ def test_default_ifb_env_override(monkeypatch):
     assert backend.log[0] == "ip link set dev ifb7 up"
 
 
-def test_dry_run_replace_then_clear_leaves_no_residual():
-    backend = DryRunBackend("eth0", "ifb0")
-    backend.apply(PARAMS_BASIC)
-    backend.apply(EmulationParams(512.0, 256.0, 200.0))
-    backend.clear()
-    log = backend.log
-    # first apply installs directly; the second rebuilds each direction's root
-    # in turn, keeping the link, ingress hook and redirect
-    resample = render_commands(EmulationParams(512.0, 256.0, 200.0), "eth0", "ifb0")
-    assert log[:9] == render_commands(PARAMS_BASIC, "eth0", "ifb0")
-    assert log[9:13] == ["tc qdisc del dev eth0 root"] + resample[3:6]
-    assert log[13:17] == ["tc qdisc del dev ifb0 root"] + resample[6:9]
-    assert log[17:] == CLEAR_LINES
-    assert backend.configured is None
-
-
 def test_dry_run_clear_idempotent():
     backend = DryRunBackend("eth0", "ifb0")
     backend.clear()
@@ -130,25 +115,6 @@ def test_dry_run_gaussian_latency():
     backend.apply(EmulationParams(15000.0, 3000.0, 40.0, latency_std_ms=10.0))
     assert backend.log[5].endswith("netem delay 20ms 5ms distribution normal")
     assert backend.configured.latency_ms == 40.0
-
-
-def test_tc_backend_runs_commands_in_order():
-    executed = []
-
-    def runner(command):
-        executed.append(command)
-        return 0, ""
-
-    backend = TcBackend("eth0", "ifb0", runner=runner)
-    backend.apply(PARAMS_BASIC)
-    assert executed == render_commands(PARAMS_BASIC, "eth0", "ifb0")
-    backend.apply(EmulationParams(512.0, 256.0, 200.0))
-    resample = render_commands(EmulationParams(512.0, 256.0, 200.0), "eth0", "ifb0")
-    assert executed[9:] == (
-        ["tc qdisc del dev eth0 root"] + resample[3:6] + ["tc qdisc del dev ifb0 root"] + resample[6:]
-    )
-    backend.clear()
-    assert executed[17:] == CLEAR_LINES
 
 
 @pytest.mark.parametrize("kind", ["dry-run", "tc"])
@@ -181,6 +147,7 @@ def test_backend_lines_match_render_commands(kind, first, second, ifb):
     assert executed[9:] == [egress_del, *install[3:6], ifb_del, *install[6:9]]
     backend.clear()
     assert executed[17:] == render_clear_commands("eth0", ifb)
+    assert backend.configured is None
 
 
 def test_tc_backend_raises_on_failed_install():
@@ -313,26 +280,49 @@ def test_tc_backend_clear_on_a_worker_thread_swaps_no_handler():
     assert signal.getsignal(signal.SIGTERM) is before
 
 
-def _send_sigterm(sender):
-    if sender == "self":
+# the clear of a TcBackend on the fake tc, with SIGTERM sent just before clear line k
+# (argv[1]) by the process to itself; errant is imported before numpy, as the CLI does,
+# so every thread that numpy starts blocks the signal while the teardown holds it
+_SELF_SIGTERM_DURING_CLEAR = """
+import json, os, signal, sys
+import errant
+from errant.cli import _exit_on_signal
+from faketc import FakeTc
+
+fake, executed, interrupted = FakeTc(0.0, "eth0", "ifb0"), [], int(sys.argv[1])
+
+def runner(command):
+    executed.append(command)
+    if len(executed) == 9 + interrupted + 1:  # after the install, just before clear line k
         os.kill(os.getpid(), signal.SIGTERM)
-        return
-    # a signal from outside may reach any thread of this process, such as a BLAS worker
-    kill = f"import os, signal; os.kill({os.getpid()}, signal.SIGTERM)"
-    subprocess.run([sys.executable, "-c", kill], check=True)
-    time.sleep(0.2)  # time for the signal to arrive, even on a loaded machine
+    return fake(command)
+
+previous = signal.signal(signal.SIGTERM, _exit_on_signal)  # as the CLI installs it
+try:
+    backend = errant.TcBackend("eth0", "ifb0", runner=runner)
+    backend.apply(errant.EmulationParams(20000.0, 5000.0, 40.0))
+    try:
+        backend.clear()
+        code = None
+    except SystemExit as exc:
+        code = exc.code
+finally:
+    signal.signal(signal.SIGTERM, previous)
+print(json.dumps([code, fake.has_rules(), backend.configured is None,
+                  signal.getsignal(signal.SIGTERM) is previous]))
+"""
 
 
-@pytest.mark.parametrize("sender", ["self", "other-process"])
-@pytest.mark.parametrize("interrupted", [0, 1, 2])
-def test_sigterm_during_clear_removes_every_rule(make_fake_tc, interrupted, sender):
-    fake = make_fake_tc()
+def _clear_with_sigterm_from_another_process(fake, interrupted):
     executed = []
 
     def runner(command):
         executed.append(command)
         if len(executed) == 9 + interrupted + 1:  # after the install, just before clear line k
-            _send_sigterm(sender)
+            # a signal from outside may reach any thread of this process, such as a BLAS worker
+            kill = f"import os, signal; os.kill({os.getpid()}, signal.SIGTERM)"
+            subprocess.run([sys.executable, "-c", kill], check=True)
+            time.sleep(0.2)  # time for the signal to arrive, even on a loaded machine
         return fake(command)
 
     previous = signal.signal(signal.SIGTERM, _exit_on_signal)  # as the CLI installs it
@@ -343,10 +333,29 @@ def test_sigterm_during_clear_removes_every_rule(make_fake_tc, interrupted, send
             backend.clear()
     finally:
         signal.signal(signal.SIGTERM, previous)
-    assert caught.value.code == 143
-    assert not fake.has_rules()
-    assert backend.configured is None
-    assert signal.getsignal(signal.SIGTERM) is previous
+    return [caught.value.code, fake.has_rules(), backend.configured is None,
+            signal.getsignal(signal.SIGTERM) is previous]
+
+
+@pytest.mark.parametrize("sender", ["self", "other-process"])
+@pytest.mark.parametrize("interrupted", [0, 1, 2])
+def test_sigterm_during_clear_removes_every_rule(make_fake_tc, interrupted, sender):
+    if sender == "self":
+        # in a child: under pytest numpy is imported first, and its workers do not block
+        path = os.pathsep.join([str(Path(errant.__file__).parent.parent), str(BENCH)])
+        child = subprocess.run(
+            [sys.executable, "-c", _SELF_SIGTERM_DURING_CLEAR, str(interrupted)],
+            env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=60,
+        )
+        assert child.returncode == 0, child.stderr  # a late SIGTERM would end it with -15
+        outcome = json.loads(child.stdout)
+    else:
+        outcome = _clear_with_sigterm_from_another_process(make_fake_tc(), interrupted)
+    code, rules_left, cleared, handler_restored = outcome
+    assert code == 143  # raised by clear()
+    assert not rules_left
+    assert cleared  # configured is None
+    assert handler_restored
 
 
 def test_import_leaves_run_ending_signals_to_the_main_thread():

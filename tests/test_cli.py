@@ -1,5 +1,6 @@
 """Command-line behavior: pipelines, reports, exit codes, determinism."""
 
+import contextlib
 import csv
 import io
 import json
@@ -14,9 +15,20 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import CSV_HEADER, make_lognormal, profile_rows
+from conftest import CSV_HEADER, TRACE_TEXT, make_lognormal, profile_rows, trace_bundle
 
-from errant import DryRunBackend, ProfileKey, VirtualClock, fit, load, sample_points, save
+from errant import (
+    DryRunBackend,
+    ProfileKey,
+    Segment,
+    VirtualClock,
+    fit,
+    load,
+    run,
+    sample_points,
+    sampler,
+    save,
+)
 from errant import cli
 from errant.cli import main
 
@@ -769,6 +781,73 @@ def test_run_periodic_dry_run_matches_golden(small_bundle_path, capsys):
     argv = ["run", "--models", str(small_bundle_path), "--profile", KEY_TEXT]
     assert run_cli(argv + ["--duration", "30", "--period", "3", "--seed", "21"]) == 0
     assert capsys.readouterr().out == (GOLDEN / "run_periodic_dry_run.txt").read_text()
+
+
+def _command_lines(text):
+    return [line[len("# $ "):] for line in text.splitlines() if line.startswith("# $ ")]
+
+
+def test_run_dry_run_lines_replay_the_library_log(small_bundle_path, capsys, monkeypatch):
+    # the "# $" lines are rendered from the events a block at a time, after the run; across
+    # block seams they must read as the log of a DryRunBackend that the library run drove
+    monkeypatch.delenv("ERRANT_IFB", raising=False)
+    duration = 2 * cli._REPLAY_BLOCK + 1  # three blocks of events, the last one part full
+    argv = ["run", "--models", str(small_bundle_path), "--profile", KEY_TEXT]
+    assert run_cli(argv + ["--duration", str(duration), "--period", "1", "--seed", "29"]) == 0
+    backend = DryRunBackend("eth0")
+    model = load(small_bundle_path).models[ProfileKey(KEY_TEXT)]
+    segment = Segment(duration, 1, sampler(model, np.random.default_rng(29)))
+    run([segment], backend, VirtualClock())
+    assert len(backend.log) == 9 + 8 * (duration - 1) + 3
+    assert _command_lines(capsys.readouterr().out) == backend.log
+
+
+def test_trace_run_dry_run_matches_golden(tmp_path, capsys, monkeypatch):
+    # the CLI's replay of a trace's events: installs, resamples and clears of three steps
+    monkeypatch.delenv("ERRANT_IFB", raising=False)
+    bundle, scenario = tmp_path / "trace.json", tmp_path / "tour.scenario"
+    save(trace_bundle(), bundle)
+    scenario.write_text(TRACE_TEXT)
+    argv = ["trace-run", "--models", str(bundle), "--scenario", str(scenario), "--seed", "13"]
+    assert run_cli(argv) == 0
+    lines = _command_lines(capsys.readouterr().out)
+    assert "\n".join(lines) + "\n" == (GOLDEN / "trace_dry_run.txt").read_text()
+
+
+@pytest.mark.parametrize("command", ["run", "trace-run"])
+def test_dry_run_ifb_is_egress_prints_nothing(small_bundle_path, tmp_path, capsys, monkeypatch,
+                                              command):
+    # the dry run's backend is built before the run, so its names are refused before any output
+    monkeypatch.setenv("ERRANT_IFB", "eth0")
+    scenario = tmp_path / "one.scenario"
+    scenario.write_text(f"10,{KEY_TEXT},periodic:2\n")
+    source = ["--profile", KEY_TEXT, "--duration", "10", "--period", "2"]
+    if command == "trace-run":
+        source = ["--scenario", str(scenario)]
+    assert run_cli([command, "--models", str(small_bundle_path), *source, "--seed", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must differ from the egress interface" in captured.err
+
+
+def test_dry_run_memory_holds_no_command_text_per_apply(small_bundle_path):
+    # guards the replay: a run holds its events, not their command lines; per apply, the
+    # events and the report's text take about 475 B, and a log of 8 lines per apply, joined
+    # into one string at the end, read about 1,660 B
+    peaks = []
+    for applies in (2000, 20000):
+        argv = ["run", "--models", str(small_bundle_path), "--profile", KEY_TEXT,
+                "--duration", str(applies), "--period", "1", "--seed", "1"]
+        with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+            tracemalloc.start()
+            try:
+                code = run_cli(argv)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert code == 0
+        peaks.append(peak)
+    assert (peaks[1] - peaks[0]) / 18000 < 700
 
 
 VALIDATE_HEADER = "download,download_kbps,upload_kbps,latency_ms,duration_s,avg_speed_kbps"

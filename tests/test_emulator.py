@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import make_lognormal
+from conftest import TRACE_TEXT, make_lognormal, trace_bundle
 
 from errant import (
     BackendError,
@@ -63,21 +63,6 @@ class RecordingBackend:
 
 def small_model(seed=1, n=120):
     return fit(make_lognormal(n, seed))
-
-
-def nearly_constant_model(download, upload, latency):
-    """Model whose draws always format to the same command values."""
-    points = np.array(
-        [
-            [download, upload, latency],
-            [download + 0.2, upload, latency],
-            [download, upload + 0.2, latency],
-            [download, upload, latency + 0.0004],
-        ]
-    )
-    return KdeModel(
-        points=points, covariance=np.cov(points, rowvar=False), bandwidth_factor=1e-9
-    )
 
 
 # --- presets ---------------------------------------------------------------
@@ -404,27 +389,6 @@ def test_report_to_text_layout():
 
 
 # --- traces ------------------------------------------------------------------
-
-
-def trace_bundle():
-    return ModelBundle(
-        models={
-            ProfileKey.from_string("specific/norway/telia/4G/good"): nearly_constant_model(
-                20000.0, 5000.0, 40.0
-            ),
-            ProfileKey.from_string("universal/any/any/3G/bad"): nearly_constant_model(
-                512.0, 256.0, 200.0
-            ),
-        }
-    )
-
-
-TRACE_TEXT = (
-    "# three-step tour\n"
-    "10,specific/norway/telia/4G/good,fixed\n"
-    "5,universal/any/any/3G/bad,fixed\n"
-    "10,specific/norway/telia/4G/good,periodic:5\n"
-)
 
 
 def test_run_trace_timeline():

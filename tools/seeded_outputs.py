@@ -5,12 +5,14 @@ Usage: python3 tools/seeded_outputs.py CHECKOUT
 Builds the model bundle with the checkout's ``bench/datagen.py bundle --seed 1
 --rows 50000``, then runs each command below with ``PYTHONPATH=CHECKOUT/src``
 and ``--seed 3``, on the profile ``universal/any/any/4G/good`` where one is
-named. Running it on two checkouts tells whether a change kept the bytes the
-README promises: the stdout of every command, and a model file that
-save -> load -> save reproduces. ``trace-run``'s ``# scenario=`` line names a
-temporary path, so it is left out of that output's md5. The bundle's points
-have at most three decimals, so a second save -> load -> save runs on a
-bundle fitted on full-precision lognormal points, which ``repr`` writes.
+named. ``run-periodic-bench`` is the benchmark's ``run`` size, 10000 applies, so
+its ``# $`` lines span several of the dry run's replay blocks. Running it on two
+checkouts tells whether a change kept the bytes the README promises: the stdout
+of every command, and a model file that save -> load -> save reproduces.
+``trace-run``'s ``# scenario=`` line names a temporary path, so it is left out
+of that output's md5. The bundle's points have at most three decimals, so a
+second save -> load -> save runs on a bundle fitted on full-precision lognormal
+points, which ``repr`` writes.
 
 It also runs ingest -> fit -> save through the CLI: ``build-models
 --write-rejects`` on the rows of ``bench/datagen.py csv --seed 1 --rows 50000``,
@@ -59,6 +61,9 @@ COMMANDS = (
     ("list-profiles", ["list-profiles", "--models", "{models}"]),
     ("run-periodic", ["run", "--models", "{models}", "--profile", PROFILE, "--seed", "3",
                       "--duration", "2000", "--period", "1"]),
+    # the bench's run size: 10000 applies cross several of the dry run's replay blocks
+    ("run-periodic-bench", ["run", "--models", "{models}", "--profile", PROFILE, "--seed", "3",
+                            "--duration", "10000", "--period", "1"]),
     ("run-fixed", ["run", "--models", "{models}", "--profile", PROFILE, "--seed", "3",
                    "--duration", "20"]),
     ("run-simple", ["run", "--models", "{models}", "--profile", PROFILE, "--seed", "3",
