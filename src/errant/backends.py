@@ -6,21 +6,22 @@ traffic is redirected to an ifb device where download is limited the same
 way, and the round-trip latency is split half on each side so a full RTT is
 experienced end to end. A netem qdisc under each HTB class adds the delay.
 A resample rebuilds each direction's root in turn and keeps the ifb redirect.
-A backend checks its interface names and renders their text once, when it is
-made; an apply formats only the two rates and the netem clause.
+A backend checks its interface names when it is made. A block of applies is
+written with one join from text cut once; only its rates and netem clauses are formatted.
 ``DryRunBackend`` and ``TcBackend`` meet the run loop's ``emulator.Backend`` protocol.
 """
 
 from __future__ import annotations
 
 import contextlib
+import itertools
 import os
 import signal
 import subprocess
 import sys
 import threading
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -35,13 +36,13 @@ def _ms(value: float) -> str:
     return text or "0"
 
 
-def _kbit(value: float) -> int:
+def _kbit(rates: Sequence[float]) -> list[str]:
     # HTB rates are whole kbit; never render a zero rate
-    return max(1, round(value))
+    return [str(max(1, round(rate))) for rate in rates]
 
 
 class _Renderer:
-    """The command lines for one interface pair, its names checked and its text built once."""
+    """An interface pair's command lines: its names checked, its constant lines built once."""
 
     def __init__(self, egress_iface: str, ifb_iface: str) -> None:
         names = (egress_iface, ifb_iface)
@@ -72,16 +73,25 @@ class _Renderer:
             for name in names
         ]
 
-    def render(self, params: EmulationParams, resample: bool = False) -> list[str]:
-        netem = f"delay {_ms(params.latency_ms / 2.0)}ms"
-        if params.latency_std_ms is not None:
-            netem += f" {_ms(params.latency_std_ms / 2.0)}ms distribution normal"
-        egress_head, ifb_head = self._heads[resample]
+    def text(self, block: Sequence[EmulationParams], resample: bool = False, sep: str = "\n") -> str:
+        """The lines of a non-empty ``block`` of applies joined by ``sep``, the first an install
+        unless ``resample``; the text around their rates and netem clauses is cut once."""
         (egress_rate, egress_netem), (ifb_rate, ifb_netem) = self._tails
-        return [
-            *egress_head, f"{egress_rate}{_kbit(params.upload_kbps)}kbit", egress_netem + netem,
-            *ifb_head, f"{ifb_rate}{_kbit(params.download_kbps)}kbit", ifb_netem + netem,
-        ]
+        first, again = ((sep.join([*egress_head, egress_rate]), sep.join(["", *ifb_head, ifb_rate]))
+                        for egress_head, ifb_head in (self._heads[resample], self._heads[True]))
+        downloads, uploads, latencies, deviations = zip(*block)
+        parts = [sep + again[0], "", f"kbit{sep}{egress_netem}", "", again[1], "",
+                 f"kbit{sep}{ifb_netem}", ""] * len(block)
+        parts[0], parts[4] = first
+        parts[1::8], parts[5::8] = _kbit(uploads), _kbit(downloads)
+        parts[3::8] = parts[7::8] = [
+            f"delay {_ms(latency / 2.0)}ms" if deviation is None
+            else f"delay {_ms(latency / 2.0)}ms {_ms(deviation / 2.0)}ms distribution normal"
+            for latency, deviation in zip(latencies, deviations)]
+        return "".join(parts)
+
+    def render(self, params: EmulationParams, resample: bool = False) -> list[str]:
+        return self.text([params], resample).split("\n")
 
 
 def render_commands(params: EmulationParams, egress_iface: str, ifb_iface: str) -> list[str]:
@@ -186,6 +196,17 @@ class DryRunBackend(_CommandBackend):
 
     def _execute(self, commands: list[str]) -> None:
         self.log.extend(commands)
+
+    def replay(self, actions: Sequence[Optional[EmulationParams]], sep: str) -> str:
+        """The lines of applying each params and clearing at each ``None``, in order, joined by
+        ``sep``; ``configured`` ends where those calls would leave it, and ``log`` is untouched."""
+        pieces = []
+        for cleared, run in itertools.groupby(actions, lambda params: params is None):
+            run = list(run)
+            pieces += ([sep.join(self._renderer.teardown)] * len(run) if cleared
+                       else [self._renderer.text(run, self.configured is not None, sep)])
+            self.configured = None if cleared else run[-1]
+        return sep.join(pieces)
 
 
 def _shell_runner(command: str) -> tuple[int, str]:

@@ -146,10 +146,8 @@ def _report_run(backend, drive, seed: int, label: str, **notes: str) -> int:
     report.notes = {"version": __version__, "seed": str(seed), "backend": label, **notes}
     sys.stdout.write(report.to_text())
     for start in range(0, len(report.events) if dry else 0, _REPLAY_BLOCK):
-        for _, _, params in report.events[start:start + _REPLAY_BLOCK]:
-            backend.clear() if params is None else backend.apply(params)
-        sys.stdout.write("# $ " + "\n# $ ".join(backend.log) + "\n")
-        backend.log.clear()
+        block = [params for _, _, params in report.events[start:start + _REPLAY_BLOCK]]
+        sys.stdout.write("# $ " + backend.replay(block, "\n# $ ") + "\n")
     return 0
 
 

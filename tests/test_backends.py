@@ -150,6 +150,42 @@ def test_backend_lines_match_render_commands(kind, first, second, ifb):
     assert backend.configured is None
 
 
+@pytest.mark.parametrize(
+    "before,actions,shown",
+    [
+        # rates on .5 ties round half to even, as round does
+        ([], [EmulationParams(2.5, 3.5, 10.0), EmulationParams(1000.5, 1.5, 7.0)],
+         ["rate 2kbit", "rate 4kbit", "rate 1000kbit"]),
+        ([], [EmulationParams(0.4, 0.49, 1.0), EmulationParams(0.5, 1e-3, 2.0)], ["rate 1kbit"]),
+        ([], [EmulationParams(1e300, 5.0, 1.0), PARAMS_BASIC], [f"rate {round(1e300)}kbit"]),
+        # ints beyond a float's 53 bits stay exact, alone in a block and among floats
+        ([], [EmulationParams(2**60 + 1, 3000, 40), EmulationParams(2.5, 2**60 + 1, 40.0)],
+         ["rate 1152921504606846977kbit", "rate 3000kbit", "rate 2kbit"]),
+        ([], [EmulationParams(15000.0, 3000.0, 40.0, latency_std_ms=10.0), PARAMS_BASIC,
+              EmulationParams(900.0, 300.0, 70.0, latency_std_ms=0.5)],
+         ["delay 20ms 5ms distribution normal", "delay 35ms 0.25ms distribution normal"]),
+        ([], [EmulationParams(1000.0, 500.0, 0.0)], ["netem delay 0ms"]),
+        ([], [None, PARAMS_BASIC, None, None, PARAMS_BASIC], []),
+        ([PARAMS_BASIC], [EmulationParams(512.0, 256.0, 200.0), None, PARAMS_BASIC], []),
+    ],
+)
+def test_replay_matches_the_log_of_each_apply_and_clear(before, actions, shown):
+    # the block text is checked against the per-apply path, one apply or clear at a time
+    reference, backend = DryRunBackend("eth0", "ifb0"), DryRunBackend("eth0", "ifb0")
+    for params in before:
+        reference.apply(params)
+        backend.apply(params)
+    reference.log.clear()
+    log = list(backend.log)
+    for params in actions:
+        reference.clear() if params is None else reference.apply(params)
+    text = backend.replay(actions, "\n")
+    assert text == "\n".join(reference.log)
+    assert all(part in text for part in shown)
+    assert backend.configured is reference.configured
+    assert backend.log == log
+
+
 def test_tc_backend_raises_on_failed_install():
     def runner(command):
         if "htb rate" in command:

@@ -24,7 +24,9 @@ from errant import (
     VirtualClock,
     fit,
     load,
+    parse_scenario,
     run,
+    run_trace,
     sample_points,
     sampler,
     save,
@@ -787,18 +789,32 @@ def _command_lines(text):
     return [line[len("# $ "):] for line in text.splitlines() if line.startswith("# $ ")]
 
 
-def test_run_dry_run_lines_replay_the_library_log(small_bundle_path, capsys, monkeypatch):
+@pytest.mark.parametrize("command", ["run", "trace-run"])
+def test_run_dry_run_lines_replay_the_library_log(small_bundle_path, tmp_path, capsys,
+                                                  monkeypatch, command):
     # the "# $" lines are rendered from the events a block at a time, after the run; across
     # block seams they must read as the log of a DryRunBackend that the library run drove
     monkeypatch.delenv("ERRANT_IFB", raising=False)
-    duration = 2 * cli._REPLAY_BLOCK + 1  # three blocks of events, the last one part full
-    argv = ["run", "--models", str(small_bundle_path), "--profile", KEY_TEXT]
-    assert run_cli(argv + ["--duration", str(duration), "--period", "1", "--seed", "29"]) == 0
+    argv = [command, "--models", str(small_bundle_path), "--seed", "29"]
     backend = DryRunBackend("eth0")
-    model = load(small_bundle_path).models[ProfileKey(KEY_TEXT)]
-    segment = Segment(duration, 1, sampler(model, np.random.default_rng(29)))
-    run([segment], backend, VirtualClock())
-    assert len(backend.log) == 9 + 8 * (duration - 1) + 3
+    rng = np.random.default_rng(29)
+    if command == "run":
+        durations = [2 * cli._REPLAY_BLOCK + 1]  # three blocks of events, the last one part full
+        argv += ["--profile", KEY_TEXT, "--duration", str(durations[0]), "--period", "1"]
+        model = load(small_bundle_path).models[ProfileKey(KEY_TEXT)]
+        report = run([Segment(durations[0], 1, sampler(model, rng))], backend, VirtualClock())
+    else:
+        # a clear inside the first block, a clear as its last event, then a step across a seam
+        durations = [300, 210, 700]
+        scenario = tmp_path / "blocks.scenario"
+        scenario.write_text("".join(f"{seconds},{KEY_TEXT},periodic:1\n" for seconds in durations))
+        argv += ["--scenario", str(scenario)]
+        steps = parse_scenario(scenario.read_text())
+        report = run_trace(steps, load(small_bundle_path), backend, rng, VirtualClock())
+        clears = [index for index, event in enumerate(report.events) if event.action == "clear"]
+        assert clears == [300, cli._REPLAY_BLOCK - 1, cli._REPLAY_BLOCK + 700]
+    assert run_cli(argv) == 0
+    assert len(backend.log) == sum(9 + 8 * (duration - 1) + 3 for duration in durations)
     assert _command_lines(capsys.readouterr().out) == backend.log
 
 

@@ -6,13 +6,17 @@ Builds the model bundle with the checkout's ``bench/datagen.py bundle --seed 1
 --rows 50000``, then runs each command below with ``PYTHONPATH=CHECKOUT/src``
 and ``--seed 3``, on the profile ``universal/any/any/4G/good`` where one is
 named. ``run-periodic-bench`` is the benchmark's ``run`` size, 10000 applies, so
-its ``# $`` lines span several of the dry run's replay blocks. Running it on two
-checkouts tells whether a change kept the bytes the README promises: the stdout
-of every command, and a model file that save -> load -> save reproduces.
-``trace-run``'s ``# scenario=`` line names a temporary path, so it is left out
-of that output's md5. The bundle's points have at most three decimals, so a
-second save -> load -> save runs on a bundle fitted on full-precision lognormal
-points, which ``repr`` writes.
+its ``# $`` lines span several of the dry run's replay blocks. The dry run
+renders its ``# $`` lines 512 events at a time, and each block decides install
+or resample from where the last one left off, so ``trace-run-blocks`` runs 300,
+210 and 700 applies at period 1 on three profiles that ``trace-run`` names: one
+clear falls inside the first block, the next is its last event, and the third
+step crosses a block seam. Running it on two checkouts tells whether a change
+kept the bytes the README promises: the stdout of every command, and a model
+file that save -> load -> save reproduces. A ``trace-run``'s ``# scenario=``
+line names a temporary path, so it is left out of that output's md5. The
+bundle's points have at most three decimals, so a second save -> load -> save
+runs on a bundle fitted on full-precision lognormal points, which ``repr`` writes.
 
 It also runs ingest -> fit -> save through the CLI: ``build-models
 --write-rejects`` on the rows of ``bench/datagen.py csv --seed 1 --rows 50000``,
@@ -41,6 +45,11 @@ SCENARIO = (
     "30,universal/any/any/4G/ordinary,periodic:10\n"
     "45,specific/norway/telia/4G/good,periodic:5\n"
 )
+BLOCKS_SCENARIO = (
+    "300,universal/any/any/4G/good,periodic:1\n"
+    "210,universal/any/any/4G/ordinary,periodic:1\n"
+    "700,specific/norway/telia/4G/good,periodic:1\n"
+)
 SAVE_LOAD_SAVE = "import sys; from errant import load, save; save(load(sys.argv[1]), sys.argv[2])"
 # 5000 points with every digit a lognormal draw gives, written to argv[1]
 FULL_PRECISION_BUNDLE = """
@@ -56,7 +65,7 @@ model = fit(np.exp(logs))
 save(ModelBundle(models={ProfileKey("universal/any/any/4G/good"): model}), sys.argv[1])
 """
 
-# (name, errant arguments); {models} is the bundle, {scenario} the scenario file
+# (name, errant arguments); {models} is the bundle, {scenario} and {blocks} the scenario files
 COMMANDS = (
     ("list-profiles", ["list-profiles", "--models", "{models}"]),
     ("run-periodic", ["run", "--models", "{models}", "--profile", PROFILE, "--seed", "3",
@@ -84,6 +93,9 @@ COMMANDS = (
                          "--sizes", "1,2,300", "--reps", "40", "--cap", "300"]),
     ("trace-run", ["trace-run", "--models", "{models}", "--scenario", "{scenario}",
                    "--seed", "3"]),
+    # clears inside a replay block and on its last event, and a step across a block seam
+    ("trace-run-blocks", ["trace-run", "--models", "{models}", "--scenario", "{blocks}",
+                          "--seed", "3"]),
 )
 
 
@@ -133,13 +145,16 @@ def main(argv: list[str]) -> int:
         bundle = Path(scratch, "bundle.json")
         scenario = Path(scratch, "scenario.txt")
         scenario.write_text(SCENARIO, encoding="utf-8")
+        blocks = Path(scratch, "blocks.txt")
+        blocks.write_text(BLOCKS_SCENARIO, encoding="utf-8")
         python(checkout / "bench" / "datagen.py", "bundle", "--seed", 1, "--rows", 50000,
                "--out", bundle)
         print("bundle", _md5(bundle.read_bytes()))
         for name, args in COMMANDS:
             out = python("-m", "errant.cli",
-                         *(arg.format(models=bundle, scenario=scenario) for arg in args))
-            if name == "trace-run":
+                         *(arg.format(models=bundle, scenario=scenario, blocks=blocks)
+                           for arg in args))
+            if args[0] == "trace-run":
                 lines = out.splitlines(keepends=True)
                 out = b"".join(line for line in lines if not line.startswith(b"# scenario="))
             print(name, _md5(out))
