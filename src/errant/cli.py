@@ -46,9 +46,17 @@ from .validation import compare_distributions, subsample_experiment
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse with usage errors reported as exit status 1."""
+    """argparse with usage errors as exit status 1; a missing option's error names unknown ones."""
+
+    def parse_known_args(self, args=None, namespace=None):  # type: ignore[override]
+        self.given = sys.argv[1:] if args is None else list(args)
+        return super().parse_known_args(args, namespace)
 
     def error(self, message: str) -> None:  # type: ignore[override]
+        unknown = [arg for arg in getattr(self, "given", ()) if arg.startswith("--") and not any(
+            option.startswith(arg.partition("=")[0]) for option in self._option_string_actions)]
+        if unknown and message.startswith("the following arguments are required"):
+            message += f"; unrecognized arguments: {' '.join(unknown)}"
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
 

@@ -7,8 +7,8 @@ A block of points whose every value has at most three decimals and lies in [1e-4
 is written with ``%.*f`` at each value's fewest decimals: the same text, without ``repr``'s
 search for the shortest digits. Any other block is written with ``repr``.
 A save writes a block of points at a time; a refused key or a failed write leaves the old file.
-A load turns each model's points into an array as soon as that model is decoded, so it
-needs about the file's text plus one model's nested lists, not every model's.
+A load turns each model's points into an array as each model is decoded: it needs the file's
+text plus one model's lists. load_model reads the bytes and decodes only the head and its model.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import threading
 from contextlib import suppress
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterator, Union
+from typing import Dict, Iterator, Optional, Union
 
 import numpy as np
 
@@ -39,6 +39,7 @@ _POINT = "        [%r, %r, %r]"  # repr of a builtin float round-trips and is JS
 # that decimal's digits: for 1e-4 <= x < 1e12.
 _SHORT_POINT = "        [%.*f, %.*f, %.*f]"
 _BLOCK = 2048  # points rendered at a time, so a save holds one block's text, not one model's
+_SCAN = 1 << 16  # bytes load_model reads at a time while it looks for its model
 
 
 @dataclass
@@ -165,28 +166,45 @@ def _bundle(text: str, path: Union[str, Path]) -> ModelBundle:
 def load_model(path: Union[str, Path], key: ProfileKey) -> KdeModel:
     """The model stored for ``key``, revalidated like :func:`load` does.
 
-    In the canonical layout only the header and this model's object are
-    decoded and checked, so a fault in another model goes unnoticed. Any
-    other layout is decoded in full, as :func:`load` does.
+    In the canonical layout the file is read a chunk at a time and only the header and this
+    model's object are decoded and checked, so a fault in another model, even a byte that is not
+    UTF-8, goes unnoticed. Any other layout is decoded in full, as :func:`load` does.
     """
-    text = _read_text(path)
-    marker = f"\n{_key_line(key)}\n"
-    first = text.find(marker)
-    # the canonical head, and the key named on exactly one line
-    if text.startswith(_HEAD) and first >= 0 and text.find(marker, first + 1) < 0:
-        decode = json.JSONDecoder(object_pairs_hook=_object_without_repeats).raw_decode
-        try:
-            created, end = decode(text, len(_HEAD))
-            body, _ = decode(text, first + len(marker) - 2)
-        except (json.JSONDecodeError, CorruptModelError):
-            created = None  # _bundle reports it, naming the file
-        if isinstance(created, str) and text.startswith(_AFTER_CREATED + "\n", end):
-            return _model_from_doc(key, body)
-    models = _bundle(text, path).models
+    body = None
+    with suppress(OSError, ValueError, CorruptModelError):  # the full decode reports it
+        body = _canonical_body(path, key)
+    if body is not None:
+        return _model_from_doc(key, body)
+    models = _bundle(_read_text(path), path).models
     if key not in models:
         available = ", ".join(sorted(models)) or "none"
         raise FormatError(f"profile {key} not in model file; available: {available}")
     return models[key]
+
+
+def _canonical_body(path: Union[str, Path], key: ProfileKey) -> Optional[dict]:
+    marker = f"\n{_key_line(key)}\n".encode()  # ASCII: a match in the bytes is one in the text
+    keep = len(marker) - 1  # the bytes of a chunk carried into the next window
+    window, starts, close = bytearray(keep + _SCAN), [], -1
+    with open(path, "rb") as handle:
+        head = b"".join(handle.readline() for _ in range(4)).decode("utf-8")
+        if not (head.startswith(_HEAD) and head.endswith(_AFTER_CREATED + "\n")
+                and isinstance(json.loads(head[len(_HEAD):-len(_AFTER_CREATED) - 1]), str)):
+            return None
+        handle.seek(0)
+        while len(starts) < 2 and (count := handle.readinto(memoryview(window)[keep:])):
+            base, end = handle.tell() - count - keep, keep + count  # window[0] is at base
+            at = keep - 2  # each "{" is looked at once, in the first window with the byte after it
+            while (at := window.find(b"{", at + 1, end - 1)) >= 0:
+                if window[at + 1 - keep:at + 2] == marker:
+                    starts.append(base + at + 1 - keep)
+            at = window.find(b"}", max(starts[0] + keep + 1 - base, 0), end) if starts else -1
+            close = base + at if close < 0 <= at else close  # a canonical model has one "}"
+            window[:keep] = window[count:end]
+        (start,) = starts  # else a ValueError: the key is not on exactly one line
+        handle.seek(start + keep - 1)  # the model's "{"
+        body = handle.read(close + 1 - handle.tell()).decode("utf-8")  # to the end if no "}"
+    return json.loads(body, object_pairs_hook=_object_without_repeats)
 
 
 def _object_without_repeats(pairs: list) -> dict:

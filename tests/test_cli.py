@@ -1011,6 +1011,29 @@ def test_subsample_requires_one_source(tmp_path, capsys):
     assert "unrecognized arguments: --input" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, reason",
+    [
+        (["subsample", "--input", "x.csv", "--profile", KEY_TEXT],
+         "the following arguments are required: --models; unrecognized arguments: --input"),
+        (["subsample", "--input=x.csv", "--reps", "3", "--cap", "9", "--profile", KEY_TEXT],
+         "the following arguments are required: --models; unrecognized arguments: --input=x.csv"),
+        # abbreviations of known options are not unknown ones
+        (["subsample", "--prof", KEY_TEXT, "--rep", "3"],
+         "the following arguments are required: --models"),
+        (["subsample", "--profile", KEY_TEXT], "the following arguments are required: --models"),
+        (["run", "--models", "m.json", "--frob"],
+         "the following arguments are required: --duration; unrecognized arguments: --frob"),
+    ],
+    ids=["unknown", "unknown-with-value", "abbreviations", "no-unknown", "run"],
+)
+def test_missing_required_option_names_unknown_options(capsys, argv, reason):
+    # argparse reports a missing required option before an unknown one, so a flag that was
+    # removed, like subsample's --input, is named in the same message
+    assert run_cli(argv) == 1
+    assert capsys.readouterr().err.endswith(f"errant {argv[0]}: error: {reason}\n")
+
+
 def test_usage_errors_exit_one():
     assert run_cli([]) == 1
     assert run_cli(["run"]) == 1  # missing --duration

@@ -352,6 +352,27 @@ def test_load_memory_stays_per_model(tmp_path):
     assert peak / points < 130  # 113 here; every model's lists at once read 240
 
 
+def test_load_model_memory_stays_per_model(tmp_path):
+    # guards the one-model read: the file is scanned a chunk at a time and only the chosen
+    # model's text is decoded, so the peak follows that model, not the file
+    models = {
+        ProfileKey(f"specific/country{index}/telia/4G/good"):
+            fit(np.round(make_lognormal(5000, seed=index), 3))  # rounded as the bench bundle's
+        for index in range(8)
+    }
+    path = tmp_path / "m.json"
+    save(ModelBundle(models=models), path)
+    key = sorted(models)[3]
+    tracemalloc.start()
+    try:
+        model = load_model(path, key)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert model.n == 5000
+    assert peak / model.n < 400  # 273 here; decoding the whole file read 625, growing with it
+
+
 def test_refused_key_keeps_the_previous_file(tmp_path):
     path = tmp_path / "m.json"
     save(two_model_bundle(), path)
@@ -629,18 +650,117 @@ def test_load_model_equals_whole_bundle_load(tmp_path, monkeypatch, indent):
     bundle = load(path)
     assert len(bundle.models) == 3
     if indent is None:  # a canonical file is never decoded in full
+        refuse_whole_bundle_decode(monkeypatch)
+    opens, reads = [], []
 
-        def whole_bundle_decode(text, path):
-            raise AssertionError("a canonical file was decoded in full")
+    def counted_open(path, mode):
+        opens.append(path)
+        return open(path, mode)
 
-        monkeypatch.setattr("errant.model_store._bundle", whole_bundle_decode)
-    reads = []
+    monkeypatch.setattr(model_store, "open", counted_open, raising=False)
     monkeypatch.setattr(
         "errant.model_store._read_text", lambda path: reads.append(path) or Path(path).read_text()
     )
     for key, model in bundle.models.items():
         assert_same_model(load_model(path, key), model)
-    assert reads == [path] * 3  # the file is read once per call, in either layout
+    assert opens == [path] * 3  # the one-model scan opens the file once per call
+    # a canonical file is never read in full; any other layout is, once per call
+    assert reads == ([] if indent is None else [path] * 3)
+
+
+def refuse_whole_bundle_decode(monkeypatch):
+    def whole_bundle_decode(text, path):
+        raise AssertionError("a canonical file was decoded in full")
+
+    monkeypatch.setattr("errant.model_store._bundle", whole_bundle_decode)
+
+
+def outcome(read, *args):
+    """What ``read(*args)`` gives: a model, or its error's type and text."""
+    try:
+        return read(*args)
+    except Exception as exc:  # the error is the outcome compared
+        return type(exc), str(exc)
+
+
+def assert_same_outcome(got, expected):
+    if isinstance(expected, KdeModel):
+        assert_same_model(got, expected)
+    else:
+        assert got == expected
+
+
+# a country and an operator may hold "{" and "}", so the "}" that ends a model is searched
+# for only after its key line
+BRACE_KEYS = [ProfileKey(text) for text in
+              ("specific/a{b/op}/4G/good", "specific/}x{/{/3G/bad", "universal/any/any/4G/good")]
+
+
+def brace_bundle():
+    return ModelBundle(
+        models={key: fit(make_lognormal(40 + 10 * index, seed=index))
+                for index, key in enumerate(BRACE_KEYS)},
+        created="2026-10-20T00:00:00+00:00",
+    )
+
+
+def test_load_model_reads_one_model_under_a_key_with_braces(tmp_path, monkeypatch):
+    path = tmp_path / "m.json"
+    save(brace_bundle(), path)
+    bundle = load(path)
+    refuse_whole_bundle_decode(monkeypatch)
+    for key in BRACE_KEYS:
+        assert_same_model(load_model(path, key), bundle.models[key])
+
+
+@pytest.mark.parametrize("scan", [1, 2, 3, 5, 8, 13, None], ids=str)
+@pytest.mark.parametrize("position", [0, -1], ids=["first", "last"])
+def test_load_model_finds_its_model_across_chunk_seams(tmp_path, monkeypatch, scan, position):
+    # chunks shorter than the head and the key line put each across chunk seams; at None the
+    # first chunk ends just before the model's closing "}", so "}" opens the next chunk
+    path = tmp_path / "m.json"
+    save(brace_bundle(), path)
+    bundle = load(path)
+    key = sorted(bundle.models)[position]
+    marker = f"\n{model_store._key_line(key)}\n".encode()
+    if scan is None:
+        data = path.read_bytes()
+        scan = data.index(b"}", data.index(marker) + len(marker))
+    else:
+        assert scan < len(marker) < len(model_store._HEAD)
+    refuse_whole_bundle_decode(monkeypatch)
+    monkeypatch.setattr(model_store, "_SCAN", scan)
+    assert_same_model(load_model(path, key), bundle.models[key])
+
+
+@pytest.mark.parametrize(
+    "rewrite",
+    [lambda data: data.replace(b"\n", b"\r\n"), lambda data: b"\xef\xbb\xbf" + data],
+    ids=["crlf", "bom"],
+)
+def test_load_model_of_another_layout_equals_load(tmp_path, rewrite):
+    path = tmp_path / "m.json"
+    save(brace_bundle(), path)
+    path.write_bytes(rewrite(path.read_bytes()))
+    expected = outcome(load, path)
+    for key in BRACE_KEYS:
+        wanted = expected.models[key] if isinstance(expected, ModelBundle) else expected
+        assert_same_outcome(outcome(load_model, path, key), wanted)
+
+
+@pytest.mark.parametrize("broken", [1, 0], ids=["other-model", "selected-model"])
+def test_load_model_reads_past_a_byte_that_is_not_utf8_only_in_another_model(tmp_path, broken):
+    path = tmp_path / "m.json"
+    save(brace_bundle(), path)
+    clean = load(path)
+    data = path.read_bytes()
+    # a byte that is not UTF-8 inside a field name of one model; the other model is read
+    at = data.index(b'"points"', data.index(json.dumps(BRACE_KEYS[broken]).encode())) + 1
+    path.write_bytes(data[:at] + b"\xff" + data[at:])
+    refused = outcome(load, path)
+    assert refused[0] is ModelFileError and f"in position {at}:" in refused[1]
+    got = outcome(load_model, path, BRACE_KEYS[0])
+    assert_same_outcome(got, clean.models[BRACE_KEYS[0]] if broken else refused)
 
 
 def test_load_model_refuses_other_version(tmp_path):

@@ -5,8 +5,10 @@ Usage: python3 tools/seeded_outputs.py CHECKOUT
 Builds the model bundle with the checkout's ``bench/datagen.py bundle --seed 1
 --rows 50000``, then runs each command below with ``PYTHONPATH=CHECKOUT/src``
 and ``--seed 3``, on the profile ``universal/any/any/4G/good`` where one is
-named. ``run-periodic-bench`` is the benchmark's ``run`` size, 10000 applies, so
-its ``# $`` lines span several of the dry run's replay blocks. The dry run
+named, the second-to-last model in the file. ``validate-first-profile`` reads
+the file's first model instead, so the one-model read is checked at both ends
+of the file. ``run-periodic-bench`` is the benchmark's ``run`` size, 10000
+applies, so its ``# $`` lines span several of the dry run's replay blocks. The dry run
 renders its ``# $`` lines 512 events at a time, and each block decides install
 or resample from where the last one left off, so ``trace-run-blocks`` runs 300,
 210 and 700 applies at period 1 on three profiles that ``trace-run`` names: one
@@ -31,6 +33,7 @@ needs numpy.
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import random
 import re
@@ -65,7 +68,8 @@ model = fit(np.exp(logs))
 save(ModelBundle(models={ProfileKey("universal/any/any/4G/good"): model}), sys.argv[1])
 """
 
-# (name, errant arguments); {models} is the bundle, {scenario} and {blocks} the scenario files
+# (name, errant arguments); {models} is the bundle, {first} its first profile in file order,
+# {scenario} and {blocks} the scenario files
 COMMANDS = (
     ("list-profiles", ["list-profiles", "--models", "{models}"]),
     ("run-periodic", ["run", "--models", "{models}", "--profile", PROFILE, "--seed", "3",
@@ -88,6 +92,9 @@ COMMANDS = (
     ("validate-simple", ["validate", "--models", "{models}", "--profile", PROFILE,
                          "--seed", "3", "--simple"]),
     ("subsample", ["subsample", "--models", "{models}", "--profile", PROFILE, "--seed", "3"]),
+    # the first model in file order, where PROFILE is near the end
+    ("validate-first-profile", ["validate", "--models", "{models}", "--profile", "{first}",
+                                "--seed", "3", "--downloads", "1000"]),
     # size 1, and size == cap, where every D is 0
     ("subsample-edges", ["subsample", "--models", "{models}", "--profile", PROFILE, "--seed", "3",
                          "--sizes", "1,2,300", "--reps", "40", "--cap", "300"]),
@@ -150,9 +157,10 @@ def main(argv: list[str]) -> int:
         python(checkout / "bench" / "datagen.py", "bundle", "--seed", 1, "--rows", 50000,
                "--out", bundle)
         print("bundle", _md5(bundle.read_bytes()))
+        first = next(iter(json.loads(bundle.read_text(encoding="utf-8"))["models"]))
         for name, args in COMMANDS:
             out = python("-m", "errant.cli",
-                         *(arg.format(models=bundle, scenario=scenario, blocks=blocks)
+                         *(arg.format(models=bundle, first=first, scenario=scenario, blocks=blocks)
                            for arg in args))
             if args[0] == "trace-run":
                 lines = out.splitlines(keepends=True)
