@@ -3,9 +3,10 @@
 Files are JSON with a canonical layout: top-level keys in a fixed order,
 models sorted by profile key, one point per line, and floats written as
 ``repr`` writes them, so that save -> load -> save reproduces the file byte for byte.
-A block of points whose every value has at most three decimals and lies in [1e-4, 1e12)
-is written with ``%.*f`` at each value's fewest decimals: the same text, without ``repr``'s
-search for the shortest digits. Any other block is written with ``repr``.
+A block of points whose every value lies in [1e-4, 1e12) and is the double nearest its own
+thousandths is written as an integer part plus a fraction from a table of ".0" to ".999":
+``repr``'s text, without its search for the shortest digits. Any other block is written with
+``repr``.
 A save writes a block of points at a time; a refused key or a failed write leaves the old file.
 A load turns each model's points into an array as each model is decoded: it needs the file's
 text plus one model's lists. load_model reads the bytes and decodes only the head and its model.
@@ -33,11 +34,12 @@ FORMAT_VERSION = 1
 _HEAD = f'{{\n  "format_version": {FORMAT_VERSION},\n  "created": '
 _AFTER_CREATED = ',\n  "models": {'
 _POINT = "        [%r, %r, %r]"  # repr of a builtin float round-trips and is JSON
-# When k, in 1..3, is the fewest decimals for which rint(x * 10**k) / 10**k == x, x is the
-# double nearest a k-decimal and no shorter decimal reads back as x, so %.*f at k writes
-# repr's text. That holds where repr writes fixed notation and x * 10**k is within 0.5 of
-# that decimal's digits: for 1e-4 <= x < 1e12.
-_SHORT_POINT = "        [%.*f, %.*f, %.*f]"
+# When t = rint(x * 1000) gives t / 1000 == x, x is the double nearest the decimal t / 1000.
+# For 1e-4 <= x < 1e12, repr writes fixed notation and doubles lie at most 2**-13 apart, well
+# under half of 0.001, so t / 1000 is the only decimal of three or fewer places that reads back
+# as x and repr writes it at its fewest decimals: t // 1000, then _FRACTIONS[t % 1000].
+_SHORT_POINT = "        [%d%s, %d%s, %d%s]"
+_FRACTIONS = np.array([".0"] + [f".{i:03d}".rstrip("0") for i in range(1, 1000)], dtype=object)
 _BLOCK = 2048  # points rendered at a time, so a save holds one block's text, not one model's
 _SCAN = 1 << 16  # bytes load_model reads at a time while it looks for its model
 
@@ -82,16 +84,13 @@ def _points_text(points: np.ndarray) -> str:
     """The "[x, y, z]" lines of ``points``, each value written as ``repr`` writes it."""
     values = points.ravel()
     lines = len(points)
-    if ((values >= 1e-4) & (values < 1e12)).all():
-        decimals = np.zeros(values.shape, dtype=np.int64)
-        for k in (3, 2, 1):  # the fewest decimals that give back the value wins
-            scale = 10.0 ** k
-            decimals[np.rint(values * scale) / scale == values] = k
-        if decimals.all():
-            arguments = [None] * (2 * values.size)  # a decimal count, then its value
-            arguments[0::2] = decimals.tolist()
-            arguments[1::2] = values.tolist()
-            return ",\n".join([_SHORT_POINT] * lines) % tuple(arguments)
+    if ((values >= 1e-4) & (values < 1e12)).all() and (  # in range first: no overflow warning
+            (thousandths := np.rint(values * 1000.0)) / 1000.0 == values).all():
+        whole, fraction = np.divmod(thousandths.astype(np.int64), 1000)
+        arguments = [None] * (2 * values.size)  # an integer part, then its fraction's text
+        arguments[0::2] = whole.tolist()
+        arguments[1::2] = _FRACTIONS[fraction].tolist()
+        return ",\n".join([_SHORT_POINT] * lines) % tuple(arguments)
     return ",\n".join([_POINT] * lines) % tuple(values.tolist())
 
 

@@ -566,7 +566,8 @@ def repr_lines(points):
 
 
 def test_block_text_is_what_repr_writes():
-    # short decimals take the fixed-point format, anything else repr; both must give repr's text
+    # short decimals take the integer part and fraction table, anything else repr; both must give
+    # repr's text
     rng = np.random.default_rng(30)
     blocks = [
         np.array([[2.675, 1.005, 0.125]]),  # a two-decimal format rounds the first two down
@@ -586,8 +587,31 @@ def test_block_text_is_what_repr_writes():
 
 def test_short_decimals_skip_repr(monkeypatch):
     # the speed-test CSV's values, kbit/s and ms with at most three decimals
-    block = np.array([[2.675, 1.005, 0.125], [16387.2, 12780.6, 44.5], [3.0, 1e11, 999.999]])
+    block = np.array([[2.675, 1.005, 0.125], [16387.2, 12780.6, 44.5], [3.0, 1e11, 999.999],
+                      [1000.0, 0.001, 999999999999.999]])
     monkeypatch.setattr(model_store, "_POINT", None)  # so a fall back to repr would raise
+    assert model_store._points_text(block) == repr_lines(block)
+
+
+def test_every_fraction_at_edge_integer_parts_is_what_repr_writes(monkeypatch):
+    # the double nearest each three-decimal number, and its neighbours both ways, which the
+    # three-decimal test must leave to repr; each alone among short values in a one-line block
+    exact = np.array([(whole * 1000 + fraction) / 1000
+                      for whole in (0, 1, 7, 65535, 999_999_999, 999_999_999_999)
+                      for fraction in range(1000)])
+    neighbours = [np.nextafter(exact, np.inf), np.nextafter(exact, -np.inf)]
+    for value in np.concatenate([exact, *neighbours]):
+        block = np.array([[2.5, value, 7.0]])
+        assert model_store._points_text(block) == repr_lines(block)
+    monkeypatch.setattr(model_store, "_POINT", None)  # every exact value but 0.0 skips repr
+    block = np.append(exact[1:], 2.5).reshape(-1, 3)
+    assert model_store._points_text(block) == repr_lines(block)
+
+
+@pytest.mark.parametrize("edge", [1e12, 9.99e-5, 0.0001])
+def test_values_outside_three_decimal_range_take_repr(monkeypatch, edge):
+    monkeypatch.setattr(model_store, "_SHORT_POINT", None)  # so the three-decimal path would raise
+    block = np.array([[2.5, edge, 7.0], [1000.0, 0.001, 999999999999.999]])
     assert model_store._points_text(block) == repr_lines(block)
 
 

@@ -19,6 +19,11 @@ file that save -> load -> save reproduces. A ``trace-run``'s ``# scenario=``
 line names a temporary path, so it is left out of that output's md5. The
 bundle's points have at most three decimals, so a second save -> load -> save
 runs on a bundle fitted on full-precision lognormal points, which ``repr`` writes.
+A third, ``save-load-save-short-edges``, runs on a bundle of three-decimal points
+that include integral values, 0.001 and values just under 1e12, where ``save``'s
+three-decimal path meets its edges; one of its two models holds one long value
+in its second block of points, so that block is written with ``repr`` between two
+that are not.
 
 It also runs ingest -> fit -> save through the CLI: ``build-models
 --write-rejects`` on the rows of ``bench/datagen.py csv --seed 1 --rows 50000``,
@@ -66,6 +71,24 @@ logs = rng.multivariate_normal(np.log([20000.0, 8000.0, 40.0]),
                                correlation * np.outer(sigmas, sigmas), size=5000)
 model = fit(np.exp(logs))
 save(ModelBundle(models={ProfileKey("universal/any/any/4G/good"): model}), sys.argv[1])
+"""
+
+# three-decimal points with integral values, 0.001 and values just under 1e12, in blocks of
+# 2048 points; the second model holds one long value in its second block; written to argv[1]
+SHORT_EDGES_BUNDLE = """
+import sys
+import numpy as np
+from errant import KdeModel, ModelBundle, ProfileKey, save
+edges = [1.0, 7.0, 1000.0, 65535.0, 0.001, 0.002, 0.01, 0.999, 999999999.999,
+         999999999999.0, 999999999999.001, 999999999999.5, 999999999999.999]
+rng = np.random.default_rng(11)
+points = np.round(rng.lognormal([9.9, 9.0, 3.7], 0.5, size=(5000, 3)), 3)
+points.ravel()[rng.choice(points.size, size=900, replace=False)] = rng.choice(edges, size=900)
+mixed = points.copy()
+mixed[2048 + 7, 1] = 1234.5678901
+models = {ProfileKey("universal/any/any/4G/good"): KdeModel(points, np.eye(3), 0.25),
+          ProfileKey("universal/any/any/3G/bad"): KdeModel(mixed, np.eye(3), 0.25)}
+save(ModelBundle(models=models), sys.argv[1])
 """
 
 # (name, errant arguments); {models} is the bundle, {first} its first profile in file order,
@@ -173,6 +196,10 @@ def main(argv: list[str]) -> int:
         python("-c", FULL_PRECISION_BUNDLE, full)
         python("-c", SAVE_LOAD_SAVE, full, full_resaved)
         print("save-load-save-full-precision", _md5(full_resaved.read_bytes()))
+        edges, edges_resaved = Path(scratch, "edges.json"), Path(scratch, "edges-resaved.json")
+        python("-c", SHORT_EDGES_BUNDLE, edges)
+        python("-c", SAVE_LOAD_SAVE, edges, edges_resaved)
+        print("save-load-save-short-edges", _md5(edges_resaved.read_bytes()))
         python(checkout / "bench" / "datagen.py", "csv", "--seed", 1, "--rows", 50000,
                "--out", "speedtests.csv", cwd=scratch)
         out = python("-m", "errant.cli", "build-models", "--input", "speedtests.csv",
