@@ -8,8 +8,8 @@ thousandths is written as an integer part plus a fraction from a table of ".0" t
 ``repr``'s text, without its search for the shortest digits. Any other block is written with
 ``repr``.
 A save writes a block of points at a time; a refused key or a failed write leaves the old file.
-A load turns each model's points into an array as each model is decoded: it needs the file's
-text plus one model's lists. load_model reads the bytes and decodes only the head and its model.
+A load turns each model's points into an array as it is decoded: it needs the file's text plus
+one model's lists. load_model decodes only the head and its model; other layouts go through load.
 """
 
 from __future__ import annotations
@@ -112,19 +112,12 @@ def save(bundle: ModelBundle, path: Union[str, Path]) -> None:
             temporary.unlink()
 
 
-def _read_text(path: Union[str, Path]) -> str:
-    try:
-        return Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ModelFileError(f"cannot read model file {path}: {exc}") from exc
-
-
 def load(path: Union[str, Path]) -> ModelBundle:
     """Read a bundle, revalidating every model invariant."""
-    return _bundle(_read_text(path), path)
-
-
-def _bundle(text: str, path: Union[str, Path]) -> ModelBundle:
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ModelFileError(f"cannot read model file {path}: {exc}") from exc
     try:
         doc = json.loads(text, object_pairs_hook=_object_without_repeats)
     except json.JSONDecodeError as exc:
@@ -167,14 +160,14 @@ def load_model(path: Union[str, Path], key: ProfileKey) -> KdeModel:
 
     In the canonical layout the file is read a chunk at a time and only the header and this
     model's object are decoded and checked, so a fault in another model, even a byte that is not
-    UTF-8, goes unnoticed. Any other layout is decoded in full, as :func:`load` does.
+    UTF-8, goes unnoticed. Any other layout is read through :func:`load`.
     """
     body = None
     with suppress(OSError, ValueError, CorruptModelError):  # the full decode reports it
         body = _canonical_body(path, key)
     if body is not None:
         return _model_from_doc(key, body)
-    models = _bundle(_read_text(path), path).models
+    models = load(path).models
     if key not in models:
         available = ", ".join(sorted(models)) or "none"
         raise FormatError(f"profile {key} not in model file; available: {available}")

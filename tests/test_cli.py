@@ -1124,6 +1124,19 @@ SUBSAMPLE = ["subsample", "--models", "{models}", "--profile", KEY_TEXT]
             ["list-profiles", "--models", "{nomodels}"], None, "nomodels has no models object",
             id="model-file-without-models",
         ),
+        # a file the one-model scan cannot read is read through load, which names the error
+        pytest.param(
+            ["validate", "--models", "{missing}", "--profile", KEY_TEXT], None,
+            "cannot read model file", id="selected-model-file-missing",
+        ),
+        pytest.param(
+            ["validate", "--models", "{directory}", "--profile", KEY_TEXT], None,
+            "cannot read model file", id="selected-model-file-is-directory",
+        ),
+        pytest.param(
+            ["validate", "--models", "{latin1}", "--profile", KEY_TEXT], None,
+            "cannot read model file", id="selected-model-file-not-utf8",
+        ),
         # a canonical file whose selected model or created value is bad is read in full
         pytest.param(
             ["validate", "--models", "{badjson}", "--profile", KEY_TEXT], None,
@@ -1163,6 +1176,7 @@ def test_data_errors_exit_two(small_bundle_path, tmp_path, capsys, monkeypatch, 
     paths["badjson"].write_text(model_text.replace("        [", "        [oops, ", 1))
     paths["numcreated"].write_text(re.sub(r'"created": "[^"]*"', '"created": 5', model_text))
     paths["models"] = small_bundle_path
+    paths["directory"] = tmp_path
     assert run_cli([arg.format(**paths) for arg in argv]) == 2
     assert message in capsys.readouterr().err
     assert executed == []

@@ -673,30 +673,26 @@ def test_load_model_equals_whole_bundle_load(tmp_path, monkeypatch, indent):
     assert "\\u00e7" in path.read_text()  # the key is escaped the way save writes it
     bundle = load(path)
     assert len(bundle.models) == 3
-    if indent is None:  # a canonical file is never decoded in full
-        refuse_whole_bundle_decode(monkeypatch)
-    opens, reads = [], []
+    opens, loads = [], []
 
     def counted_open(path, mode):
         opens.append(path)
         return open(path, mode)
 
     monkeypatch.setattr(model_store, "open", counted_open, raising=False)
-    monkeypatch.setattr(
-        "errant.model_store._read_text", lambda path: reads.append(path) or Path(path).read_text()
-    )
+    monkeypatch.setattr(model_store, "load", lambda path: loads.append(path) or load(path))
     for key, model in bundle.models.items():
         assert_same_model(load_model(path, key), model)
     assert opens == [path] * 3  # the one-model scan opens the file once per call
-    # a canonical file is never read in full; any other layout is, once per call
-    assert reads == ([] if indent is None else [path] * 3)
+    # a canonical file is never read through load; any other layout is, once per call
+    assert loads == ([] if indent is None else [path] * 3)
 
 
 def refuse_whole_bundle_decode(monkeypatch):
-    def whole_bundle_decode(text, path):
+    def whole_bundle_decode(path):
         raise AssertionError("a canonical file was decoded in full")
 
-    monkeypatch.setattr("errant.model_store._bundle", whole_bundle_decode)
+    monkeypatch.setattr("errant.model_store.load", whole_bundle_decode)
 
 
 def outcome(read, *args):
