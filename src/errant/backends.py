@@ -14,7 +14,9 @@ written with one join from text cut once; only its rates and netem clauses are f
 from __future__ import annotations
 
 import contextlib
+import functools
 import itertools
+import operator
 import os
 import signal
 import subprocess
@@ -31,14 +33,13 @@ from .kde import EmulationParams
 
 
 def _ms(value: float) -> str:
-    # netem takes fractional milliseconds; trim trailing zeros
-    text = f"{value:.3f}".rstrip("0").rstrip(".")
-    return text or "0"
+    # netem takes fractional milliseconds; trim trailing zeros (the digit before "." stays)
+    return f"{value:.3f}".rstrip("0").rstrip(".")
 
 
 def _kbit(rates: Sequence[float]) -> list[str]:
     # HTB rates are whole kbit; never render a zero rate
-    return [str(max(1, round(rate))) for rate in rates]
+    return [str(round(rate) or 1) for rate in rates]  # max(1, ...) for a positive rate
 
 
 class _Renderer:
@@ -201,7 +202,7 @@ class DryRunBackend(_CommandBackend):
         """The lines of applying each params and clearing at each ``None``, in order, joined by
         ``sep``; ``configured`` ends where those calls would leave it, and ``log`` is untouched."""
         pieces = []
-        for cleared, run in itertools.groupby(actions, lambda params: params is None):
+        for cleared, run in itertools.groupby(actions, functools.partial(operator.is_, None)):
             run = list(run)
             pieces += ([sep.join(self._renderer.teardown)] * len(run) if cleared
                        else [self._renderer.text(run, self.configured is not None, sep)])

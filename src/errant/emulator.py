@@ -12,9 +12,8 @@ import contextlib
 import math
 import time
 from dataclasses import dataclass, field
-from typing import (
-    Callable, Dict, Iterable, Iterator, NamedTuple, Optional, Protocol, Sequence, Tuple
-)
+from itertools import chain, repeat
+from typing import Callable, Dict, Iterable, NamedTuple, Optional, Protocol, Sequence, Tuple
 
 import numpy as np
 
@@ -215,12 +214,8 @@ def sampler(model: KdeModel, rng: np.random.Generator) -> Callable[[], Emulation
     A block is drawn only when the previous one runs out. Each segment takes
     its own draw, so the rest of a block is dropped when the segment ends.
     """
-
-    def blocks() -> Iterator[EmulationParams]:
-        while True:
-            yield from kde.sample(model, rng, kde.BATCH)
-
-    return blocks().__next__
+    blocks = map(kde.sample, repeat(model), repeat(rng), repeat(kde.BATCH))
+    return chain.from_iterable(blocks).__next__
 
 
 def run(
@@ -237,23 +232,23 @@ def run(
         _check_timing(duration_s, period_s)
     clock = clock or MonotonicClock()
     report = RunReport()
-    origin = clock.now()
+    now, sleep, apply, record = clock.now, clock.sleep, backend.apply, report.events.append
+    origin = now()
 
     def clear() -> None:
         backend.clear()
-        report.events.append(RunEvent(clock.now() - origin, "clear", None))
+        record(RunEvent(now() - origin, "clear", None))
 
     for duration_s, period_s, draw in segments:
-        start = clock.now()
+        start = now()
         try:
             applied = 0
             while applied * period_s < duration_s:
-                clock.sleep(start + applied * period_s - clock.now())
-                params = draw()
-                backend.apply(params)
-                report.events.append(RunEvent(clock.now() - origin, "apply", params))
+                sleep(start + applied * period_s - now())
+                apply(params := draw())
+                record(RunEvent(now() - origin, "apply", params))
                 applied += 1
-            clock.sleep(start + duration_s - clock.now())
+            sleep(start + duration_s - now())
         except BaseException:
             with contextlib.suppress(Exception):
                 clear()

@@ -37,10 +37,10 @@ class _Fields(NamedTuple):
 class EmulationParams(_Fields):
     """One (download, upload, latency) tuple ready to hand to a backend.
 
-    ``latency_std_ms`` makes the latency normally distributed around
-    ``latency_ms``; without it the latency is constant. A numpy scalar becomes
-    the builtin number it holds. The constructor, ``_make``, ``_replace``, pickle
-    and copy all check the values.
+    ``latency_std_ms`` makes the latency normally distributed around ``latency_ms``; without
+    it the latency is constant. A numpy scalar becomes the builtin number it holds. The
+    constructor, ``_make``, ``_replace``, pickle and copy all check the values. Only
+    :func:`sample` builds past the check, on rows of :func:`sample_points` that pass it.
     """
 
     __slots__ = ()
@@ -172,18 +172,16 @@ def density(model: KdeModel, point: np.ndarray) -> Union[float, np.ndarray]:
 
 
 def sample_points(model: KdeModel, rng: np.random.Generator, count: int) -> np.ndarray:
-    """Draw ``count`` strictly positive points as a (count, 3) array.
+    """Draw ``count`` finite, strictly positive points as a (count, 3) array: a draw's one check.
 
-    Each draw is a uniformly chosen stored point plus zero-mean kernel noise,
-    proposed in batches of at least ``BATCH``; draws with any nonpositive
-    component are rejected and redrawn. If fewer than 1% of proposals survive
-    after ``_REJECTION_WINDOW`` of them, the model is declared pathological.
+    Each draw is a uniformly chosen stored point plus zero-mean kernel noise, proposed in batches
+    of at least ``BATCH``; draws with any nonpositive component are rejected and redrawn. If fewer
+    than 1% of proposals survive after ``_REJECTION_WINDOW`` of them, the model is pathological.
     """
     if count < 0:
         raise ValueError("count must be nonnegative")
     kept = [np.empty((0, 3))]
-    accepted = 0
-    proposed = 0
+    accepted = proposed = 0
     while accepted < count:
         batch = max(count - accepted, BATCH)
         indexes = rng.integers(0, model.n, size=batch)
@@ -205,5 +203,11 @@ def sample_points(model: KdeModel, rng: np.random.Generator, count: int) -> np.n
 
 
 def sample(model: KdeModel, rng: np.random.Generator, count: int) -> list[EmulationParams]:
-    """The rows of :func:`sample_points` as parameter tuples: the same draws and ``rng`` state."""
-    return [EmulationParams(*row) for row in sample_points(model, rng, count).tolist()]
+    """The rows of :func:`sample_points` as parameter tuples: the same draws and ``rng`` state.
+
+    They are built past the constructor, whose check each row passes: ``tolist`` gives builtin
+    floats, the rejection test keeps positive rows, and a stored point (at most the largest
+    float) plus a finite kernel's noise (under 1e156) is finite."""
+    new = tuple.__new__
+    return [new(EmulationParams, (download, upload, latency, None))
+            for download, upload, latency in sample_points(model, rng, count).tolist()]

@@ -26,7 +26,8 @@ from errant import (
     run,
     simulate_download,
 )
-from errant.backends import _shell_runner, render_clear_commands
+from errant.backends import _kbit, _shell_runner, render_clear_commands
+from errant.emulator import _PRESETS
 from errant.cli import _exit_on_signal
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -85,6 +86,15 @@ def test_render_rounds_rates_and_trims_delay():
     assert commands[5].endswith("delay 6.173ms")
     trimmed = render_commands(EmulationParams(1500.6, 700.4, 40.02), "eth0", "ifb0")
     assert trimmed[5].endswith("delay 20.01ms")  # 20.010, trailing zero trimmed
+
+
+def test_kbit_text_is_the_rate_rounded_and_at_least_one():
+    # `round(rate) or 1` is max(1, round(rate)) for a positive rate: halves round to even,
+    # a preset's int stays an int, and an int past 2**53 or a huge float prints every digit
+    presets = [rate for params in _PRESETS.values() for rate in params[:2]]
+    rates = [1e-9, 0.3, 0.5, 1.5, 2.5, *presets, 2**53 + 1, 1e300]
+    assert any(type(rate) is int for rate in presets)
+    assert _kbit(rates) == [str(max(1, round(rate))) for rate in rates]
 
 
 def test_render_clear_commands():

@@ -194,6 +194,39 @@ def _near_zero_model():
     return model
 
 
+def _largest_model():
+    # points at the largest float under the largest kernel a model accepts (a factor one
+    # step above 1 overflows it): the noise reaches about 1e155, and a point plus it must not
+    # overflow; the point at 1 keeps the rejection test active
+    big = np.finfo(float).max
+    points = np.array([[big, big, big], [big, big / 2, big], [1.0, 1.0, 1.0]])
+    with pytest.raises(FitError, match="finite kernel covariance"):
+        KdeModel(points=points, covariance=np.diag([big] * 3),
+                 bandwidth_factor=np.nextafter(1.0, 2.0))
+    return KdeModel(points=points, covariance=np.diag([big] * 3), bandwidth_factor=1.0)
+
+
+@pytest.mark.parametrize("kind", ["lognormal", "near_zero", "largest"])
+def test_sample_rows_are_what_the_constructor_would_build(kind):
+    # sample builds its rows past EmulationParams' check, as each row of sample_points passes it
+    model = {
+        "lognormal": lambda: fit(make_lognormal(300, seed=15)),
+        "near_zero": _near_zero_model,
+        "largest": _largest_model,
+    }[kind]()
+    with np.errstate(all="raise"):  # an overflow in point + noise would raise here
+        points = sample_points(model, np.random.default_rng(4), 2000)
+    assert np.isfinite(points).all() and (points > 0).all()
+    if kind == "largest":
+        assert (points == np.finfo(float).max).any() and (points < 1e156).any()
+    rows = sample(model, np.random.default_rng(4), 2000)
+    assert [tuple(row) for row in rows] == [(*point, None) for point in points.tolist()]
+    for row in rows:
+        built = EmulationParams(*row)
+        assert type(row) is EmulationParams and row == built
+        assert list(map(type, row)) == list(map(type, built)) == [float, float, float, type(None)]
+
+
 def _as_points(params):
     return np.array([[p.download_kbps, p.upload_kbps, p.latency_ms] for p in params]).reshape(-1, 3)
 
