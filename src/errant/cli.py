@@ -230,12 +230,12 @@ def _cmd_trace_run(args: argparse.Namespace) -> int:
     if not args.scenario.isprintable():  # the report's "# scenario=" line must stay one line
         raise ScenarioError(f"scenario path {args.scenario!r} holds unprintable characters")
     seed, rng = _seeded(args)
-    bundle = load(args.models)
     try:
         text = Path(args.scenario).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ScenarioError(f"scenario is not {exc.encoding} text: {exc.reason}") from None
     scenario = parse_scenario(text)
+    bundle = load(args.models, {step.profile for step in scenario})  # only what it replays
     backend, clock, label = _make_backend(args)
     drive = lambda shaper: run_trace(scenario, bundle, shaper, rng, clock)
     return _report_run(backend, drive, seed, label, scenario=args.scenario)

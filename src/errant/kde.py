@@ -61,7 +61,8 @@ class EmulationParams(_Fields):
             raise ValueError("bandwidths must be positive and latency nonnegative, all finite")
         if latency_std_ms is not None and not 0 <= latency_std_ms < inf:
             raise ValueError("latency std must be nonnegative and finite")
-        return tuple.__new__(cls, values)
+        std = None if latency_std_ms is None else abs(latency_std_ms)  # abs: -0.0 renders "-0ms"
+        return tuple.__new__(cls, (download_kbps, upload_kbps, abs(latency_ms), std))
 
     _make = classmethod(lambda cls, iterable: cls(*iterable))  # so _replace checks too
 

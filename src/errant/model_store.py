@@ -8,8 +8,8 @@ thousandths is written as an integer part plus a fraction from a table of ".0" t
 ``repr``'s text, without its search for the shortest digits. Any other block is written with
 ``repr``.
 A save writes a block of points at a time; a refused key or a failed write leaves the old file.
-A load turns each model's points into an array as it is decoded: it needs the file's text plus
-one model's lists. load_model decodes only the head and its model; other layouts go through load.
+A load reads save's layout a model at a time and decodes only the models it is asked for, so
+it holds one model's text and lists at a time; any other layout is decoded from its whole text.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import threading
 from contextlib import suppress
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterator, Optional, Union
+from typing import Collection, Dict, Iterator, Optional, Tuple, Union
 
 import numpy as np
 
@@ -41,7 +41,7 @@ _POINT = "        [%r, %r, %r]"  # repr of a builtin float round-trips and is JS
 _SHORT_POINT = "        [%d%s, %d%s, %d%s]"
 _FRACTIONS = np.array([".0"] + [f".{i:03d}".rstrip("0") for i in range(1, 1000)], dtype=object)
 _BLOCK = 2048  # points rendered at a time, so a save holds one block's text, not one model's
-_SCAN = 1 << 16  # bytes load_model reads at a time while it looks for its model
+_SCAN = 1 << 16  # bytes load reads at a time while it looks for the end of a model
 
 
 @dataclass
@@ -112,8 +112,67 @@ def save(bundle: ModelBundle, path: Union[str, Path]) -> None:
             temporary.unlink()
 
 
-def load(path: Union[str, Path]) -> ModelBundle:
-    """Read a bundle, revalidating every model invariant."""
+def load(path: Union[str, Path], keys: Optional[Collection[str]] = None) -> ModelBundle:
+    """Read a bundle, revalidating the invariants of every model read.
+
+    Save's layout is read a model at a time, decoding only the models of ``keys`` (all if None);
+    any other file, or one without a model of ``keys``, is decoded whole and gives every model.
+    """
+    markers = None if keys is None else {f"{_key_line(key)}\n".encode() for key in keys}
+    bodies: dict = {}
+    try:
+        with open(path, "rb") as handle:
+            head = b"".join(handle.readline() for _ in range(4)).decode("utf-8")
+            created = json.loads(head[len(_HEAD):-len(_AFTER_CREATED) - 1])
+            if head != f"{_HEAD}{json.dumps(str(created))}{_AFTER_CREATED}\n":  # str(): text only
+                raise ValueError("not the layout save writes")
+            line = handle.readline()
+            while line != b"  }\n":  # a model's key line, until the models object closes
+                start = handle.tell() - 2  # the "{" that ends the key line
+                while (at := (chunk := handle.read(_SCAN)).find(b"}")) < 0:  # a model's one "}"
+                    if not chunk:
+                        raise ValueError("a model does not end")
+                end = handle.tell() - len(chunk) + at + 1
+                if markers is None or line in markers:
+                    key_text = json.loads(line[4:-4].decode("utf-8"))
+                    if line != f"{_key_line(str(key_text))}\n".encode() or key_text in bodies:
+                        raise ValueError("a key line that save does not write")
+                    handle.seek(start)
+                    body = handle.read(end - start).decode("utf-8")
+                    bodies[key_text] = json.loads(body, object_pairs_hook=_object_without_repeats)
+                handle.seek(end)
+                glue, line = handle.readline(), handle.readline()
+                if glue != (b"\n" if line == b"  }\n" else b",\n"):
+                    raise ValueError("models joined other than save joins them")
+            if handle.read(3) != b"}\n" or markers is not None and len(bodies) < len(markers):
+                raise ValueError("not the layout save writes, or a model of keys is not there")
+    except (OSError, ValueError, CorruptModelError):  # the whole decode reports it
+        created, bodies = _decode_whole(path)
+    models: Dict[ProfileKey, KdeModel] = {}
+    key_texts: Dict[ProfileKey, str] = {}
+    for key_text, body in bodies.items():
+        try:
+            key = ProfileKey(key_text)
+        except ValueError as exc:
+            raise CorruptModelError(f"bad profile key {key_text!r}: {exc}") from None
+        if key_texts.setdefault(key, key_text) is not key_text:
+            raise CorruptModelError(f"model file {path} names profile {key} twice: "
+                                    f"{key_texts[key]!r} and {key_text!r}")
+        models[key] = _model_from_doc(key_text, body)
+    return ModelBundle(models=models, created=created)
+
+
+def load_model(path: Union[str, Path], key: ProfileKey) -> KdeModel:
+    """The model stored for ``key``: :func:`load` of that key, which must be in the file."""
+    models = load(path, (key,)).models
+    if key not in models:
+        available = ", ".join(sorted(models)) or "none"
+        raise FormatError(f"profile {key} not in model file; available: {available}")
+    return models[key]
+
+
+def _decode_whole(path: Union[str, Path]) -> Tuple[str, dict]:
+    """``created`` and every model's decoded object, from the file's whole text in any layout."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
@@ -128,75 +187,15 @@ def load(path: Union[str, Path]) -> ModelBundle:
         raise ModelFileError(f"model file {path} must hold a JSON object")
     version = doc.get("format_version")
     if version != FORMAT_VERSION:
-        raise VersionError(
-            f"model file {path} has format_version {version!r}; "
-            f"this build reads version {FORMAT_VERSION}"
-        )
+        raise VersionError(f"model file {path} has format_version {version!r}; "
+                           f"this build reads version {FORMAT_VERSION}")
     models_doc = doc.get("models")
     if not isinstance(models_doc, dict):
         raise CorruptModelError(f"model file {path} has no models object")
     created = doc.get("created", "")
     if not isinstance(created, str):
         raise CorruptModelError(f"model file {path} has a non-text created field")
-    models: Dict[ProfileKey, KdeModel] = {}
-    key_texts: Dict[ProfileKey, str] = {}
-    for key_text, body in models_doc.items():
-        try:
-            key = ProfileKey(key_text)
-        except ValueError as exc:
-            raise CorruptModelError(f"bad profile key {key_text!r}: {exc}") from None
-        if key in key_texts:
-            raise CorruptModelError(
-                f"model file {path} names profile {key} twice: "
-                f"{key_texts[key]!r} and {key_text!r}"
-            )
-        key_texts[key] = key_text
-        models[key] = _model_from_doc(key_text, body)
-    return ModelBundle(models=models, created=created)
-
-
-def load_model(path: Union[str, Path], key: ProfileKey) -> KdeModel:
-    """The model stored for ``key``, revalidated like :func:`load` does.
-
-    In the canonical layout the file is read a chunk at a time and only the header and this
-    model's object are decoded and checked, so a fault in another model, even a byte that is not
-    UTF-8, goes unnoticed. Any other layout is read through :func:`load`.
-    """
-    body = None
-    with suppress(OSError, ValueError, CorruptModelError):  # the full decode reports it
-        body = _canonical_body(path, key)
-    if body is not None:
-        return _model_from_doc(key, body)
-    models = load(path).models
-    if key not in models:
-        available = ", ".join(sorted(models)) or "none"
-        raise FormatError(f"profile {key} not in model file; available: {available}")
-    return models[key]
-
-
-def _canonical_body(path: Union[str, Path], key: ProfileKey) -> Optional[dict]:
-    marker = f"\n{_key_line(key)}\n".encode()  # ASCII: a match in the bytes is one in the text
-    keep = len(marker) - 1  # the bytes of a chunk carried into the next window
-    window, starts, close = bytearray(keep + _SCAN), [], -1
-    with open(path, "rb") as handle:
-        head = b"".join(handle.readline() for _ in range(4)).decode("utf-8")
-        if not (head.startswith(_HEAD) and head.endswith(_AFTER_CREATED + "\n")
-                and isinstance(json.loads(head[len(_HEAD):-len(_AFTER_CREATED) - 1]), str)):
-            return None
-        handle.seek(0)
-        while len(starts) < 2 and (count := handle.readinto(memoryview(window)[keep:])):
-            base, end = handle.tell() - count - keep, keep + count  # window[0] is at base
-            at = keep - 2  # each "{" is looked at once, in the first window with the byte after it
-            while (at := window.find(b"{", at + 1, end - 1)) >= 0:
-                if window[at + 1 - keep:at + 2] == marker:
-                    starts.append(base + at + 1 - keep)
-            at = window.find(b"}", max(starts[0] + keep + 1 - base, 0), end) if starts else -1
-            close = base + at if close < 0 <= at else close  # a canonical model has one "}"
-            window[:keep] = window[count:end]
-        (start,) = starts  # else a ValueError: the key is not on exactly one line
-        handle.seek(start + keep - 1)  # the model's "{"
-        body = handle.read(close + 1 - handle.tell()).decode("utf-8")  # to the end if no "}"
-    return json.loads(body, object_pairs_hook=_object_without_repeats)
+    return created, models_doc
 
 
 def _object_without_repeats(pairs: list) -> dict:

@@ -1381,14 +1381,64 @@ def test_single_profile_commands_ignore_other_models(small_bundle_path, tmp_path
     assert run_cli(["list-profiles", "--models", str(corrupt)]) == 2
 
 
-def test_single_profile_commands_skip_whole_bundle_load(small_bundle_path, monkeypatch):
-    def whole_bundle_load(path):
+def test_single_profile_commands_skip_whole_bundle_load(small_bundle_path, tmp_path, monkeypatch):
+    def whole_bundle_decode(path):
         raise AssertionError("a canonical file was read in full")
 
-    for name in ("errant.model_store.load", "errant.cli.load"):
-        monkeypatch.setattr(name, whole_bundle_load)
+    monkeypatch.setattr("errant.model_store._decode_whole", whole_bundle_decode)
     for argv in SINGLE_PROFILE:
         assert run_cli([argv[0], "--models", str(small_bundle_path), *argv[1:]]) == 0
+    # the commands that read every model, or a scenario's, scan a canonical file model by model
+    scenario = tmp_path / "route.scenario"
+    scenario.write_text(f"5,{KEY_TEXT},fixed\n")
+    assert run_cli(["list-profiles", "--models", str(small_bundle_path)]) == 0
+    assert run_cli(["trace-run", "--models", str(small_bundle_path), "--scenario", str(scenario),
+                    "--seed", "4"]) == 0
+
+
+def byte_not_utf8(text):
+    """``text`` with a byte that is not UTF-8 inside a field name of OTHER_KEY's model."""
+    data = text.encode()
+    at = data.index(b'"points"', data.index(f'"{OTHER_KEY}"'.encode())) + 1
+    return data[:at] + b"\xff" + data[at:]
+
+
+def kernel_that_does_not_factor(text):
+    """``text`` with OTHER_KEY's covariance replaced by one whose kernel does not factor."""
+    other = text.index(f'"{OTHER_KEY}"')
+    singular = '"covariance": [1000000.0, 0, 0, 0, 100000.0, 0, 0, 0, 0]'
+    return text[:other] + re.sub(r'"covariance": \[[^\]]*\]', singular, text[other:], 1)
+
+
+@pytest.mark.parametrize("corrupt", [byte_not_utf8, kernel_that_does_not_factor])
+def test_trace_run_ignores_a_fault_in_a_model_its_scenario_does_not_name(
+    small_bundle_path, tmp_path, capsys, corrupt
+):
+    bundle = load(small_bundle_path)
+    bundle.models[ProfileKey(OTHER_KEY)] = fit(make_lognormal(150, seed=2))
+    clean, broken = tmp_path / "clean.json", tmp_path / "broken.json"
+    save(bundle, clean)
+    data = corrupt(clean.read_text())
+    broken.write_bytes(data if isinstance(data, bytes) else data.encode())
+    assert run_cli(["list-profiles", "--models", str(broken)]) == 2  # a fault in the file
+    capsys.readouterr()
+    scenario = tmp_path / "route.scenario"
+    scenario.write_text(f"5,{KEY_TEXT},fixed\n10,{KEY_TEXT},periodic:5\n")
+    outputs = []
+    for path in (clean, broken):
+        argv = ["trace-run", "--models", str(path), "--scenario", str(scenario), "--seed", "6"]
+        assert run_cli(argv) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert outputs[0].count(",apply,") == 3
+
+
+def test_trace_run_reports_a_bad_scenario_before_a_missing_model_file(tmp_path, capsys):
+    scenario = tmp_path / "bad.scenario"
+    scenario.write_text("5,specific/norway/telia/4G/good,fixed\noops\n")
+    argv = ["trace-run", "--models", str(tmp_path / "missing.json"), "--scenario", str(scenario)]
+    assert run_cli(argv) == 2
+    assert capsys.readouterr().err == "error: line 2: expected <duration_s>,<profile_key>,<mode>\n"
 
 
 @pytest.mark.parametrize("source", ["--models"])

@@ -7,8 +7,11 @@ Builds the model bundle with the checkout's ``bench/datagen.py bundle --seed 1
 and ``--seed 3``, on the profile ``universal/any/any/4G/good`` where one is
 named, the second-to-last model in the file. ``validate-first-profile`` reads
 the file's first model instead, so the one-model read is checked at both ends
-of the file. ``run-periodic-bench`` is the benchmark's ``run`` size, 10000
-applies, so its ``# $`` lines span several of the dry run's replay blocks. The dry run
+of the file. ``list-profiles-reindented`` reads the bundle re-dumped with
+``json.dumps(..., indent=1)``, a layout that ``load`` decodes whole, so its md5
+equals ``list-profiles``'s when both paths read the same models.
+``run-periodic-bench`` is the benchmark's ``run`` size, 10000 applies, so its
+``# $`` lines span several of the dry run's replay blocks. The dry run
 renders its ``# $`` lines 512 events at a time, and each block decides install
 or resample from where the last one left off, so ``trace-run-blocks`` runs 300,
 210 and 700 applies at period 1 on three profiles that ``trace-run`` names: one
@@ -92,9 +95,11 @@ save(ModelBundle(models=models), sys.argv[1])
 """
 
 # (name, errant arguments); {models} is the bundle, {first} its first profile in file order,
-# {scenario} and {blocks} the scenario files
+# {reindented} the bundle re-dumped with indent=1, {scenario} and {blocks} the scenario files
 COMMANDS = (
     ("list-profiles", ["list-profiles", "--models", "{models}"]),
+    # another layout, read by the whole-text decode: its md5 is list-profiles's
+    ("list-profiles-reindented", ["list-profiles", "--models", "{reindented}"]),
     ("run-periodic", ["run", "--models", "{models}", "--profile", PROFILE, "--seed", "3",
                       "--duration", "2000", "--period", "1"]),
     # the bench's run size: 10000 applies cross several of the dry run's replay blocks
@@ -180,11 +185,14 @@ def main(argv: list[str]) -> int:
         python(checkout / "bench" / "datagen.py", "bundle", "--seed", 1, "--rows", 50000,
                "--out", bundle)
         print("bundle", _md5(bundle.read_bytes()))
-        first = next(iter(json.loads(bundle.read_text(encoding="utf-8"))["models"]))
+        doc = json.loads(bundle.read_text(encoding="utf-8"))
+        first = next(iter(doc["models"]))
+        reindented = Path(scratch, "reindented.json")
+        reindented.write_text(json.dumps(doc, indent=1), encoding="utf-8")
         for name, args in COMMANDS:
             out = python("-m", "errant.cli",
-                         *(arg.format(models=bundle, first=first, scenario=scenario, blocks=blocks)
-                           for arg in args))
+                         *(arg.format(models=bundle, first=first, reindented=reindented,
+                                      scenario=scenario, blocks=blocks) for arg in args))
             if args[0] == "trace-run":
                 lines = out.splitlines(keepends=True)
                 out = b"".join(line for line in lines if not line.startswith(b"# scenario="))
