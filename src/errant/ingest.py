@@ -5,9 +5,10 @@ The canonical input schema is one measurement per row with the columns
 latency_ms``. Files using different column names can be read by passing a
 schema mapping from canonical names to the names actually present.
 
+:func:`_parse_row` is the one statement of a row's rule, name cells included.
 Accepted rows are held compactly: each distinct (country, operator, rat) name
-once, checked and normalized once per distinct raw triple of cells, and per
-row only an integer code for its name and four doubles.
+once, judged by ``_parse_row`` and normalized once per distinct raw triple of
+cells, and per row only an integer code for its name and four doubles.
 """
 
 from __future__ import annotations
@@ -171,33 +172,29 @@ def parse_speedtests(
     for line, row in enumerate(rows, start=2):
         if not row:
             continue
-        # The fast check accepts exactly the rows _parse_row accepts; any
-        # failure goes to _parse_row for its first-failure reason.
+        # The fast check passes exactly the numbers _parse_row passes; on such a row
+        # only the name cells can fail, so _parse_row, the one statement of the name
+        # rule, judges each new raw triple once. Every refusal leaves by the except.
         try:
             timestamp, country, operator, rat, rssi, download, upload, latency = pick(row)
             timestamp, rssi = float(timestamp), float(rssi)
             download, upload, latency = float(download), float(upload), float(latency)
+            if not (-inf < timestamp < inf and -inf < rssi <= 0
+                    and 0 < download < inf and 0 < upload < inf and 0 < latency < inf):
+                raise ValueError
+            code = codes.get((country, operator, rat))
+            if code is None:
+                name = country.strip().lower(), operator.strip().lower(), rat.strip().upper()
+                code = -1 if _parse_row(row, positions, width) else names.setdefault(name, len(names))
+                codes[country, operator, rat] = code
+            if code < 0:
+                raise ValueError
         except (IndexError, ValueError):
-            code = -1
-        else:
-            if (
-                -inf < timestamp < inf
-                and -inf < rssi <= 0
-                and 0 < download < inf
-                and 0 < upload < inf
-                and 0 < latency < inf
-            ):
-                code = codes.get((country, operator, rat))
-                if code is None:
-                    code = codes[country, operator, rat] = _name_code(country, operator, rat, names)
-            else:
-                code = -1
-        if code >= 0:
-            name_index.append(code)
-            values.extend((rssi, download, upload, latency))
-        else:
             reason = _parse_row(row, positions, width)
             rejects.append(RejectedRow(line=line, fields=tuple(row), reason=reason))
+            continue
+        name_index.append(code)
+        values.extend((rssi, download, upload, latency))
     table = np.frombuffer(values, dtype=float).reshape(-1, 4)
     tests = SpeedTests(
         names=tuple(names),
@@ -206,19 +203,6 @@ def parse_speedtests(
         samples=table[:, 1:],
     )
     return tests, rejects
-
-
-def _name_code(country: str, operator: str, rat: str, names: dict) -> int:
-    """The code of a row's normalized name, numbered in ``names`` on first sight, or -1."""
-    country, operator, rat = country.strip(), operator.strip(), rat.strip().upper()
-    if not (rat in _RATS and _valid_name(country) and _valid_name(operator)):
-        return -1
-    return names.setdefault((country.lower(), operator.lower(), rat), len(names))
-
-
-def _valid_name(name: str) -> bool:
-    # the fast form of _parse_row's checks of a stripped country or operator
-    return name != "" and "/" not in name and "#" not in name and name.isprintable()
 
 
 def _rows(reader) -> Iterator[list[str]]:

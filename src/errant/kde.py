@@ -48,14 +48,11 @@ class EmulationParams(_Fields):
     def __new__(cls, download_kbps: float, upload_kbps: float, latency_ms: float,
                 latency_std_ms: Optional[float] = None) -> EmulationParams:
         values = (download_kbps, upload_kbps, latency_ms, latency_std_ms)
-        # a draw is three builtin floats and needs no conversion; a numpy scalar
-        # would print as np.float64(...) in a report row
-        if latency_std_ms is not None or not (
-                type(download_kbps) is type(upload_kbps) is type(latency_ms) is float):
-            values = tuple([v.item() if isinstance(v, np.generic) else v for v in values])
-            if bool in map(type, values):
-                raise ValueError("bandwidths and latencies must be numbers, not booleans")
-            download_kbps, upload_kbps, latency_ms, latency_std_ms = values
+        # a numpy scalar would print as np.float64(...) in a report row
+        values = [v.item() if isinstance(v, np.generic) else v for v in values]
+        if bool in map(type, values):
+            raise ValueError("bandwidths and latencies must be numbers, not booleans")
+        download_kbps, upload_kbps, latency_ms, latency_std_ms = values
         # chained comparisons are false for NaN, so NaN is refused too
         if not (0 < download_kbps < inf and 0 < upload_kbps < inf and 0 <= latency_ms < inf):
             raise ValueError("bandwidths must be positive and latency nonnegative, all finite")

@@ -23,6 +23,7 @@ from errant import (
     parse_speedtests,
     save,
 )
+from errant import ingest
 from errant.cli import main
 from errant.ingest import COLUMNS, _parse_row, write_rejects
 from errant.model_store import load_model
@@ -355,6 +356,12 @@ def check_agreement(text, schema=None):
     accepted, reference_rejects = per_row_reference(text, schema)
     assert columnar(tests) == accepted
     assert [(r.line, r.fields, r.reason) for r in rejects] == reference_rejects
+    # names: the accepted rows' names in first-accepted order, each once, and none that
+    # only refused rows carry, so a name is numbered only after its row's numbers pass
+    accepted_names = [row[:3] for row in accepted]
+    assert len(set(tests.names)) == len(tests.names)
+    assert set(tests.names) == set(accepted_names)
+    assert list(tests.names) == list(dict.fromkeys(accepted_names))
     return accepted, reference_rejects
 
 
@@ -369,6 +376,32 @@ def test_columnar_parse_agrees_with_per_row_reference():
     accepted_download = {row[4] for row in accepted}
     assert {"1000.0", "5.0"} <= accepted_download  # " 1e3 ", "+5", "1_000"
     assert "italy, north" in {row[0] for row in accepted}
+
+
+def numbers_pass(row):
+    """Whether _parse_row passes a row's numbers: it passes the row with valid name cells."""
+    named = row[:1] + list(BASE_ROW[1:4]) + row[4:]
+    return _parse_row(named, {column: index for index, column in enumerate(COLUMNS)}, 8) is None
+
+
+def test_parse_row_runs_once_per_refused_row_and_new_name_triple(monkeypatch):
+    # parse_speedtests checks and normalizes each distinct raw triple of name cells once
+    calls = []
+    monkeypatch.setattr(ingest, "_parse_row", lambda *args: calls.append(args) or _parse_row(*args))
+    rows = ["1,norway,telia,4G,-70,1,1,1"] * 3 + ["2, Norway ,telia,4g,-70,1,1,1"]
+    rows += ["3,no/rway,telia,4G,-70,1,1,1"] * 2 + ["4,sweden,tre,4G,-70,1,1,-1"]
+    tests, rejects = parse_speedtests(csv_stream(rows))
+    assert [reject.reason for reject in rejects] == ["'/' in country"] * 2 + ["nonpositive latency"]
+    assert tests.names == (("norway", "telia", "4G"),)
+    # two raw spellings of one name, one refused triple, and its two rows and the third reject
+    assert len(calls) == 2 + 1 + 3
+
+    calls.clear()
+    rows = adversarial_rows()
+    _, rejects = parse_speedtests(io.StringIO(csv_text(CSV_HEADER.split(","), rows)))
+    triples = {tuple(row[1:4]) for row in rows if numbers_pass(row)}
+    assert len(calls) == len(rejects) + len(triples)
+    assert len(triples) > 50 and len(rejects) > 100
 
 
 def test_columnar_parse_agrees_under_schema_mapping():
