@@ -268,10 +268,11 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         )
         for start in range(0, len(speeds), _VALIDATE_CHUNK):
             chunk = slice(start, start + _VALIDATE_CHUNK)
-            rows = zip(draws[chunk].tolist(), durations[chunk].tolist(), speeds[chunk].tolist())
+            rows = zip(range(start + 1, len(speeds) + 1), *draws[chunk].T.tolist(),
+                       durations[chunk].tolist(), speeds[chunk].tolist())
             out.write("".join([
                 f"{number},{down!r},{up!r},{latency!r},{duration!r},{speed!r}\n"
-                for number, ((down, up, latency), duration, speed) in enumerate(rows, start + 1)
+                for number, down, up, latency, duration, speed in rows
             ]))
     if args.output:
         sys.stdout.write(comparison.to_text())

@@ -9,7 +9,9 @@ thousandths is written as an integer part plus a fraction from a table of ".0" t
 ``repr``.
 A save writes a block of points at a time; a refused key or a failed write leaves the old file.
 A load reads save's layout a model at a time and decodes only the models it is asked for, so
-it holds one model's text and lists at a time; any other layout is decoded from its whole text.
+it holds one model's text at a time; any other layout is decoded from its whole text. Points in
+save's three-decimal lines are read as integer thousandths, a block of lines at a time, and any
+other text of a model through JSON.
 """
 
 from __future__ import annotations
@@ -41,7 +43,16 @@ _POINT = "        [%r, %r, %r]"  # repr of a builtin float round-trips and is JS
 _SHORT_POINT = "        [%d%s, %d%s, %d%s]"
 _FRACTIONS = np.array([".0"] + [f".{i:03d}".rstrip("0") for i in range(1, 1000)], dtype=object)
 _BLOCK = 2048  # points rendered at a time, so a save holds one block's text, not one model's
-_SCAN = 1 << 16  # bytes load reads at a time while it looks for the end of a model
+_DECODE_BYTES = 1 << 16  # about the bytes of point lines load decodes at a time
+_POINTS = b'\n      "points": [\n'  # the line that opens a model's points
+_CLOSE = b"\n      ]\n    }"  # the lines after a model's points
+_LINE = b"        [, , ],\n"  # a point line without the digits and "." of its values
+# of the 16 bytes from 12 before a value's "." to 3 after it, the place values in thousandths,
+# and in row 4 * i + f, 15 at the digits of an integer part of i digits and a fraction of f
+# (built in Python, as numpy's power and product loops would add to the peak memory of a run)
+_WEIGHTS = np.array([10.0 ** (2 - c if c < 0 else 3 - c) if c else 0.0 for c in range(-12, 4)])
+_KEEP = np.array([[15 * (-i <= c <= f) for c in range(-12, 4)] for i in range(13)
+                  for f in range(4)], np.uint8)
 
 
 @dataclass
@@ -128,19 +139,17 @@ def load(path: Union[str, Path], keys: Optional[Collection[str]] = None) -> Mode
                 raise ValueError("not the layout save writes")
             line = handle.readline()
             while line != b"  }\n":  # a model's key line, until the models object closes
-                start = handle.tell() - 2  # the "{" that ends the key line
-                while (at := (chunk := handle.read(_SCAN)).find(b"}")) < 0:  # a model's one "}"
+                parts = [b"{\n"]  # the end of the key line, then the model up to its one "}"
+                while (at := (chunk := handle.peek()).find(b"}")) < 0:  # what the buffer holds
                     if not chunk:
                         raise ValueError("a model does not end")
-                end = handle.tell() - len(chunk) + at + 1
+                    parts.append(handle.read(len(chunk)))
+                parts.append(handle.read(at + 1))  # what follows stays buffered, read once
                 if markers is None or line in markers:
                     key_text = json.loads(line[4:-4].decode("utf-8"))
                     if line != f"{_key_line(str(key_text))}\n".encode() or key_text in bodies:
                         raise ValueError("a key line that save does not write")
-                    handle.seek(start)
-                    body = handle.read(end - start).decode("utf-8")
-                    bodies[key_text] = json.loads(body, object_pairs_hook=_object_without_repeats)
-                handle.seek(end)
+                    bodies[key_text] = _model_doc(parts)
                 glue, line = handle.readline(), handle.readline()
                 if glue != (b"\n" if line == b"  }\n" else b",\n"):
                     raise ValueError("models joined other than save joins them")
@@ -169,6 +178,49 @@ def load_model(path: Union[str, Path], key: ProfileKey) -> KdeModel:
         available = ", ".join(sorted(models)) or "none"
         raise FormatError(f"profile {key} not in model file; available: {available}")
     return models[key]
+
+
+def _model_doc(parts: list) -> dict:
+    """A model's decoded object from the pieces of its text, which it empties: JSON reads the
+    head, and :func:`_thousandths` the points a block of lines at a time, if save wrote them in
+    three-decimal lines; else JSON reads all of it."""
+    body = b"".join(parts)
+    parts.clear()  # so that one copy of the text is held
+    at = cut = body.find(_POINTS) + len(_POINTS)  # past the line that opens the points, if any
+    stop, blocks = len(body) - len(_CLOSE), []
+    short = len(_POINTS) <= at < stop and body.endswith(_CLOSE)
+    while short and cut < stop:  # each block ends at a line's end
+        block, cut = cut, body.find(b"\n", cut + _DECODE_BYTES, stop) + 1 or stop
+        text = b"".join((b"\n\n", memoryview(body)[block:cut], b"" if cut < stop else b",\n"))
+        blocks.append(_thousandths(text))
+        short = blocks[-1] is not None
+    text = (body[:at - 1] + b"]}" if short else body).decode("utf-8")  # the head, if short
+    del body  # so that JSON reads with the text alone held
+    doc = json.loads(text, object_pairs_hook=_object_without_repeats)
+    if short:
+        doc["points"] = np.concatenate(blocks).reshape(-1, 3)
+    return doc
+
+
+def _thousandths(text: bytes) -> Optional[np.ndarray]:
+    """The values of ``text``, two newlines and then lines ``[a, b, c],\\n`` of values
+    ``(0|[1-9][0-9]{0,11})\\.[0-9]{1,3}``, as integer thousandths over 1000.0, which round as
+    ``float`` of their text does; None for any other text."""
+    skeleton, values = text.translate(None, b".0123456789"), np.frombuffer(text, np.uint8)
+    lines, dots = len(skeleton) // len(_LINE), np.flatnonzero(values == ord("."))
+    if skeleton != b"\n\n" + _LINE * lines or len(dots) != 3 * lines:
+        return None
+    # each value's slot, from the "[" or " " before it to the "," or "]" after it
+    slots = np.flatnonzero((values < ord(".")) | (values > ord("9")))[2:].reshape(lines, 16)
+    whole, fraction = dots - slots[:, 8:13:2].ravel() - 1, slots[:, 9:14:2].ravel() - dots - 1
+    if (whole + fraction + 1).sum() != len(text) - len(skeleton) or not (
+            (0 < whole) & (whole <= 12) & (0 < fraction) & (fraction <= 3)
+            & ((whole == 1) | (values[dots - whole] != ord("0")))).all():
+        return None  # a value outside its slot, or not of save's digits
+    near = np.ndarray(len(text) - 15, "V16", text, 0, (1,))[dots - 12].view(np.uint8)
+    digits = near.reshape(-1, 16) & _KEEP[4 * whole + fraction]
+    # exact, as each sum is an integer below 2**53; einsum casts a buffer of digits at a time
+    return np.einsum("ij,j->i", digits, _WEIGHTS) / 1000.0
 
 
 def _decode_whole(path: Union[str, Path]) -> Tuple[str, dict]:

@@ -1,11 +1,13 @@
 """Model persistence: canonical layout, round-trips, corruption handling."""
 
+import io
 import json
 import os
 import re
 import subprocess
 import sys
 import tracemalloc
+from contextlib import suppress
 from pathlib import Path
 
 import numpy as np
@@ -349,9 +351,10 @@ def test_load_memory_stays_per_model(tmp_path):
         tracemalloc.stop()
     points = sum(model.n for model in bundle.models.values())
     assert points == 20000
-    # 87.6 here (92.3 for unrounded points); the file's whole text read 113 (142 unrounded),
-    # every model's lists at once 240
-    assert peak / points < 100
+    # 66.4 here, as three-decimal points are read with no lists (91.8 for unrounded points,
+    # which JSON reads); the file's whole text read 113 (142 unrounded), every model's lists at
+    # once 240
+    assert peak / points < 76
 
 
 def test_load_model_memory_stays_per_model(tmp_path):
@@ -372,7 +375,32 @@ def test_load_model_memory_stays_per_model(tmp_path):
     finally:
         tracemalloc.stop()
     assert model.n == 5000
-    assert peak / model.n < 400  # 273 here; decoding the whole file read 625, growing with it
+    # 193 here (294 for unrounded points); decoding the whole file read 625, growing with it
+    assert peak / model.n < 283
+
+
+def test_load_reads_each_byte_once(tmp_path, monkeypatch):
+    # the scan reads the file through one buffer and keeps a decoded model's text from it, so
+    # no byte is read twice, whichever models it decodes
+    bundle = eight_model_bundle()
+    for index, key in enumerate(sorted(bundle.models)[::2]):  # half of them in three decimals
+        bundle.models[key] = fit(np.round(make_lognormal(2000 + index, seed=index), 3))
+    path = tmp_path / "m.json"
+    save(bundle, path)
+    counts = []
+
+    class CountedFile(io.FileIO):
+        def readinto(self, buffer):
+            counts.append(super().readinto(buffer))
+            return counts[-1]
+
+    monkeypatch.setattr(model_store, "open", lambda name, mode: io.BufferedReader(
+        CountedFile(name)), raising=False)
+    refuse_whole_bundle_decode(monkeypatch)
+    for keys in (None, (), [sorted(bundle.models)[5]]):
+        counts.clear()
+        assert len(load(path, keys).models) == len(bundle.models if keys is None else keys)
+        assert sum(counts) == path.stat().st_size
 
 
 def test_refused_key_keeps_the_previous_file(tmp_path):
@@ -724,10 +752,11 @@ BRACE_KEYS = [ProfileKey(text) for text in
               ("specific/a{b/op}/4G/good", "specific/}x{/{/3G/bad", "universal/any/any/4G/good")]
 
 
-def brace_bundle():
+def brace_bundle(decimals=None):
+    points = [make_lognormal(40 + 10 * index, seed=index) for index in range(len(BRACE_KEYS))]
     return ModelBundle(
-        models={key: fit(make_lognormal(40 + 10 * index, seed=index))
-                for index, key in enumerate(BRACE_KEYS)},
+        models={key: fit(block if decimals is None else np.round(block, decimals))
+                for key, block in zip(BRACE_KEYS, points)},
         created="2026-10-20T00:00:00+00:00",
     )
 
@@ -744,24 +773,28 @@ def test_load_model_reads_one_model_under_a_key_with_braces(tmp_path, monkeypatc
 @pytest.mark.parametrize("scan", [1, 2, 3, 5, 8, 13, None], ids=str)
 @pytest.mark.parametrize("position", [0, -1], ids=["first", "last"])
 def test_load_model_finds_its_model_across_chunk_seams(tmp_path, monkeypatch, scan, position):
-    # a model is read a chunk at a time from the line after its key line: short chunks put
-    # seams all through it, and at None the first chunk ends just before the model's closing
-    # "}", so "}" opens the next chunk
-    path = tmp_path / "m.json"
-    save(brace_bundle(), path)
-    bundle = load(path)
-    key = sorted(bundle.models)[position]
-    marker = f"\n{model_store._key_line(key)}\n".encode()
-    if scan is None:
-        data = path.read_bytes()
-        start = data.index(marker) + len(marker)
-        scan = data.index(b"}", start) - start
-    else:
-        assert scan < len(marker) < len(model_store._HEAD)
+    # a file is read through a buffer of ``scan`` bytes: short buffers put seams all through a
+    # model, and at None a buffer ends just before the model's closing "}", so "}" opens the
+    # next one; three-decimal points are also decoded in blocks of lines of about that size
     refuse_whole_bundle_decode(monkeypatch)
-    monkeypatch.setattr(model_store, "_SCAN", scan)
-    assert_same_model(load_model(path, key), bundle.models[key])
-    assert_same_outcome(load(path), bundle)  # every key, each across the same seams
+    for decimals in (None, 3):  # points written by repr, then three-decimal ones
+        path = tmp_path / f"m{decimals}.json"
+        save(brace_bundle(decimals), path)
+        bundle = load(path)
+        key = sorted(bundle.models)[position]
+        marker = f"\n{model_store._key_line(key)}\n".encode()
+        size = scan
+        if size is None:  # the buffers start at the file's start
+            data = path.read_bytes()
+            size = data.index(b"}", data.index(marker) + len(marker))
+        else:
+            assert size < len(marker) < len(model_store._HEAD)
+        with monkeypatch.context() as patch:
+            patch.setattr(model_store, "_DECODE_BYTES", size)
+            patch.setattr(model_store, "open", lambda name, mode: io.BufferedReader(
+                io.FileIO(name), size), raising=False)
+            assert_same_model(load_model(path, key), bundle.models[key])
+            assert_same_outcome(load(path), bundle)  # every key, each across the same seams
 
 
 @pytest.mark.parametrize(
@@ -777,6 +810,14 @@ def test_load_model_of_another_layout_equals_load(tmp_path, rewrite):
     for key in BRACE_KEYS:
         wanted = expected.models[key] if isinstance(expected, ModelBundle) else expected
         assert_same_outcome(outcome(load_model, path, key), wanted)
+
+
+def short_bundle():
+    return ModelBundle(
+        models={KEY_A: fit(np.round(make_lognormal(40, seed=11), 3)),
+                KEY_B: fit(np.round(make_lognormal(50, seed=12), 3))},
+        created="2026-10-21T00:00:00+00:00",
+    )
 
 
 def canonical_text(bundle):
@@ -809,6 +850,16 @@ def byte_not_utf8_in_model_b(text):
     data = text.encode()
     at = data.index(b'"points"', data.index(json.dumps(KEY_B).encode())) + 1
     return data[:at] + b"\xff" + data[at:]
+
+
+def whole_text_outcome(monkeypatch, path):
+    """What ``load(path)`` gives when it skips its scan and decodes the file's whole text."""
+    def unopenable(path, mode):
+        raise OSError("the scan is skipped")
+
+    with monkeypatch.context() as patch:  # the whole decode reads through Path, not open
+        patch.setattr(model_store, "open", unopenable, raising=False)
+        return outcome(load, path)
 
 
 MISSING, DIRECTORY = object(), object()
@@ -857,6 +908,10 @@ FORK_CASES = {
     "array": lambda text: "[]",
     "nomodels": lambda text: '{"format_version": 1}',
     "badjson": lambda text: text.replace("        [", "        [oops, ", 1),
+    "three-decimal": lambda text: canonical_text(short_bundle()),
+    # the closing lines of the first model's points, as long as save's, hold a second "n"
+    "three-decimal-then-a-field": lambda text: canonical_text(short_bundle()).replace(
+        "\n      ]\n    }", '\n ],"n": 1   }', 1),
     "missing": lambda text: MISSING,
     "directory": lambda text: DIRECTORY,
 }
@@ -871,13 +926,83 @@ def test_load_gives_what_the_whole_text_decode_gives(tmp_path, monkeypatch, rewr
         path.mkdir()
     elif data is not MISSING:
         path.write_bytes(data.encode() if isinstance(data, str) else data)
-    def unopenable(path, mode):
-        raise OSError("the scan is skipped")
+    assert_same_outcome(outcome(load, path), whole_text_outcome(monkeypatch, path))
 
-    with monkeypatch.context() as patch:  # the whole decode reads through Path, not open
-        patch.setattr(model_store, "open", unopenable, raising=False)
-        expected = outcome(load, path)
+
+# each the text that replaces the third point line of KEY_B's model in the canonical text of
+# short_bundle(), with the ",\n" before it; {a}, {b} and {c} are that line's values
+SHORT_LINE_CASES = {
+    "canonical": ",\n        [{a}, {b}, {c}]",
+    "twelve-digit-integer-part": ",\n        [999999999999.999, {b}, {c}]",
+    "leading-zero": ",\n        [0{a}, {b}, {c}]",
+    "no-fraction-digit": ",\n        [1., {b}, {c}]",
+    "no-integer-digit": ",\n        [.5, {b}, {c}]",
+    "four-decimals": ",\n        [1.2345, {b}, {c}]",
+    "integer": ",\n        [15, {b}, {c}]",
+    "thirteen-digit-integer-part": ",\n        [1234567890123.5, {b}, {c}]",
+    "exponent": ",\n        [1e3, {b}, {c}]",
+    "minus": ",\n        [-1.5, {b}, {c}]",
+    "plus": ",\n        [+1.5, {b}, {c}]",
+    "tab": ",\n        [{a},\t{b}, {c}]",
+    "extra-space": ",\n        [{a},  {b}, {c}]",
+    "value-outside-its-slot": ",\n   {a}     [, {b}, {c}]",
+    "digits-outside-a-slot": ",\n   15     [{a}, {b}, {c}]",
+    "two-values-in-a-slot": ",\n        [{a}, {b} {b}, {c}]",
+    "two-dots-in-a-slot": ",\n        [{a}.5, 25, {c}]",
+    "empty-slot": ",\n        [{a}, , {c}]",
+    "no-line-break": ", [{a}, {b}, {c}]",
+    "no-comma": "\n        [{a}, {b}, {c}]",
+}
+
+
+@pytest.mark.parametrize("scan", [None, 1], ids=["one-block", "line-blocks"])
+@pytest.mark.parametrize("case", list(SHORT_LINE_CASES.values()), ids=list(SHORT_LINE_CASES))
+def test_three_decimal_points_read_as_json_reads_them(tmp_path, monkeypatch, case, scan):
+    # the three-decimal reader takes only save's lines; any other text gives what JSON gives,
+    # by JSON of the one model if JSON reads the text, else by the whole-text decode
+    text = canonical_text(short_bundle())
+    lines = re.compile(r",\n        \[([\d.]+), ([\d.]+), ([\d.]+)\]")  # all but the first
+    match = list(lines.finditer(text, text.index(json.dumps(KEY_B))))[1]
+    text = "".join([text[:match.start()], case.format(a=match[1], b=match[2], c=match[3]),
+                    text[match.end():]])
+    path = tmp_path / "m.json"
+    path.write_text(text)
+    expected = whole_text_outcome(monkeypatch, path)
+    with suppress(json.JSONDecodeError):  # a text that JSON reads is never decoded whole
+        json.loads(text)
+        refuse_whole_bundle_decode(monkeypatch)
+    if scan is not None:
+        monkeypatch.setattr(model_store, "_DECODE_BYTES", scan)
     assert_same_outcome(outcome(load, path), expected)
+    assert_same_outcome(outcome(load_model, path, KEY_B),
+                        expected.models[KEY_B] if isinstance(expected, ModelBundle) else expected)
+
+
+@pytest.mark.parametrize("scan", [None, 1, 100], ids=str)
+def test_three_decimal_points_read_bit_for_bit(tmp_path, monkeypatch, scan):
+    # every fraction at the edges of the integer part reads as float() reads its text, and never
+    # through JSON: no text that json.loads reads holds a point line
+    exact = [(whole * 1000 + fraction) / 1000
+             for whole in (0, 1, 7, 65535, 999_999_999_999) for fraction in range(1000)]
+    points = np.array(exact[1:] + [2.5, 3.5]).reshape(-1, 3)  # 0.0 is written by repr
+    path = tmp_path / "m.json"
+    save(ModelBundle(models={KEY_A: KdeModel(points, np.eye(3), 1.0)}), path)
+    lines = path.read_text().split('"points": [')[1].split("\n      ]")[0]
+    texts = re.findall(r"[^ \[\],\n]+", lines)
+    assert len(texts) == points.size
+    assert all(re.fullmatch(r"(0|[1-9][0-9]{0,11})\.[0-9]{1,3}", text) for text in texts)
+    json_loads = json.loads
+
+    def loads(text, **kwargs):
+        assert "        [" not in text
+        return json_loads(text, **kwargs)
+
+    if scan is not None:
+        monkeypatch.setattr(model_store, "_DECODE_BYTES", scan)
+    monkeypatch.setattr(json, "loads", loads)
+    refuse_whole_bundle_decode(monkeypatch)
+    loaded = load(path).models[KEY_A].points
+    assert loaded.tobytes() == np.array([float(text) for text in texts]).tobytes()
 
 
 @pytest.mark.parametrize("broken", [1, 0], ids=["other-model", "selected-model"])
