@@ -144,18 +144,21 @@ def _make_backend(args: argparse.Namespace) -> tuple:
     return DryRunBackend(), VirtualClock(), "dry-run"
 
 
-_REPLAY_BLOCK = 512  # events a dry run's report replays per write of its "# $" lines
+_REPLAY_BLOCK = 512  # actions a run's report prints per write of its rows or its "# $" lines
 
 
 def _report_run(backend, drive, seed: int, label: str, **notes: str) -> int:
-    """Print ``drive(backend)``'s report; a dry run drives a no-op, then replays its events."""
+    """Print ``drive(backend)``'s report: its head, then its rows from the run's times and params
+    columns a block of actions at a time; a dry run drives a no-op, then replays each block."""
     dry = type(backend) is DryRunBackend  # a subclass may act on each apply as it happens
     report = drive(SimpleNamespace(apply=lambda _: None, clear=lambda: None) if dry else backend)
     report.notes = {"version": __version__, "seed": str(seed), "backend": label, **notes}
-    sys.stdout.write(report.to_text())
-    for start in range(0, len(report.events) if dry else 0, _REPLAY_BLOCK):
-        block = [params for _, _, params in report.events[start:start + _REPLAY_BLOCK]]
-        sys.stdout.write("# $ " + backend.replay(block, "\n# $ ") + "\n")
+    write, blocks = sys.stdout.write, range(0, len(report.params), _REPLAY_BLOCK)
+    write(report.head())
+    for start in blocks:
+        write(report.rows(start, start + _REPLAY_BLOCK))
+    for start in blocks if dry else ():
+        write("# $ " + backend.replay(report.params[start:start + _REPLAY_BLOCK], "\n# $ ") + "\n")
     return 0
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import contextlib
 import math
 import time
+from array import array
 from dataclasses import dataclass, field
 from itertools import chain, repeat
 from typing import Callable, Dict, Iterable, NamedTuple, Optional, Protocol, Sequence, Tuple
@@ -73,24 +74,36 @@ class RunEvent(NamedTuple):
 
 @dataclass
 class RunReport:
-    """Timeline of backend actions taken during a run."""
+    """Timeline of a run's backend actions as two columns: ``times``, and ``params`` with ``None``
+    for a clear. ``events`` is a view of them; ``rows`` renders a slice, so a printer can write
+    the CSV a block of actions at a time."""
 
-    events: list[RunEvent] = field(default_factory=list)
+    times: array = field(default_factory=lambda: array("d"))
+    params: list[Optional[EmulationParams]] = field(default_factory=list)
     notes: Dict[str, str] = field(default_factory=dict)
+
+    @property
+    def events(self) -> list[RunEvent]:
+        return [RunEvent(time_s, "clear" if p is None else "apply", p)
+                for time_s, p in zip(self.times, self.params)]
 
     def applies(self) -> list[RunEvent]:
         return [event for event in self.events if event.action == "apply"]
 
+    def head(self) -> str:
+        """Comment lines with the run metadata, then the CSV header."""
+        notes = "".join(f"# {key}={value}\n" for key, value in self.notes.items())
+        return notes + "time_s,action,download_kbps,upload_kbps,latency_ms\n"
+
+    def rows(self, start: int, stop: int) -> str:
+        """The CSV rows of actions ``start`` to ``stop``, one line each."""
+        actions = zip(self.times[start:stop], self.params[start:stop])
+        return "".join([f"{time_s:.3f},clear,,,\n" if p is None else
+                        f"{time_s:.3f},apply,{p[0]!r},{p[1]!r},{p[2]!r}\n" for time_s, p in actions])
+
     def to_text(self) -> str:
-        """Comment lines with the run metadata, then one CSV row per event."""
-        lines = [f"# {key}={value}" for key, value in self.notes.items()]
-        lines.append("time_s,action,download_kbps,upload_kbps,latency_ms")
-        lines += [
-            f"{time_s:.3f},{action},,," if p is None
-            else f"{time_s:.3f},{action},{p.download_kbps!r},{p.upload_kbps!r},{p.latency_ms!r}"
-            for time_s, action, p in self.events
-        ]
-        return "\n".join(lines) + "\n"
+        """The head, then one CSV row per action."""
+        return self.head() + self.rows(0, len(self.params))
 
 
 def sample_params(model: KdeModel, rng: np.random.Generator) -> EmulationParams:
@@ -232,12 +245,14 @@ def run(
         _check_timing(duration_s, period_s)
     clock = clock or MonotonicClock()
     report = RunReport()
-    now, sleep, apply, record = clock.now, clock.sleep, backend.apply, report.events.append
+    now, sleep, apply = clock.now, clock.sleep, backend.apply
+    record_time, record_params = report.times.append, report.params.append
     origin = now()
 
     def clear() -> None:
         backend.clear()
-        record(RunEvent(now() - origin, "clear", None))
+        record_time(now() - origin)
+        record_params(None)
 
     for duration_s, period_s, draw in segments:
         start = now()
@@ -246,7 +261,8 @@ def run(
             while applied * period_s < duration_s:
                 sleep(start + applied * period_s - now())
                 apply(params := draw())
-                record(RunEvent(now() - origin, "apply", params))
+                record_time(now() - origin)
+                record_params(params)
                 applied += 1
             sleep(start + duration_s - now())
         except BaseException:

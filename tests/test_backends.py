@@ -7,6 +7,7 @@ import subprocess
 import sys
 import threading
 import time
+from array import array
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +28,7 @@ from errant import (
     simulate_download,
 )
 from errant.backends import _kbit, _shell_runner, render_clear_commands
-from errant.emulator import _PRESETS, RunEvent, RunReport
+from errant.emulator import _PRESETS, RunReport
 from errant.cli import _exit_on_signal
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -661,7 +662,7 @@ def test_negative_zero_latency_renders_and_reports_as_zero(latency, std):
     params = EmulationParams(100.0, 100.0, latency, latency_std_ms=std)
     delay = "delay 0ms" if std is None else "delay 0ms 0ms distribution normal"
     assert render_commands(params, "eth0", "ifb0")[5].endswith(f"netem {delay}")
-    row = RunReport(events=[RunEvent(0.0, "apply", params)]).to_text().splitlines()[-1]
+    row = RunReport(times=array("d", [0.0]), params=[params]).to_text().splitlines()[-1]
     assert row == "0.000,apply,100.0,100.0,0.0"
     assert str(params.latency_std_ms) == ("None" if std is None else "0.0")
     preset = EmulationParams(1000, 500, 0)  # an int stays an int, as the presets print it

@@ -792,8 +792,9 @@ def _command_lines(text):
 @pytest.mark.parametrize("command", ["run", "trace-run"])
 def test_run_dry_run_lines_replay_the_library_log(small_bundle_path, tmp_path, capsys,
                                                   monkeypatch, command):
-    # the "# $" lines are rendered from the events a block at a time, after the run; across
-    # block seams they must read as the log of a DryRunBackend that the library run drove
+    # the rows and the "# $" lines are rendered from the run's columns a block at a time, after
+    # the run; across block seams they must read as the report and the log of a DryRunBackend
+    # that the library run drove
     monkeypatch.delenv("ERRANT_IFB", raising=False)
     argv = [command, "--models", str(small_bundle_path), "--seed", "29"]
     backend = DryRunBackend("eth0")
@@ -814,8 +815,15 @@ def test_run_dry_run_lines_replay_the_library_log(small_bundle_path, tmp_path, c
         clears = [index for index, event in enumerate(report.events) if event.action == "clear"]
         assert clears == [300, cli._REPLAY_BLOCK - 1, cli._REPLAY_BLOCK + 700]
     assert run_cli(argv) == 0
+    out = capsys.readouterr().out
     assert len(backend.log) == sum(9 + 8 * (duration - 1) + 3 for duration in durations)
-    assert _command_lines(capsys.readouterr().out) == backend.log
+    assert _command_lines(out) == backend.log
+    # the CSV rows are printed a block at a time too: across the seams they must read as the
+    # library report's rows
+    header, *rows = report.to_text().splitlines()
+    lines = out.splitlines()
+    start = lines.index(header) + 1
+    assert lines[start:start + len(rows) + 1] == [*rows, "# $ " + backend.log[0]]
 
 
 def test_trace_run_dry_run_matches_golden(tmp_path, capsys, monkeypatch):
@@ -847,9 +855,10 @@ def test_dry_run_ifb_is_egress_prints_nothing(small_bundle_path, tmp_path, capsy
 
 
 def test_dry_run_memory_holds_no_command_text_per_apply(small_bundle_path):
-    # guards the replay: a run holds its events, not their command lines; per apply, the
-    # events and the report's text take about 475 B, and a log of 8 lines per apply, joined
-    # into one string at the end, read about 1,660 B
+    # guards the columns and the replay: a run holds a time and a params tuple per action, and
+    # prints its rows and command lines a block at a time; per apply that takes about 170 B.
+    # A RunEvent per action and the report's whole text read about 525 B, and a log of 8 lines
+    # per apply, joined into one string at the end, about 1,660 B
     peaks = []
     for applies in (2000, 20000):
         argv = ["run", "--models", str(small_bundle_path), "--profile", KEY_TEXT,
@@ -863,7 +872,7 @@ def test_dry_run_memory_holds_no_command_text_per_apply(small_bundle_path):
                 tracemalloc.stop()
         assert code == 0
         peaks.append(peak)
-    assert (peaks[1] - peaks[0]) / 18000 < 700
+    assert (peaks[1] - peaks[0]) / 18000 < 250
 
 
 VALIDATE_HEADER = "download,download_kbps,upload_kbps,latency_ms,duration_s,avg_speed_kbps"

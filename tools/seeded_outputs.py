@@ -11,11 +11,11 @@ of the file. ``list-profiles-reindented`` reads the bundle re-dumped with
 ``json.dumps(..., indent=1)``, a layout that ``load`` decodes whole, so its md5
 equals ``list-profiles``'s when both paths read the same models.
 ``run-periodic-bench`` is the benchmark's ``run`` size, 10000 applies, so its
-``# $`` lines span several of the dry run's replay blocks. The dry run
-renders its ``# $`` lines 512 events at a time, and each block decides install
+rows and ``# $`` lines span several of the dry run's print blocks. The dry run
+prints both 512 actions at a time, and each ``# $`` block decides install
 or resample from where the last one left off, so ``trace-run-blocks`` runs 300,
 210 and 700 applies at period 1 on three profiles that ``trace-run`` names: one
-clear falls inside the first block, the next is its last event, and the third
+clear falls inside the first block, the next is its last action, and the third
 step crosses a block seam. Running it on two checkouts tells whether a change
 kept the bytes the README promises: the stdout of every command, and a model
 file that save -> load -> save reproduces. A ``trace-run``'s ``# scenario=``
