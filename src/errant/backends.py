@@ -210,9 +210,15 @@ class DryRunBackend(_CommandBackend):
         return sep.join(pieces)
 
 
+_DEADLINE_S = 5.0  # seconds a command may take before it is killed and counts as failed
+
+
 def _shell_runner(command: str) -> tuple[int, str]:
     try:
-        completed = subprocess.run(command.split(), capture_output=True, text=True, check=False)
+        completed = subprocess.run(command.split(), capture_output=True, text=True, check=False,
+                                   timeout=_DEADLINE_S)
+    except subprocess.TimeoutExpired:  # e.g. tc waiting on a lock: timeout(1)'s status
+        return 124, f"timed out after {_DEADLINE_S:g} s"
     except OSError as exc:  # e.g. no tc on PATH: the shell's "command not found" status
         return 127, str(exc)
     return completed.returncode, completed.stderr.strip()

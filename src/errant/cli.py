@@ -13,14 +13,16 @@ import argparse
 import csv
 import os
 import re
+import shutil
 import signal
 import sys
+import tempfile
 import threading
-from contextlib import nullcontext
+from contextlib import ExitStack, nullcontext
 from datetime import datetime, timezone
 from pathlib import Path
 from types import SimpleNamespace
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -247,6 +249,50 @@ def _cmd_trace_run(args: argparse.Namespace) -> int:
 _VALIDATE_CHUNK = 4096  # rows of validate's CSV formatted per write
 
 
+def _write_chunks(out, count: int, text: Callable[[int], str]) -> None:
+    """Write ``text(start)`` for rows ``[0, count)`` a chunk apart, in order, as contiguous ranges
+    of chunks, one per CPU this process may use: the first range here, each other from the spool a
+    forked child writes it to, or here if no spool opens. No child outlives the call."""
+    chunks = range(0, count, _VALIDATE_CHUNK)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    k = min(cpus if hasattr(os, "fork") else 1, len(chunks))
+    ranges = [chunks[len(chunks) * i // k:len(chunks) * (i + 1) // k] for i in range(k)]
+    children: dict = {}  # range index -> (pid, spool) of a child not reaped yet
+    with ExitStack() as spools:
+        try:
+            for index, starts in enumerate(ranges[1:], 1):
+                try:
+                    spool = spools.enter_context(tempfile.TemporaryFile("w+", encoding="utf-8"))
+                except OSError:
+                    continue
+                # Python 3.12+ warns of a fork while threads run, as numpy's OpenBLAS ones may; but
+                # OpenBLAS stops them at a fork, and the child calls no BLAS: it slices, runs tolist,
+                # formats and writes, then leaves through _exit, flushing nothing it inherited
+                if (pid := os.fork()) == 0:
+                    try:
+                        spool.writelines(map(text, starts))
+                        spool.flush()
+                        os._exit(0)
+                    finally:  # any exception, the SystemExit of main's signal handler too
+                        os._exit(1)
+                children[index] = pid, spool
+            for index, starts in enumerate(ranges):
+                if index not in children:
+                    out.writelines(map(text, starts))
+                    continue
+                status = os.waitstatus_to_exitcode(os.waitpid(children[index][0], 0)[1])
+                spool = children.pop(index)[1]
+                if status:
+                    raise OSError(f"rows {starts[0] + 1} to {min(starts[-1] + _VALIDATE_CHUNK, count)}"
+                                  f" were not formatted: their process exited with {status}")
+                spool.seek(0)
+                shutil.copyfileobj(spool, out)
+        finally:
+            for pid, _ in children.values():  # after an error, the rest are not needed
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+
 def _cmd_validate(args: argparse.Namespace) -> int:
     seed, rng = _seeded(args)
     _, model = _profile_model(args)
@@ -262,21 +308,23 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     observed = simulate_download(SimulatedLink(*model.points.T, args.setup_rtts), args.size)[1]
     comparison = compare_distributions(observed, speeds)
 
-    # the rows as text a chunk at a time, so the text held at once does not grow with --downloads
+    def rows(start: int) -> str:  # one chunk's rows as text
+        chunk = slice(start, start + _VALIDATE_CHUNK)
+        return "".join([
+            f"{number},{down!r},{up!r},{latency!r},{duration!r},{speed!r}\n"
+            for number, down, up, latency, duration, speed in zip(
+                range(start + 1, len(speeds) + 1), *draws[chunk].T.tolist(),
+                durations[chunk].tolist(), speeds[chunk].tolist())
+        ])
+
+    # the rows a chunk at a time, so the text held at once does not grow with --downloads
     target = open(args.output, "w", encoding="utf-8") if args.output else nullcontext(sys.stdout)
     with target as out:
         out.write(
             f"# seed={seed} version={__version__}\n"
             "download,download_kbps,upload_kbps,latency_ms,duration_s,avg_speed_kbps\n"
         )
-        for start in range(0, len(speeds), _VALIDATE_CHUNK):
-            chunk = slice(start, start + _VALIDATE_CHUNK)
-            rows = zip(range(start + 1, len(speeds) + 1), *draws[chunk].T.tolist(),
-                       durations[chunk].tolist(), speeds[chunk].tolist())
-            out.write("".join([
-                f"{number},{down!r},{up!r},{latency!r},{duration!r},{speed!r}\n"
-                for number, down, up, latency, duration, speed in rows
-            ]))
+        _write_chunks(out, len(speeds), rows)
     if args.output:
         sys.stdout.write(comparison.to_text())
     else:

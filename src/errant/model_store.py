@@ -123,11 +123,13 @@ def save(bundle: ModelBundle, path: Union[str, Path]) -> None:
             temporary.unlink()
 
 
-def load(path: Union[str, Path], keys: Optional[Collection[str]] = None) -> ModelBundle:
+def load(path: Union[str, Path], keys: Optional[Collection[str]] = None,
+         names: Optional[list] = None) -> ModelBundle:
     """Read a bundle, revalidating the invariants of every model read.
 
-    Save's layout is read a model at a time, decoding only the models of ``keys`` (all if None);
-    any other file, or one without a model of ``keys``, is decoded whole and gives every model.
+    Save's layout is read a model at a time, decoding only the models of ``keys`` (all if None)
+    that it holds, and appending every model's key text to ``names``, if given; any other file
+    is decoded whole and gives every model.
     """
     markers = None if keys is None else {f"{_key_line(key)}\n".encode() for key in keys}
     bodies: dict = {}
@@ -139,6 +141,8 @@ def load(path: Union[str, Path], keys: Optional[Collection[str]] = None) -> Mode
                 raise ValueError("not the layout save writes")
             line = handle.readline()
             while line != b"  }\n":  # a model's key line, until the models object closes
+                if names is not None:
+                    names.append(json.loads(line[4:-4].decode("utf-8")))
                 parts = [b"{\n"]  # the end of the key line, then the model up to its one "}"
                 while (at := (chunk := handle.peek()).find(b"}")) < 0:  # what the buffer holds
                     if not chunk:
@@ -153,8 +157,8 @@ def load(path: Union[str, Path], keys: Optional[Collection[str]] = None) -> Mode
                 glue, line = handle.readline(), handle.readline()
                 if glue != (b"\n" if line == b"  }\n" else b",\n"):
                     raise ValueError("models joined other than save joins them")
-            if handle.read(3) != b"}\n" or markers is not None and len(bodies) < len(markers):
-                raise ValueError("not the layout save writes, or a model of keys is not there")
+            if handle.read(3) != b"}\n":
+                raise ValueError("not the layout save writes")
     except (OSError, ValueError, CorruptModelError):  # the whole decode reports it
         created, bodies = _decode_whole(path)
     models: Dict[ProfileKey, KdeModel] = {}
@@ -173,9 +177,10 @@ def load(path: Union[str, Path], keys: Optional[Collection[str]] = None) -> Mode
 
 def load_model(path: Union[str, Path], key: ProfileKey) -> KdeModel:
     """The model stored for ``key``: :func:`load` of that key, which must be in the file."""
-    models = load(path, (key,)).models
+    names: list = []  # the file's keys, if load read save's layout, else models holds them all
+    models = load(path, (key,), names).models
     if key not in models:
-        available = ", ".join(sorted(models)) or "none"
+        available = ", ".join(sorted(models or names)) or "none"
         raise FormatError(f"profile {key} not in model file; available: {available}")
     return models[key]
 

@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -592,6 +593,32 @@ def test_shell_runner_drives_stub_binaries(tmp_path, monkeypatch):
     with pytest.raises(BackendError) as denied:
         tc.clear()
     assert str(denied.value) == f"command failed with status 2: {CLEAR_LINES[0]} ({DENIED[1]})"
+
+
+@pytest.mark.parametrize("stall, act", [
+    ("tc class add dev eth0", lambda backend: backend.apply(PARAMS_BASIC)),
+    (CLEAR_LINES[0], lambda backend: backend.clear()),
+], ids=["apply", "clear"])
+def test_command_past_its_deadline_fails_and_the_teardown_runs_every_line(tmp_path, monkeypatch,
+                                                                           stall, act):
+    # stub ip and tc log their argv, and the command that starts with stall sleeps 30 s
+    log = tmp_path / "argv.log"
+    for name in ("ip", "tc"):
+        stub = tmp_path / name
+        stub.write_text(f'#!/bin/sh\necho "{name} $*" >> "{log}"\n'
+                        f'case "{name} $*" in "{stall}"*) exec {shutil.which("sleep")} 30;; esac\n')
+        stub.chmod(0o755)
+    monkeypatch.setenv("PATH", str(tmp_path))
+    monkeypatch.setattr("errant.backends._DEADLINE_S", 0.2)
+    backend = TcBackend("eth0", "ifb0")
+    started = time.monotonic()
+    with pytest.raises(BackendError) as failed:
+        act(backend)
+    assert time.monotonic() - started < 1.5
+    assert str(failed.value).startswith(f"command failed with status 124: {stall}")
+    assert str(failed.value).endswith(" (timed out after 0.2 s)")
+    assert log.read_text().splitlines()[-3:] == CLEAR_LINES  # every line, after the stalled one
+    assert backend.configured is None
 
 
 def test_shell_runner_passes_each_interface_name_as_one_argument(tmp_path, monkeypatch):

@@ -6,6 +6,7 @@ import io
 import json
 import os
 import re
+import shutil
 import signal
 import subprocess
 import sys
@@ -538,6 +539,21 @@ def test_run_without_ip_or_tc_is_backend_failure(tmp_path, capsys, monkeypatch):
     assert "status 127: ip link set dev" in capsys.readouterr().err
 
 
+def test_run_whose_tc_stalls_exits_3_saying_it_timed_out(tmp_path, capsys, monkeypatch):
+    for name in ("ip", "tc"):  # a tc line that adds a rule stalls; any other line answers 0
+        stub = tmp_path / name
+        stub.write_text(f'#!/bin/sh\ncase "$*" in *add*) exec {shutil.which("sleep")} 30;; esac\n')
+        stub.chmod(0o755)
+    monkeypatch.setenv("PATH", str(tmp_path))
+    monkeypatch.setattr("os.geteuid", lambda: 0)
+    monkeypatch.setattr("errant.backends._DEADLINE_S", 0.1)
+    code = run_cli(["run", "--iface", "eth0", "--preset", "chrome:3G", "--duration", "1"])
+    assert code == 3
+    assert capsys.readouterr().err == (
+        "error: command failed with status 124: tc qdisc add dev eth0 handle ffff: ingress"
+        " (timed out after 0.1 s)\n")
+
+
 def test_run_empty_iface_refused(small_bundle_path, capsys, monkeypatch):
     monkeypatch.setattr("os.geteuid", lambda: 0)
     executed = []
@@ -927,6 +943,102 @@ def test_validate_chunks_join_to_the_one_pass_rows(small_bundle_path, tmp_path, 
     stdout, written = outputs[0]
     assert _data_rows(stdout, VALIDATE_HEADER) == expected
     assert _data_rows(written.decode(), VALIDATE_HEADER) == expected
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _validate_argv(path, downloads, *extra):
+    return ["validate", "--models", str(path), "--profile", KEY_TEXT,
+            "--downloads", str(downloads), "--seed", "26", *extra]
+
+
+@pytest.mark.parametrize("downloads", [
+    pytest.param(1, id="one-row"),
+    pytest.param(cli._VALIDATE_CHUNK - 1, id="chunk-minus-one"),
+    pytest.param(2 * cli._VALIDATE_CHUNK + 1, id="two-chunks-and-a-row"),
+    pytest.param(4 * cli._VALIDATE_CHUNK - 5, id="last-range-short"),
+])
+def test_validate_rows_are_the_same_on_any_count_of_cpus(small_bundle_path, tmp_path, capsys,
+                                                         monkeypatch, downloads):
+    # the rows are split into ranges of whole chunks, one per CPU: each range after the first
+    # is formatted in a forked child, and the bytes must not depend on the split
+    outputs = []
+    for cpus in (1, 2, 3, 4, "no fork"):
+        if cpus == "no fork":  # as on a platform without fork: every range here
+            monkeypatch.delattr(os, "fork")
+        else:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: set(range(cpus)))
+        path = tmp_path / f"{cpus}.csv"
+        assert run_cli(_validate_argv(small_bundle_path, downloads)) == 0
+        assert run_cli(_validate_argv(small_bundle_path, downloads, "--output", str(path))) == 0
+        outputs.append((capsys.readouterr().out, path.read_bytes()))
+        _no_child_left()
+    assert outputs[1:] == outputs[:1] * 4
+    model = next(iter(load(small_bundle_path).models.values()))
+    expected = _fluid_rows(sample_points(model, np.random.default_rng(26), downloads))
+    assert _data_rows(outputs[0][0], VALIDATE_HEADER) == expected
+
+
+class _FailingSpool(io.StringIO):
+    """A spool that fails in the child that writes it: by an error, or by SIGTERM."""
+
+    signal = None
+
+    def writelines(self, lines):
+        if self.signal is not None:
+            os.kill(os.getpid(), self.signal)  # main's handler raises SystemExit in the child
+        raise OSError("no space left")
+
+
+@pytest.mark.parametrize("how", [None, signal.SIGTERM], ids=["error", "sigterm"])
+def test_validate_worker_that_fails_exits_2_naming_its_rows(small_bundle_path, capsys,
+                                                           monkeypatch, how):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    monkeypatch.setattr(_FailingSpool, "signal", how)
+    monkeypatch.setattr(cli.tempfile, "TemporaryFile", lambda *args, **kwargs: _FailingSpool())
+    downloads = 3 * cli._VALIDATE_CHUNK
+    assert run_cli(_validate_argv(small_bundle_path, downloads)) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: rows {cli._VALIDATE_CHUNK + 1} to {2 * cli._VALIDATE_CHUNK}"
+                            " were not formatted: their process exited with 1\n")
+    assert captured.out.count("\n") == 2 + cli._VALIDATE_CHUNK  # the rows before the failure
+    _no_child_left()
+
+
+def test_validate_into_a_closed_pipe_returns_0_and_leaves_no_child(small_bundle_path,
+                                                                  monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    read, write = os.pipe()
+    os.close(read)
+    with open(write, "w", encoding="utf-8") as closed_pipe:
+        monkeypatch.setattr(sys, "stdout", closed_pipe)
+        assert run_cli(_validate_argv(small_bundle_path, 3 * cli._VALIDATE_CHUNK)) == 0
+    _no_child_left()
+
+
+def test_validate_range_without_a_spool_is_formatted_here(small_bundle_path, capsys,
+                                                         monkeypatch):
+    downloads = 3 * cli._VALIDATE_CHUNK
+    assert run_cli(_validate_argv(small_bundle_path, downloads)) == 0
+    expected = capsys.readouterr().out
+    spool = cli.tempfile.TemporaryFile
+    opened = []
+
+    def first_fails(*args, **kwargs):  # the second range has no spool, the third has one
+        opened.append(1)
+        if len(opened) == 1:
+            raise OSError("no space left")
+        return spool(*args, **kwargs)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    monkeypatch.setattr(cli.tempfile, "TemporaryFile", first_fails)
+    assert run_cli(_validate_argv(small_bundle_path, downloads)) == 0
+    assert capsys.readouterr().out == expected
+    assert len(opened) == 2
+    _no_child_left()
 
 
 def test_validate_memory_stays_per_chunk(small_bundle_path, tmp_path, capsys):

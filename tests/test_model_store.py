@@ -403,6 +403,45 @@ def test_load_reads_each_byte_once(tmp_path, monkeypatch):
         assert sum(counts) == path.stat().st_size
 
 
+def test_missing_profile_is_named_after_one_read_of_each_byte(tmp_path, monkeypatch):
+    # the scan's key lines name the available profiles, so a profile that save's layout lacks
+    # is refused at the scan's end: no byte read twice, and no whole-file decode
+    bundle = eight_model_bundle()
+    path = tmp_path / "m.json"
+    save(bundle, path)
+    counts = []
+
+    class CountedFile(io.FileIO):
+        def readinto(self, buffer):
+            counts.append(super().readinto(buffer))
+            return counts[-1]
+
+    monkeypatch.setattr(model_store, "open", lambda name, mode: io.BufferedReader(
+        CountedFile(name)), raising=False)
+    refuse_whole_bundle_decode(monkeypatch)
+    missing = ProfileKey("specific/narnia/telia/4G/good")
+    expected = f"profile {missing} not in model file; available: {', '.join(sorted(bundle.models))}"
+    with pytest.raises(FormatError, match=f"^{re.escape(expected)}$"):
+        load_model(path, missing)
+    assert sum(counts) == path.stat().st_size
+    counts.clear()  # trace-run's read: the models of its scenario that the file holds
+    present = sorted(bundle.models)[3]
+    assert list(load(path, {missing, present}).models) == [present]
+    assert sum(counts) == path.stat().st_size
+
+
+def test_missing_profile_is_reported_before_a_fault_in_another_model(tmp_path):
+    # the scan decodes only the models it is asked for, so a model that is not asked for is not
+    # checked, and the missing profile is what a file in save's layout reports
+    path = tmp_path / "m.json"
+    save(two_model_bundle(), path)
+    path.write_text(path.read_text().replace('"n": 150,', '"n": 151,'))
+    with pytest.raises(CorruptModelError, match="n=151"):
+        load(path)
+    with pytest.raises(FormatError, match="not in model file; available: "):
+        load_model(path, ProfileKey("specific/narnia/telia/4G/good"))
+
+
 def test_refused_key_keeps_the_previous_file(tmp_path):
     path = tmp_path / "m.json"
     save(two_model_bundle(), path)

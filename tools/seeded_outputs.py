@@ -16,7 +16,10 @@ prints both 512 actions at a time, and each ``# $`` block decides install
 or resample from where the last one left off, so ``trace-run-blocks`` runs 300,
 210 and 700 applies at period 1 on three profiles that ``trace-run`` names: one
 clear falls inside the first block, the next is its last action, and the third
-step crosses a block seam. Running it on two checkouts tells whether a change
+step crosses a block seam. ``validate-bench`` is the benchmark's ``validate`` size,
+50000 downloads: 13 chunks of rows, whose ranges ``validate`` formats in one process per
+CPU it may use, so running this under ``taskset -c 0`` checks that the split keeps the
+bytes. Running it on two checkouts tells whether a change
 kept the bytes the README promises: the stdout of every command, and a model
 file that save -> load -> save reproduces. A ``trace-run``'s ``# scenario=``
 line names a temporary path, so it is left out of that output's md5. The
@@ -117,6 +120,9 @@ COMMANDS = (
     # 10000 rows: two full chunks of the CSV writer and a part chunk
     ("validate-chunks", ["validate", "--models", "{models}", "--profile", PROFILE, "--seed", "3",
                          "--downloads", "10000"]),
+    # the bench's validate size: 13 chunks of rows, split over the CPUs the command may use
+    ("validate-bench", ["validate", "--models", "{models}", "--profile", PROFILE, "--seed", "3",
+                        "--downloads", "50000"]),
     ("validate-simple", ["validate", "--models", "{models}", "--profile", PROFILE,
                          "--seed", "3", "--simple"]),
     ("subsample", ["subsample", "--models", "{models}", "--profile", PROFILE, "--seed", "3"]),
