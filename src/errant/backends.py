@@ -169,7 +169,8 @@ class _CommandBackend:
         try:
             self._execute(commands)
         except BackendError:
-            self.clear()  # all or nothing: never leave half a rule set installed
+            with contextlib.suppress(Exception):  # the failed line's error is the one raised
+                self.clear()  # all or nothing: never leave half a rule set installed
             raise
         self.configured = params
 
@@ -198,15 +199,15 @@ class DryRunBackend(_CommandBackend):
     def _execute(self, commands: list[str]) -> None:
         self.log.extend(commands)
 
-    def replay(self, actions: Sequence[Optional[EmulationParams]], sep: str) -> str:
+    def replay(self, actions: Sequence[Optional[EmulationParams]], resample: bool, sep: str) -> str:
         """The lines of applying each params and clearing at each ``None``, in order, joined by
-        ``sep``; ``configured`` ends where those calls would leave it, and ``log`` is untouched."""
+        ``sep``, the first apply a resample if ``resample``; ``configured`` and ``log`` stay."""
         pieces = []
         for cleared, run in itertools.groupby(actions, functools.partial(operator.is_, None)):
             run = list(run)
             pieces += ([sep.join(self._renderer.teardown)] * len(run) if cleared
-                       else [self._renderer.text(run, self.configured is not None, sep)])
-            self.configured = None if cleared else run[-1]
+                       else [self._renderer.text(run, resample, sep)])
+            resample = not cleared
         return sep.join(pieces)
 
 
@@ -230,8 +231,8 @@ class TcBackend(_CommandBackend):
     ``runner`` maps a command line to (exit status, stderr); tests inject a
     fake one. Lines run in order up to the first exception or failed status;
     a removal line whose stderr says the rule is absent has not failed. A
-    failed install or resample removes every rule and raises
-    :class:`BackendError`. A teardown runs every line, even past a signal's
+    failed install or resample removes every rule and raises its own
+    :class:`BackendError`, not the teardown's. A teardown runs every line, even past a signal's
     ``SystemExit``, then raises the first exception, such as a
     :class:`BackendError` naming a removal that failed for another reason.
     """

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import os
 import re
 import shutil
@@ -40,9 +41,9 @@ from .emulator import (
     static_preset,
 )
 from .errors import BackendError, ErrantError, FitError, FormatError, ScenarioError
-from .ingest import COLUMNS, parse_speedtests, write_rejects
+from .ingest import COLUMNS, _rows, parse_speedtests, write_rejects
 from .kde import KdeModel, fit, sample_points
-from .model_store import ModelBundle, load, load_model, save
+from .model_store import ModelBundle, load, save
 from .profiles import ProfileKey, build_profiles, filter_profiles
 from .validation import compare_distributions, subsample_experiment
 
@@ -131,7 +132,7 @@ class _Schema(argparse.Action):
 def _profile_model(args: argparse.Namespace) -> tuple[ProfileKey, KdeModel]:
     """(key, model) named by --profile; the key is parsed before --models is read."""
     key = ProfileKey(args.profile)
-    return key, load_model(args.models, key)
+    return key, load(args.models, (key,)).models[key]
 
 
 def _make_backend(args: argparse.Namespace) -> tuple:
@@ -159,20 +160,21 @@ def _report_run(backend, drive, seed: int, label: str, **notes: str) -> int:
     write(report.head())
     for start in blocks:
         write(report.rows(start, start + _REPLAY_BLOCK))
-    for start in blocks if dry else ():
-        write("# $ " + backend.replay(report.params[start:start + _REPLAY_BLOCK], "\n# $ ") + "\n")
+    for start in blocks if dry else ():  # a block's first apply resamples after an apply
+        after = start > 0 and report.params[start - 1] is not None
+        write("# $ %s\n" % backend.replay(report.params[start:start + _REPLAY_BLOCK], after, "\n# $ "))
     return 0
 
 
 def _cmd_build_models(args: argparse.Namespace) -> int:
     with open(args.input, encoding="utf-8-sig", newline="") as handle:
-        tests, rejects = parse_speedtests(handle, schema=args.column)
+        lines: list = []  # the header row's lines, read once: the rejects file repeats its cells
+        header = next(_rows(csv.reader(lines.append(line) or line for line in handle)), [])
+        tests, rejects = parse_speedtests(itertools.chain(lines, handle), schema=args.column)
     if rejects:
         total = len(tests) + len(rejects)
         print(f"rejected {len(rejects)} of {total} rows", file=sys.stderr)
         if args.write_rejects:
-            with open(args.input, encoding="utf-8-sig", newline="") as handle:
-                header = next(csv.reader(handle), [])
             rejects_path = f"{args.input}.rejects.csv"
             write_rejects(rejects, rejects_path, header)
             print(f"wrote {rejects_path}", file=sys.stderr)

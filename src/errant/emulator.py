@@ -255,15 +255,17 @@ def run(
         record_params(None)
 
     for duration_s, period_s, draw in segments:
-        start = now()
+        start = done = now()  # done: when the last apply ended
         try:
-            applied = 0
-            while applied * period_s < duration_s:
-                sleep(start + applied * period_s - now())
+            slot = 0
+            while slot * period_s < duration_s:
+                sleep(start + slot * period_s - done)
                 apply(params := draw())
-                record_time(now() - origin)
+                record_time((done := now()) - origin)
                 record_params(params)
-                applied += 1
+                slot += 1
+                if done - start >= slot * period_s:  # late: skip each slot whose period has passed
+                    slot = max(slot, (done - start) // period_s)
             sleep(start + duration_s - now())
         except BaseException:
             with contextlib.suppress(Exception):

@@ -123,16 +123,16 @@ def save(bundle: ModelBundle, path: Union[str, Path]) -> None:
             temporary.unlink()
 
 
-def load(path: Union[str, Path], keys: Optional[Collection[str]] = None,
-         names: Optional[list] = None) -> ModelBundle:
+def load(path: Union[str, Path], keys: Optional[Collection[str]] = None) -> ModelBundle:
     """Read a bundle, revalidating the invariants of every model read.
 
-    Save's layout is read a model at a time, decoding only the models of ``keys`` (all if None)
-    that it holds, and appending every model's key text to ``names``, if given; any other file
-    is decoded whole and gives every model.
+    Save's layout is read a model at a time, decoding only the models of ``keys`` (all if None);
+    any other file is decoded whole and gives every model. A key of ``keys`` that the file lacks
+    is refused, naming every profile in the file: on save's layout, from the key lines read.
     """
     markers = None if keys is None else {f"{_key_line(key)}\n".encode() for key in keys}
     bodies: dict = {}
+    names: Optional[list] = []  # every key text the scan reads; None once the whole decode runs
     try:
         with open(path, "rb") as handle:
             head = b"".join(handle.readline() for _ in range(4)).decode("utf-8")
@@ -141,8 +141,7 @@ def load(path: Union[str, Path], keys: Optional[Collection[str]] = None,
                 raise ValueError("not the layout save writes")
             line = handle.readline()
             while line != b"  }\n":  # a model's key line, until the models object closes
-                if names is not None:
-                    names.append(json.loads(line[4:-4].decode("utf-8")))
+                names.append(key_text := json.loads(line[4:-4].decode("utf-8")))
                 parts = [b"{\n"]  # the end of the key line, then the model up to its one "}"
                 while (at := (chunk := handle.peek()).find(b"}")) < 0:  # what the buffer holds
                     if not chunk:
@@ -150,7 +149,6 @@ def load(path: Union[str, Path], keys: Optional[Collection[str]] = None,
                     parts.append(handle.read(len(chunk)))
                 parts.append(handle.read(at + 1))  # what follows stays buffered, read once
                 if markers is None or line in markers:
-                    key_text = json.loads(line[4:-4].decode("utf-8"))
                     if line != f"{_key_line(str(key_text))}\n".encode() or key_text in bodies:
                         raise ValueError("a key line that save does not write")
                     bodies[key_text] = _model_doc(parts)
@@ -160,7 +158,7 @@ def load(path: Union[str, Path], keys: Optional[Collection[str]] = None,
             if handle.read(3) != b"}\n":
                 raise ValueError("not the layout save writes")
     except (OSError, ValueError, CorruptModelError):  # the whole decode reports it
-        created, bodies = _decode_whole(path)
+        (created, bodies), names = _decode_whole(path), None
     models: Dict[ProfileKey, KdeModel] = {}
     key_texts: Dict[ProfileKey, str] = {}
     for key_text, body in bodies.items():
@@ -172,17 +170,12 @@ def load(path: Union[str, Path], keys: Optional[Collection[str]] = None,
             raise CorruptModelError(f"model file {path} names profile {key} twice: "
                                     f"{key_texts[key]!r} and {key_text!r}")
         models[key] = _model_from_doc(key_text, body)
+    missing = sorted(set(keys or ()) - models.keys())
+    if missing:
+        available = ", ".join(sorted(models if names is None else names)) or "none"
+        raise FormatError(f"profile{'s' * (len(missing) > 1)} {', '.join(missing)} not in model "
+                          f"file; available: {available}")
     return ModelBundle(models=models, created=created)
-
-
-def load_model(path: Union[str, Path], key: ProfileKey) -> KdeModel:
-    """The model stored for ``key``: :func:`load` of that key, which must be in the file."""
-    names: list = []  # the file's keys, if load read save's layout, else models holds them all
-    models = load(path, (key,), names).models
-    if key not in models:
-        available = ", ".join(sorted(models or names)) or "none"
-        raise FormatError(f"profile {key} not in model file; available: {available}")
-    return models[key]
 
 
 def _model_doc(parts: list) -> dict:

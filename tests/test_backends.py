@@ -191,10 +191,11 @@ def test_replay_matches_the_log_of_each_apply_and_clear(before, actions, shown):
     log = list(backend.log)
     for params in actions:
         reference.clear() if params is None else reference.apply(params)
-    text = backend.replay(actions, "\n")
+    configured = backend.configured
+    text = backend.replay(actions, bool(before), "\n")
     assert text == "\n".join(reference.log)
     assert all(part in text for part in shown)
-    assert backend.configured is reference.configured
+    assert backend.configured is configured  # the backend is unchanged
     assert backend.log == log
 
 
@@ -237,17 +238,32 @@ def test_tc_backend_clear_raises_on_a_failed_removal():
     assert backend.configured is None
 
 
-def test_failed_cleanup_after_failed_install_raises_the_teardown_error():
+def test_failed_cleanup_after_failed_install_raises_the_install_error():
+    executed = []
+
     def runner(command):
-        if "htb rate" in command or command == CLEAR_LINES[1]:
+        executed.append(command)
+        if command == "tc qdisc add dev eth0 handle ffff: ingress" or " del " in command:
             return DENIED
         return 0, ""
 
     backend = TcBackend("eth0", "ifb0", runner=runner)
-    with pytest.raises(BackendError, match="tc qdisc del dev eth0 ingress") as caught:
+    with pytest.raises(BackendError) as caught:
         backend.apply(PARAMS_BASIC)
-    assert "htb rate" in str(caught.value.__context__)  # the install error is kept
+    assert str(caught.value) == ("command failed with status 2: tc qdisc add dev eth0 handle "
+                                 f"ffff: ingress ({DENIED[1]})")
+    assert executed[-3:] == CLEAR_LINES  # every teardown line ran
     assert backend.configured is None
+
+    def signalled(command):  # a SIGTERM's SystemExit during that teardown
+        if command == CLEAR_LINES[0]:
+            raise SystemExit(143)
+        return runner(command)
+
+    executed.clear()
+    with pytest.raises(SystemExit):
+        TcBackend("eth0", "ifb0", runner=signalled).apply(PARAMS_BASIC)
+    assert executed[-2:] == CLEAR_LINES[1:]
 
 
 @pytest.mark.parametrize("removal", RESAMPLE_REMOVALS)

@@ -132,6 +132,34 @@ def test_build_models_writes_rejects(tmp_path, capsys):
     assert "rejected 1 of 121 rows" in capsys.readouterr().err
 
 
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs a FIFO")
+def test_build_models_reads_its_input_once(tmp_path):
+    # --write-rejects keeps the header row from the one read, so an input that reads only
+    # once, a FIFO here, is not opened again
+    rows = profile_rows(120, seed=5) + ["9,norway,telia,4G,-70,1000,500,-1"]
+    fifo = tmp_path / "input.csv"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_text, args=("\n".join([CSV_HEADER, *rows]) + "\n",),
+                              daemon=True)  # blocks until the command opens the FIFO
+    writer.start()
+    argv = ["build-models", "--input", str(fifo), "--output", str(tmp_path / "m.json"),
+            "--write-rejects"]
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parent.parent))
+    with subprocess.Popen([sys.executable, "-m", "errant.cli", *argv], env=env,
+                          stdout=subprocess.DEVNULL, stderr=subprocess.PIPE) as child:
+        try:
+            stderr = child.communicate(timeout=30)[1].decode()
+        except subprocess.TimeoutExpired:
+            child.kill()
+            pytest.fail("build-models did not finish reading its FIFO input")
+        finally:
+            if writer.is_alive():  # the command never opened the FIFO: let the writer go
+                os.close(os.open(fifo, os.O_RDONLY | os.O_NONBLOCK))
+    assert (child.returncode, stderr.splitlines()[0]) == (0, "rejected 1 of 121 rows")
+    rejects = (tmp_path / "input.csv.rejects.csv").read_text().splitlines()
+    assert rejects == [f"{CSV_HEADER},reason", f"{rows[-1]},nonpositive latency"]
+
+
 def test_build_models_rejects_slash_in_names(tmp_path, capsys):
     # "/" separates the parts of a profile key, so such a model file could not be read
     path = tmp_path / "slash.csv"
@@ -510,6 +538,22 @@ def test_run_missing_profile(small_bundle_path, capsys):
     )
     assert code == 2
     assert "available" in capsys.readouterr().err
+
+
+def test_run_and_trace_run_name_a_missing_profile_alike(small_bundle_path, tmp_path, capsys):
+    available = f"available: {KEY_TEXT}\n"
+    argv = ["run", "--models", str(small_bundle_path), "--profile", "universal/any/any/3G/bad",
+            "--duration", "5"]
+    assert run_cli(argv) == 2
+    assert capsys.readouterr() == ("", "error: profile universal/any/any/3G/bad not in model "
+                                       f"file; {available}")
+    scenario = tmp_path / "s.scenario"
+    scenario.write_text(f"5,{KEY_TEXT},fixed\n5,universal/any/any/3G/bad,fixed\n"
+                        "5,specific/narnia/telia/4G/good,fixed\n")
+    assert run_cli(["trace-run", "--models", str(small_bundle_path), "--scenario",
+                    str(scenario)]) == 2
+    assert capsys.readouterr() == ("", "error: profiles specific/narnia/telia/4G/good, "
+                                       f"universal/any/any/3G/bad not in model file; {available}")
 
 
 def test_run_real_iface_needs_root(small_bundle_path, capsys, monkeypatch):

@@ -230,6 +230,23 @@ def test_run_periodic_apply_count_property():
         assert times == sorted(times)
 
 
+def test_a_late_apply_skips_every_slot_whose_period_has_passed():
+    # the second apply takes 0.35 s: the slots at 0.2 and 0.3 pass during it and are skipped,
+    # and the one at 0.4, whose period holds its end, applies at once
+    clock, params = VirtualClock(), EmulationParams(1000.0, 500.0, 40.0)
+
+    class SlowSecondApply(RecordingBackend):
+        def apply(self, params):
+            super().apply(params)
+            clock.sleep(0.35 if self.count("apply") == 2 else 0.0)
+
+    backend = SlowSecondApply()
+    report = run([Segment(1.0, 0.1, lambda: params)], backend, clock)
+    assert list(report.times) == pytest.approx([0.0, 0.45, 0.45, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0])
+    assert backend.count("apply") == 8
+    assert report.params[-1] is None
+
+
 def test_period_equal_duration_is_fixed():
     model = small_model()
     backend = RecordingBackend()

@@ -26,7 +26,6 @@ from errant import (
 from errant import ingest
 from errant.cli import main
 from errant.ingest import COLUMNS, _parse_row, write_rejects
-from errant.model_store import load_model
 
 GOOD_ROW = "1600000000,Norway,Telia,4G,-70,20000,5000,40"
 
@@ -451,7 +450,8 @@ def test_accepted_names_survive_the_model_file_and_a_dry_run(adversarial_keys, t
     save(loaded, again)
     assert again.read_bytes() == path.read_bytes()
     for key in adversarial_keys:
-        np.testing.assert_array_equal(load_model(path, key).points, loaded.models[key].points)
+        np.testing.assert_array_equal(load(path, (key,)).models[key].points,
+                                      loaded.models[key].points)
     scenario = tmp_path / "scenario.txt"
     scenario.write_text("".join(f"1,{key},fixed\n" for key in adversarial_keys), encoding="utf-8")
     argv = ["trace-run", "--models", str(path), "--scenario", str(scenario), "--seed", "1"]

@@ -29,7 +29,6 @@ from errant import (
     save,
 )
 from errant import model_store
-from errant.model_store import load_model
 
 KEY_A = ProfileKey.from_string("specific/norway/telia/4G/good")
 KEY_B = ProfileKey.from_string("universal/any/any/3G/bad")
@@ -370,7 +369,7 @@ def test_load_model_memory_stays_per_model(tmp_path):
     key = sorted(models)[3]
     tracemalloc.start()
     try:
-        model = load_model(path, key)
+        model = load(path, (key,)).models[key]
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -422,11 +421,11 @@ def test_missing_profile_is_named_after_one_read_of_each_byte(tmp_path, monkeypa
     missing = ProfileKey("specific/narnia/telia/4G/good")
     expected = f"profile {missing} not in model file; available: {', '.join(sorted(bundle.models))}"
     with pytest.raises(FormatError, match=f"^{re.escape(expected)}$"):
-        load_model(path, missing)
+        load(path, (missing,))
     assert sum(counts) == path.stat().st_size
-    counts.clear()  # trace-run's read: the models of its scenario that the file holds
-    present = sorted(bundle.models)[3]
-    assert list(load(path, {missing, present}).models) == [present]
+    counts.clear()  # trace-run's read: a profile the file holds does not hide one it lacks
+    with pytest.raises(FormatError, match=f"^{re.escape(expected)}$"):
+        load(path, {missing, sorted(bundle.models)[3]})
     assert sum(counts) == path.stat().st_size
 
 
@@ -439,7 +438,7 @@ def test_missing_profile_is_reported_before_a_fault_in_another_model(tmp_path):
     with pytest.raises(CorruptModelError, match="n=151"):
         load(path)
     with pytest.raises(FormatError, match="not in model file; available: "):
-        load_model(path, ProfileKey("specific/narnia/telia/4G/good"))
+        load(path, (ProfileKey("specific/narnia/telia/4G/good"),))
 
 
 def test_refused_key_keeps_the_previous_file(tmp_path):
@@ -537,7 +536,7 @@ def test_value_save_never_writes_is_refused(tmp_path, pattern, value, reason):
     with pytest.raises(CorruptModelError, match=expected):
         load(path)
     with pytest.raises(CorruptModelError, match=expected):
-        load_model(path, KEY_B)  # the canonical layout, so only this model is decoded
+        load(path, (KEY_B,)).models[KEY_B]  # the canonical layout, so only this model is decoded
 
 
 def test_point_count_mismatch_rejected(tmp_path):
@@ -753,7 +752,7 @@ def test_load_model_equals_whole_bundle_load(tmp_path, monkeypatch, indent):
     monkeypatch.setattr(model_store, "_decode_whole",
                         lambda path: decodes.append(path) or decode_whole(path))
     for key, model in bundle.models.items():
-        assert_same_model(load_model(path, key), model)
+        assert_same_model(load(path, (key,)).models[key], model)
     assert opens == [path] * 3  # the model-by-model scan opens the file once per call
     # a canonical file is never decoded in full; any other layout is, once per call
     assert decodes == ([] if indent is None else [path] * 3)
@@ -806,7 +805,7 @@ def test_load_model_reads_one_model_under_a_key_with_braces(tmp_path, monkeypatc
     bundle = load(path)
     refuse_whole_bundle_decode(monkeypatch)
     for key in BRACE_KEYS:
-        assert_same_model(load_model(path, key), bundle.models[key])
+        assert_same_model(load(path, (key,)).models[key], bundle.models[key])
 
 
 @pytest.mark.parametrize("scan", [1, 2, 3, 5, 8, 13, None], ids=str)
@@ -832,7 +831,7 @@ def test_load_model_finds_its_model_across_chunk_seams(tmp_path, monkeypatch, sc
             patch.setattr(model_store, "_DECODE_BYTES", size)
             patch.setattr(model_store, "open", lambda name, mode: io.BufferedReader(
                 io.FileIO(name), size), raising=False)
-            assert_same_model(load_model(path, key), bundle.models[key])
+            assert_same_model(load(path, (key,)).models[key], bundle.models[key])
             assert_same_outcome(load(path), bundle)  # every key, each across the same seams
 
 
@@ -848,7 +847,7 @@ def test_load_model_of_another_layout_equals_load(tmp_path, rewrite):
     expected = outcome(load, path)
     for key in BRACE_KEYS:
         wanted = expected.models[key] if isinstance(expected, ModelBundle) else expected
-        assert_same_outcome(outcome(load_model, path, key), wanted)
+        assert_same_outcome(outcome(lambda: load(path, (key,)).models[key]), wanted)
 
 
 def short_bundle():
@@ -1013,7 +1012,7 @@ def test_three_decimal_points_read_as_json_reads_them(tmp_path, monkeypatch, cas
     if scan is not None:
         monkeypatch.setattr(model_store, "_DECODE_BYTES", scan)
     assert_same_outcome(outcome(load, path), expected)
-    assert_same_outcome(outcome(load_model, path, KEY_B),
+    assert_same_outcome(outcome(lambda: load(path, (KEY_B,)).models[KEY_B]),
                         expected.models[KEY_B] if isinstance(expected, ModelBundle) else expected)
 
 
@@ -1055,7 +1054,7 @@ def test_load_model_reads_past_a_byte_that_is_not_utf8_only_in_another_model(tmp
     path.write_bytes(data[:at] + b"\xff" + data[at:])
     refused = outcome(load, path)
     assert refused[0] is ModelFileError and f"in position {at}:" in refused[1]
-    got = outcome(load_model, path, BRACE_KEYS[0])
+    got = outcome(lambda: load(path, (BRACE_KEYS[0],)).models[BRACE_KEYS[0]])
     assert_same_outcome(got, clean.models[BRACE_KEYS[0]] if broken else refused)
 
 
@@ -1064,7 +1063,7 @@ def test_load_model_refuses_other_version(tmp_path):
     save(two_model_bundle(), path)
     path.write_text(path.read_text().replace('"format_version": 1', '"format_version": 2'))
     with pytest.raises(VersionError, match="format_version 2"):
-        load_model(path, KEY_A)
+        load(path, (KEY_A,)).models[KEY_A]
 
 
 def test_load_model_refuses_key_written_twice(tmp_path):
@@ -1075,7 +1074,19 @@ def test_load_model_refuses_key_written_twice(tmp_path):
     body = text[text.index(f'    "{KEY_A}"') : text.index(f'    "{KEY_B}"')]
     path.write_text(text.replace(body, body + body))
     with pytest.raises(CorruptModelError, match="appears twice"):
-        load_model(path, KEY_A)
+        load(path, (KEY_A,)).models[KEY_A]
+
+
+@pytest.mark.parametrize("indent", [None, 1], ids=["canonical", "reindented"])
+def test_load_names_every_missing_profile_and_every_available_one(tmp_path, indent):
+    path = tmp_path / "m.json"
+    save(two_model_bundle(), path)
+    if indent is not None:  # decoded whole, so its models name the available profiles
+        path.write_text(json.dumps(json.loads(path.read_text()), indent=indent))
+    missing = sorted(map(ProfileKey, ("universal/any/any/4G/good", "specific/narnia/telia/4G/good")))
+    expected = f"profiles {missing[0]}, {missing[1]} not in model file; available: {KEY_A}, {KEY_B}"
+    with pytest.raises(FormatError, match=f"^{re.escape(expected)}$"):
+        load(path, [missing[1], KEY_A, missing[0]])
 
 
 def test_load_model_names_available_profiles(tmp_path):
@@ -1087,4 +1098,4 @@ def test_load_model_names_available_profiles(tmp_path):
         f"available: {KEY_A}, {KEY_B}"
     )
     with pytest.raises(FormatError, match=f"^{re.escape(expected)}$"):
-        load_model(path, missing)
+        load(path, (missing,))

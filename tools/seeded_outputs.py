@@ -13,7 +13,7 @@ equals ``list-profiles``'s when both paths read the same models.
 ``run-periodic-bench`` is the benchmark's ``run`` size, 10000 applies, so its
 rows and ``# $`` lines span several of the dry run's print blocks. The dry run
 prints both 512 actions at a time, and each ``# $`` block decides install
-or resample from where the last one left off, so ``trace-run-blocks`` runs 300,
+or resample from the action before its first, so ``trace-run-blocks`` runs 300,
 210 and 700 applies at period 1 on three profiles that ``trace-run`` names: one
 clear falls inside the first block, the next is its last action, and the third
 step crosses a block seam. ``validate-bench`` is the benchmark's ``validate`` size,
