@@ -168,9 +168,12 @@ class _CommandBackend:
         commands = self._renderer.render(params, resample=self.configured is not None)
         try:
             self._execute(commands)
-        except BackendError:
-            with contextlib.suppress(Exception):  # the failed line's error is the one raised
+        except BackendError as exc:
+            try:
                 self.clear()  # all or nothing: never leave half a rule set installed
+            except Exception as teardown:  # the failed line's error first; a SystemExit passes
+                raise BackendError(f"{exc}; its teardown failed too, so rules may remain: "
+                                   f"{teardown}") from exc
             raise
         self.configured = params
 
@@ -232,8 +235,8 @@ class TcBackend(_CommandBackend):
     fake one. Lines run in order up to the first exception or failed status;
     a removal line whose stderr says the rule is absent has not failed. A
     failed install or resample removes every rule and raises its own
-    :class:`BackendError`, not the teardown's. A teardown runs every line, even past a signal's
-    ``SystemExit``, then raises the first exception, such as a
+    :class:`BackendError`, adding the teardown's error if that fails too. A teardown runs every
+    line, even past a signal's ``SystemExit``, then raises the first exception, such as a
     :class:`BackendError` naming a removal that failed for another reason.
     """
 

@@ -19,7 +19,7 @@ import signal
 import sys
 import tempfile
 import threading
-from contextlib import ExitStack, nullcontext
+from contextlib import ExitStack, nullcontext, suppress
 from datetime import datetime, timezone
 from pathlib import Path
 from types import SimpleNamespace
@@ -254,7 +254,7 @@ _VALIDATE_CHUNK = 4096  # rows of validate's CSV formatted per write
 def _write_chunks(out, count: int, text: Callable[[int], str]) -> None:
     """Write ``text(start)`` for rows ``[0, count)`` a chunk apart, in order, as contiguous ranges
     of chunks, one per CPU this process may use: the first range here, each other from the spool a
-    forked child writes it to, or here if no spool opens. No child outlives the call."""
+    forked child writes it to, or here if its spool or fork fails. No child outlives the call."""
     chunks = range(0, count, _VALIDATE_CHUNK)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     k = min(cpus if hasattr(os, "fork") else 1, len(chunks))
@@ -263,21 +263,19 @@ def _write_chunks(out, count: int, text: Callable[[int], str]) -> None:
     with ExitStack() as spools:
         try:
             for index, starts in enumerate(ranges[1:], 1):
-                try:
+                with suppress(OSError):  # no spool or no child (EAGAIN): the range is written here
                     spool = spools.enter_context(tempfile.TemporaryFile("w+", encoding="utf-8"))
-                except OSError:
-                    continue
-                # Python 3.12+ warns of a fork while threads run, as numpy's OpenBLAS ones may; but
-                # OpenBLAS stops them at a fork, and the child calls no BLAS: it slices, runs tolist,
-                # formats and writes, then leaves through _exit, flushing nothing it inherited
-                if (pid := os.fork()) == 0:
-                    try:
-                        spool.writelines(map(text, starts))
-                        spool.flush()
-                        os._exit(0)
-                    finally:  # any exception, the SystemExit of main's signal handler too
-                        os._exit(1)
-                children[index] = pid, spool
+                    # Python 3.12+ warns of a fork while threads run, as OpenBLAS's may; but they
+                    # stop at a fork, and the child calls no BLAS: it slices, runs tolist, formats
+                    # and writes, then leaves through _exit, flushing nothing it inherited
+                    if (pid := os.fork()) == 0:
+                        try:
+                            spool.writelines(map(text, starts))
+                            spool.flush()
+                            os._exit(0)
+                        finally:  # any exception, the SystemExit of main's signal handler too
+                            os._exit(1)
+                    children[index] = pid, spool
             for index, starts in enumerate(ranges):
                 if index not in children:
                     out.writelines(map(text, starts))

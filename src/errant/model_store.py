@@ -8,10 +8,10 @@ thousandths is written as an integer part plus a fraction from a table of ".0" t
 ``repr``'s text, without its search for the shortest digits. Any other block is written with
 ``repr``.
 A save writes a block of points at a time; a refused key or a failed write leaves the old file.
-A load reads save's layout a model at a time and decodes only the models it is asked for, so
-it holds one model's text at a time; any other layout is decoded from its whole text. Points in
-save's three-decimal lines are read as integer thousandths, a block of lines at a time, and any
-other text of a model through JSON.
+A load reads save's layout, every key line as save writes it, a model at a time and decodes only
+the models it is asked for, so it holds one model's text at a time; any other file is decoded
+from its whole text. Points in save's three-decimal lines are read as integer thousandths, a
+block of lines at a time, and any other text of a model through JSON.
 """
 
 from __future__ import annotations
@@ -126,39 +126,38 @@ def save(bundle: ModelBundle, path: Union[str, Path]) -> None:
 def load(path: Union[str, Path], keys: Optional[Collection[str]] = None) -> ModelBundle:
     """Read a bundle, revalidating the invariants of every model read.
 
-    Save's layout is read a model at a time, decoding only the models of ``keys`` (all if None);
-    any other file is decoded whole and gives every model. A key of ``keys`` that the file lacks
-    is refused, naming every profile in the file: on save's layout, from the key lines read.
+    A file whose every key line is save's, a canonical key after the one before it, is read a
+    model at a time, decoding only the models of ``keys`` (all if None); any other file is
+    decoded whole, with the same keys checked. A key of ``keys`` that the file lacks is refused,
+    naming every profile in the file.
     """
-    markers = None if keys is None else {f"{_key_line(key)}\n".encode() for key in keys}
-    bodies: dict = {}
-    names: Optional[list] = []  # every key text the scan reads; None once the whole decode runs
+    wanted = None if keys is None else set(map(ProfileKey, keys))
+    bodies: dict = {}  # key text -> a model's decoded object, None for one not wanted
     try:
         with open(path, "rb") as handle:
             head = b"".join(handle.readline() for _ in range(4)).decode("utf-8")
             created = json.loads(head[len(_HEAD):-len(_AFTER_CREATED) - 1])
             if head != f"{_HEAD}{json.dumps(str(created))}{_AFTER_CREATED}\n":  # str(): text only
                 raise ValueError("not the layout save writes")
-            line = handle.readline()
+            line, previous = handle.readline(), ""
             while line != b"  }\n":  # a model's key line, until the models object closes
-                names.append(key_text := json.loads(line[4:-4].decode("utf-8")))
+                key = ProfileKey(str(json.loads(line[4:-4].decode("utf-8"))))
+                if line != f"{_key_line(key)}\n".encode() or key <= previous:
+                    raise ValueError("a key line that save does not write")
                 parts = [b"{\n"]  # the end of the key line, then the model up to its one "}"
                 while (at := (chunk := handle.peek()).find(b"}")) < 0:  # what the buffer holds
                     if not chunk:
                         raise ValueError("a model does not end")
                     parts.append(handle.read(len(chunk)))
                 parts.append(handle.read(at + 1))  # what follows stays buffered, read once
-                if markers is None or line in markers:
-                    if line != f"{_key_line(str(key_text))}\n".encode() or key_text in bodies:
-                        raise ValueError("a key line that save does not write")
-                    bodies[key_text] = _model_doc(parts)
-                glue, line = handle.readline(), handle.readline()
+                bodies[key] = _model_doc(parts) if wanted is None or key in wanted else None
+                glue, line, previous = handle.readline(), handle.readline(), key
                 if glue != (b"\n" if line == b"  }\n" else b",\n"):
                     raise ValueError("models joined other than save joins them")
             if handle.read(3) != b"}\n":
                 raise ValueError("not the layout save writes")
     except (OSError, ValueError, CorruptModelError):  # the whole decode reports it
-        (created, bodies), names = _decode_whole(path), None
+        created, bodies = _decode_whole(path)
     models: Dict[ProfileKey, KdeModel] = {}
     key_texts: Dict[ProfileKey, str] = {}
     for key_text, body in bodies.items():
@@ -169,12 +168,12 @@ def load(path: Union[str, Path], keys: Optional[Collection[str]] = None) -> Mode
         if key_texts.setdefault(key, key_text) is not key_text:
             raise CorruptModelError(f"model file {path} names profile {key} twice: "
                                     f"{key_texts[key]!r} and {key_text!r}")
-        models[key] = _model_from_doc(key_text, body)
-    missing = sorted(set(keys or ()) - models.keys())
+        if wanted is None or key in wanted:
+            models[key] = _model_from_doc(key_text, body)
+    missing = sorted((wanted or set()) - models.keys())
     if missing:
-        available = ", ".join(sorted(models if names is None else names)) or "none"
         raise FormatError(f"profile{'s' * (len(missing) > 1)} {', '.join(missing)} not in model "
-                          f"file; available: {available}")
+                          f"file; available: {', '.join(sorted(key_texts)) or 'none'}")
     return ModelBundle(models=models, created=created)
 
 

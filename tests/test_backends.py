@@ -30,7 +30,7 @@ from errant import (
 )
 from errant.backends import _kbit, _shell_runner, render_clear_commands
 from errant.emulator import _PRESETS, RunReport
-from errant.cli import _exit_on_signal
+from errant.cli import _exit_on_signal, main
 
 GOLDEN = Path(__file__).parent / "golden"
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -238,6 +238,14 @@ def test_tc_backend_clear_raises_on_a_failed_removal():
     assert backend.configured is None
 
 
+# the error of an install that fails at its ingress line and whose every removal is denied
+TEARDOWN_FAILED_TOO = (
+    f"command failed with status 2: tc qdisc add dev eth0 handle ffff: ingress ({DENIED[1]}); "
+    "its teardown failed too, so rules may remain: "
+    f"command failed with status 2: {CLEAR_LINES[0]} ({DENIED[1]})"
+)
+
+
 def test_failed_cleanup_after_failed_install_raises_the_install_error():
     executed = []
 
@@ -250,8 +258,7 @@ def test_failed_cleanup_after_failed_install_raises_the_install_error():
     backend = TcBackend("eth0", "ifb0", runner=runner)
     with pytest.raises(BackendError) as caught:
         backend.apply(PARAMS_BASIC)
-    assert str(caught.value) == ("command failed with status 2: tc qdisc add dev eth0 handle "
-                                 f"ffff: ingress ({DENIED[1]})")
+    assert str(caught.value) == TEARDOWN_FAILED_TOO
     assert executed[-3:] == CLEAR_LINES  # every teardown line ran
     assert backend.configured is None
 
@@ -264,6 +271,24 @@ def test_failed_cleanup_after_failed_install_raises_the_install_error():
     with pytest.raises(SystemExit):
         TcBackend("eth0", "ifb0", runner=signalled).apply(PARAMS_BASIC)
     assert executed[-2:] == CLEAR_LINES[1:]
+
+
+def test_failed_install_whose_teardown_fails_exits_3_naming_both(capsys, monkeypatch):
+    executed = []
+
+    def runner(command):
+        executed.append(command)
+        if command == "tc qdisc add dev eth0 handle ffff: ingress" or " del " in command:
+            return DENIED
+        return 0, ""
+
+    monkeypatch.setattr("errant.backends._shell_runner", runner)
+    monkeypatch.setattr("os.geteuid", lambda: 0)
+    monkeypatch.delenv("ERRANT_IFB", raising=False)
+    assert main(["run", "--iface", "eth0", "--preset", "chrome:3G", "--duration", "1"]) == 3
+    assert capsys.readouterr().err == f"error: {TEARDOWN_FAILED_TOO}\n"
+    # every teardown line ran: the failed apply's, then the run's own
+    assert executed[-6:] == CLEAR_LINES * 2
 
 
 @pytest.mark.parametrize("removal", RESAMPLE_REMOVALS)

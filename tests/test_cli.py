@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import errno
 import io
 import json
 import os
@@ -1085,6 +1086,28 @@ def test_validate_range_without_a_spool_is_formatted_here(small_bundle_path, cap
     _no_child_left()
 
 
+def test_validate_range_whose_fork_fails_is_formatted_here(small_bundle_path, capsys,
+                                                          monkeypatch):
+    downloads = 3 * cli._VALIDATE_CHUNK
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})  # one process: no fork
+    assert run_cli(_validate_argv(small_bundle_path, downloads)) == 0
+    expected = capsys.readouterr().out
+    fork, forks = os.fork, []
+
+    def first_fails():  # as under a process limit: no child for the second range, one for the third
+        forks.append(1)
+        if len(forks) == 1:
+            raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        return fork()
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    monkeypatch.setattr(os, "fork", first_fails)
+    assert run_cli(_validate_argv(small_bundle_path, downloads)) == 0
+    assert capsys.readouterr() == (expected, "")
+    assert len(forks) == 2
+    _no_child_left()
+
+
 def test_validate_memory_stays_per_chunk(small_bundle_path, tmp_path, capsys):
     # guards the chunked CSV: it holds one chunk's rows as text, never the whole output's
     argv = ["validate", "--models", str(small_bundle_path), "--profile", KEY_TEXT,
@@ -1520,15 +1543,18 @@ OTHER_KEY = "universal/any/any/3G/bad"
 
 
 @pytest.mark.parametrize(
-    "old,new",
+    "old,new,refusal",
     [
-        ("        [", "        [-"),  # a nonpositive point
-        ("        [", "        [oops, "),  # text that is not JSON
-        (f'"{OTHER_KEY}"', '"specific/Norway/telia/4G/good"'),  # the selected profile again
+        ("        [", "        [-", None),  # a nonpositive point
+        ("        [", "        [oops, ", None),  # text that is not JSON
+        # the selected profile again: a key line save does not write, so the file is decoded
+        # whole, and refused for its keys as list-profiles refuses it
+        (f'"{OTHER_KEY}"', '"specific/Norway/telia/4G/good"', f"names profile {KEY_TEXT} twice"),
     ],
     ids=["nonpositive-point", "not-json", "same-profile-spelled-differently"],
 )
-def test_single_profile_commands_ignore_other_models(small_bundle_path, tmp_path, capsys, old, new):
+def test_single_profile_commands_ignore_other_models(small_bundle_path, tmp_path, capsys, old, new,
+                                                     refusal):
     bundle = load(small_bundle_path)
     bundle.models[ProfileKey.from_string(OTHER_KEY)] = fit(make_lognormal(150, seed=2))
     clean = tmp_path / "clean.json"
@@ -1538,12 +1564,35 @@ def test_single_profile_commands_ignore_other_models(small_bundle_path, tmp_path
     corrupt = tmp_path / "corrupt.json"
     corrupt.write_text(text[:other] + text[other:].replace(old, new, 1))
     for argv in SINGLE_PROFILE:
-        outputs = []
-        for path in (clean, corrupt):
-            assert run_cli([argv[0], "--models", str(path), *argv[1:]]) == 0
-            outputs.append(capsys.readouterr().out)
-        assert outputs[0] == outputs[1]
+        assert run_cli([argv[0], "--models", str(clean), *argv[1:]]) == 0
+        expected = capsys.readouterr().out
+        assert run_cli([argv[0], "--models", str(corrupt), *argv[1:]]) == (2 if refusal else 0)
+        if refusal:
+            assert refusal in capsys.readouterr().err
+        else:
+            assert capsys.readouterr() == (expected, "")
     assert run_cli(["list-profiles", "--models", str(corrupt)]) == 2
+
+
+@pytest.mark.parametrize("edit", [
+    lambda line: line.replace("good", "goo\\u0064"),
+    lambda line: line.replace('": {', '" : {'),
+    lambda line: line.replace("specific/norway", "Specific/Norway"),
+], ids=["escaped-character", "space-before-colon", "other-spelling"])
+def test_run_reads_a_profile_whose_key_line_is_not_saves(small_bundle_path, tmp_path, capsys,
+                                                         edit):
+    # list-profiles shows the profile of an edited key line, so run reads it too
+    argv = ["run", "--duration", "5", "--period", "1", "--seed", "4", "--profile", KEY_TEXT]
+    assert run_cli([argv[0], "--models", str(small_bundle_path), *argv[1:]]) == 0
+    expected = capsys.readouterr().out
+    line = f'    "{KEY_TEXT}": {{'
+    edited = tmp_path / "edited.json"
+    edited.write_text(small_bundle_path.read_text().replace(line, edit(line), 1))
+    assert edited.read_text() != small_bundle_path.read_text()
+    assert run_cli(["list-profiles", "--models", str(edited)]) == 0
+    assert KEY_TEXT in capsys.readouterr().out
+    assert run_cli([argv[0], "--models", str(edited), *argv[1:]]) == 0
+    assert capsys.readouterr() == (expected, "")
 
 
 def test_single_profile_commands_skip_whole_bundle_load(small_bundle_path, tmp_path, monkeypatch):

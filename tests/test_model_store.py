@@ -835,19 +835,78 @@ def test_load_model_finds_its_model_across_chunk_seams(tmp_path, monkeypatch, sc
             assert_same_outcome(load(path), bundle)  # every key, each across the same seams
 
 
-@pytest.mark.parametrize(
-    "rewrite",
-    [lambda data: data.replace(b"\n", b"\r\n"), lambda data: b"\xef\xbb\xbf" + data],
-    ids=["crlf", "bom"],
-)
+def model_block(text, key):
+    """``key``'s model in a canonical ``text``: its key line up to its closing brace."""
+    start = text.index(f"\n{model_store._key_line(key)}\n") + 1
+    return text[start:text.index("\n    }", start) + len("\n    }")]
+
+
+def edit_key_line(key, edit):
+    """A rewrite of the text: ``edit`` of ``key``'s key line."""
+    return lambda text: text.replace(model_store._key_line(key), edit(model_store._key_line(key)))
+
+
+def block_twice(key, edit=lambda block: block):
+    """A rewrite of the text: ``key``'s model, then ``edit`` of it."""
+    return lambda text: text.replace(model_block(text, key),
+                                     f"{model_block(text, key)},\n{edit(model_block(text, key))}")
+
+
+def blocks_swapped(text):
+    first, second = model_block(text, BRACE_KEYS[0]), model_block(text, BRACE_KEYS[1])
+    return text.replace(first, "\0").replace(second, first).replace("\0", second)
+
+
+# each a rewrite of the canonical text of brace_bundle() that save does not write: its line
+# endings, or key lines that are not all save's, where BRACE_KEYS[0] is the profile a command
+# names and BRACE_KEYS[1] another
+ANOTHER_LAYOUT = {
+    "crlf": lambda text: text.replace("\n", "\r\n"),
+    "bom": lambda text: "\ufeff" + text,
+    "escaped-character": edit_key_line(BRACE_KEYS[0], lambda line: line.replace("good",
+                                                                                "goo\\u0064")),
+    "space-before-colon": edit_key_line(BRACE_KEYS[0], lambda line: line.replace('": {', '" : {')),
+    "upper-case": edit_key_line(BRACE_KEYS[0], str.upper),
+    "upper-case-beside-canonical": block_twice(BRACE_KEYS[0], lambda block: block.replace(
+        BRACE_KEYS[0], BRACE_KEYS[0].upper(), 1)),
+    "other-key-twice": block_twice(BRACE_KEYS[1]),
+    "models-swapped": blocks_swapped,
+    "key-names-no-profile": edit_key_line(BRACE_KEYS[1], lambda line: line.replace(
+        BRACE_KEYS[1], "bogus")),
+}
+
+
+@pytest.mark.parametrize("rewrite", list(ANOTHER_LAYOUT.values()), ids=list(ANOTHER_LAYOUT))
 def test_load_model_of_another_layout_equals_load(tmp_path, rewrite):
-    path = tmp_path / "m.json"
-    save(brace_bundle(), path)
-    path.write_bytes(rewrite(path.read_bytes()))
+    # a file that is not save's layout is decoded whole, which checks every key and builds the
+    # models by their parsed keys, so each profile reads as the whole read gives it: the same
+    # bits, or the same refusal
+    bundle, path = brace_bundle(), tmp_path / "m.json"
+    save(bundle, path)
+    text = path.read_text(encoding="utf-8")
+    path.write_bytes(rewrite(text).encode())
+    assert path.read_bytes() != text.encode()
     expected = outcome(load, path)
     for key in BRACE_KEYS:
+        if isinstance(expected, ModelBundle):
+            assert_same_model(expected.models[key], bundle.models[key])
         wanted = expected.models[key] if isinstance(expected, ModelBundle) else expected
         assert_same_outcome(outcome(lambda: load(path, (key,)).models[key]), wanted)
+
+
+def test_whole_decode_builds_only_the_models_asked_for(tmp_path):
+    # a file decoded whole has every key checked but builds only the models of ``keys``, so a
+    # fault in another model's body does not stop a one-profile read on any layout
+    bundle, path = brace_bundle(), tmp_path / "m.json"
+    save(bundle, path)
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc["models"][BRACE_KEYS[1]]["points"][0][0] = -1.0
+    path.write_text(json.dumps(doc, indent=1), encoding="utf-8")
+    with pytest.raises(CorruptModelError, match=re.escape(f"model {BRACE_KEYS[1]}: ")):
+        load(path)
+    loaded = load(path, (BRACE_KEYS[0],))
+    assert list(loaded.models) == [BRACE_KEYS[0]]
+    assert_same_model(loaded.models[BRACE_KEYS[0]], bundle.models[BRACE_KEYS[0]])
 
 
 def short_bundle():
@@ -929,6 +988,9 @@ FORK_CASES = {
     "non-psd": in_model_b(r'("covariance": \[)[^\]]+', "1.0, 0, 0, 0, -1.0, 0, 0, 0, 1.0"),
     "bad-key": lambda text: text.replace(json.dumps(KEY_A), '"bogus"'),
     "key-not-text": lambda text: text.replace(json.dumps(KEY_A), "5"),
+    # a key line of save's length whose text after the key is not JSON's
+    "key-line-not-json": lambda text: text.replace(f"{json.dumps(KEY_B)}: {{",
+                                                   f"{json.dumps(KEY_B)}::{{"),
     "unprintable-key": lambda text: text.replace("specific/norway/", "specific/nor\\u2028way/"),
     "other-version": lambda text: text.replace('"format_version": 1', '"format_version": 2'),
     "created-not-text": lambda text: re.sub(r'"created": "[^"]*"', '"created": 5', text),
@@ -1067,7 +1129,7 @@ def test_load_model_refuses_other_version(tmp_path):
 
 
 def test_load_model_refuses_key_written_twice(tmp_path):
-    # the marker line occurs twice, so the whole file is read and refused
+    # a key line occurs twice, so the file is not save's layout: it is decoded whole and refused
     path = tmp_path / "m.json"
     save(two_model_bundle(), path)
     text = path.read_text()

@@ -10,6 +10,8 @@ the file's first model instead, so the one-model read is checked at both ends
 of the file. ``list-profiles-reindented`` reads the bundle re-dumped with
 ``json.dumps(..., indent=1)``, a layout that ``load`` decodes whole, so its md5
 equals ``list-profiles``'s when both paths read the same models.
+``run-periodic-reindented`` is ``run-periodic`` on that bundle, a one-profile read
+through the whole decode, so its md5 equals ``run-periodic``'s.
 ``run-periodic-bench`` is the benchmark's ``run`` size, 10000 applies, so its
 rows and ``# $`` lines span several of the dry run's print blocks. The dry run
 prints both 512 actions at a time, and each ``# $`` block decides install
@@ -105,6 +107,9 @@ COMMANDS = (
     ("list-profiles-reindented", ["list-profiles", "--models", "{reindented}"]),
     ("run-periodic", ["run", "--models", "{models}", "--profile", PROFILE, "--seed", "3",
                       "--duration", "2000", "--period", "1"]),
+    # the same run on the other layout: a one-profile read through the whole decode
+    ("run-periodic-reindented", ["run", "--models", "{reindented}", "--profile", PROFILE,
+                                 "--seed", "3", "--duration", "2000", "--period", "1"]),
     # the bench's run size: 10000 applies cross several of the dry run's replay blocks
     ("run-periodic-bench", ["run", "--models", "{models}", "--profile", PROFILE, "--seed", "3",
                             "--duration", "10000", "--period", "1"]),
